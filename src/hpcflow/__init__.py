@@ -11,13 +11,14 @@ from hpcflow.errors import (
     DockerfileError,
     HpcflowError,
     LaunchError,
+    LineError,
     ProfileError,
     ReconcileError,
-    RunnerError,
 )
 from hpcflow.profiles import (
     ClusterProfile,
     EnvironmentSpec,
+    ImageRef,
     SemVer,
     ValidationIssue,
     parse_cluster_profile,
@@ -34,10 +35,11 @@ __all__ = [
     "DockerfileError",
     "EnvironmentSpec",
     "HpcflowError",
+    "ImageRef",
     "LaunchError",
+    "LineError",
     "ProfileError",
     "ReconcileError",
-    "RunnerError",
     "SemVer",
     "ValidationIssue",
     "parse_cluster_profile",

@@ -21,6 +21,7 @@ from hpcflow import dockerfile, launch, lint, perf, recon, runner
 from hpcflow.errors import HpcflowError
 from hpcflow.profiles import (
     ClusterProfile,
+    ImageRef,
     parse_cluster_profile,
     parse_env_spec,
     validate_profile,
@@ -84,10 +85,7 @@ def _tag_list(text: str) -> list[str]:
 
 
 def _default_container_name(image_ref: str) -> str:
-    repo = image_ref.rsplit("/", 1)[-1]
-    if ":" in repo:
-        repo = repo.rsplit(":", 1)[0]
-    name = re.sub(r"[^A-Za-z0-9_.-]", "-", repo)
+    name = re.sub(r"[^A-Za-z0-9_.-]", "-", ImageRef.parse(image_ref).name)
     return name or "container"
 
 
@@ -218,6 +216,8 @@ def cmd_perf_predict(args: argparse.Namespace) -> int:
     else:
         link_bandwidth = args.link_bandwidth
         intra_bandwidth = args.intra_bandwidth
+        if intra_bandwidth is None:
+            intra_bandwidth = link_bandwidth
         link_latency = args.link_latency
     try:
         inputs = perf.ScalingInputs(
@@ -245,22 +245,14 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
     for gpus, path in args.runs:
         text = Path(path).read_text(encoding="utf-8")
         runs.append(perf.parse_bench_log(text, args.warmup, label=path, gpus=gpus))
-    baselines = [r for r in runs if r.gpus == 1]
-    if len(baselines) != 1:
-        raise HpcflowError(
-            f"need exactly one 1-GPU baseline run, got {len(baselines)}"
-        )
-    baseline = baselines[0]
-    counts = [r.gpus for r in runs]
-    if len(set(counts)) != len(counts):
-        raise HpcflowError("duplicate GPU counts in runs")
+    try:
+        speedups = perf.speedup_table(runs)
+    except ValueError as exc:
+        raise HpcflowError(str(exc)) from None
     print("gpus,mean,ci95,speedup")
-    for run in sorted(runs, key=lambda r: r.gpus):
-        summary = perf.summarize(run, baseline=baseline)
-        print(
-            f"{run.gpus},{summary.mean:.6g},{summary.ci95_half_width:.6g},"
-            f"{summary.speedup_vs_baseline:.6g}"
-        )
+    for run, (gpus, speedup) in zip(sorted(runs, key=lambda r: r.gpus), speedups):
+        summary = perf.summarize(run)
+        print(f"{gpus},{summary.mean:.6g},{summary.ci95_half_width:.6g},{speedup:.6g}")
     return EXIT_OK
 
 
@@ -341,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--ideal", action="store_true", help="zero communication cost (ideal speedup)"
     )
-    predict.add_argument("--machine", action="store_true", help="CSV only (the default)")
     predict.set_defaults(func=cmd_perf_predict)
 
     bench = nouns.add_parser("bench", help="benchmark statistics")
@@ -349,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     report = bench_verbs.add_parser("report", help="summarize runs as CSV")
     report.add_argument("runs", nargs="+", type=_gpus_log_pair, metavar="GPUS:LOGPATH")
     report.add_argument("--warmup", type=_nonneg_int, default=0)
-    report.add_argument("--machine", action="store_true", help="CSV only (the default)")
     report.set_defaults(func=cmd_bench_report)
 
     return parser
@@ -366,8 +356,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.user_command = user_command
-    if getattr(args, "intra_bandwidth", None) is None and hasattr(args, "link_bandwidth"):
-        args.intra_bandwidth = args.link_bandwidth
     try:
         return args.func(args)
     except (HpcflowError, OSError) as exc:

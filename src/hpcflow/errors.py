@@ -7,24 +7,22 @@ class HpcflowError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ProfileError(HpcflowError):
+class LineError(HpcflowError):
+    """An error in a text input, prefixed ``line N: `` when the line is known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class ProfileError(LineError):
     """Raised for unreadable or inconsistent profile/spec files."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class DockerfileError(HpcflowError):
+class DockerfileError(LineError):
     """Raised for Dockerfile text that violates structural rules."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class ReconcileError(HpcflowError):
@@ -35,15 +33,5 @@ class LaunchError(HpcflowError):
     """Raised for job requests that cannot be planned or rendered."""
 
 
-class BenchLogError(HpcflowError):
+class BenchLogError(LineError):
     """Raised for malformed benchmark logs."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class RunnerError(HpcflowError):
-    """Raised for invalid executor or mock-scheduler usage."""

@@ -79,8 +79,6 @@ class LaunchPlan:
 @dataclass(frozen=True)
 class JobScript:
     text: str
-    scheduler: str
-    plan: LaunchPlan
 
 
 def plan_launch(
@@ -204,7 +202,7 @@ def render_job_script(
         ]
     )
     lines.append(launcher)
-    return JobScript(text="\n".join(lines) + "\n", scheduler=cluster.scheduler, plan=plan)
+    return JobScript(text="\n".join(lines) + "\n")
 
 
 def render_udocker_setup(recon: ReconcilePlan, container_name: str) -> list[list[str]]:

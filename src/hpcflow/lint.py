@@ -16,6 +16,7 @@ import shlex
 from dataclasses import dataclass
 
 from hpcflow.dockerfile import DockerfileAst, Instruction
+from hpcflow.profiles import ImageRef
 
 RULES: dict[str, tuple[str, str]] = {
     "TF1": ("error", "file downloaded/extracted in one layer and deleted in a later one"),
@@ -269,23 +270,23 @@ def _check_tf3(stage: list[tuple[int, Instruction]], findings: list[SmellFinding
                 break  # one finding per RUN
 
 
-def _check_p1(stage: list[tuple[int, Instruction]], findings: list[SmellFinding]) -> None:
-    for _, instr in stage:
+def _check_p1(ast: DockerfileAst, findings: list[SmellFinding]) -> None:
+    # FROM flags, ``scratch`` and the names of earlier stages are not image
+    # references; stage names compare case-insensitively, as in Docker
+    stage_names = {"scratch"}
+    for instr in ast.instructions:
         if instr.kind != "FROM":
             continue
-        parts = instr.args.split()
-        if not parts:
+        words = [w for w in instr.args.split() if not w.startswith("--")]
+        if not words:
             continue
-        ref = parts[0]
-        if "@" in ref:  # digest pinned
+        ref = ImageRef.parse(words[0])
+        names_stage = words[0].lower() in stage_names
+        if len(words) == 3 and words[1].lower() == "as":
+            stage_names.add(words[2].lower())
+        if names_stage or ref.pinned:
             continue
-        last = ref.rsplit("/", 1)[-1]
-        if ":" not in last:
-            problem = "has no tag"
-        elif last.rsplit(":", 1)[1] == "latest":
-            problem = "uses the floating tag 'latest'"
-        else:
-            continue
+        problem = "has no tag" if ref.tag is None else "uses the floating tag 'latest'"
         findings.append(
             SmellFinding(
                 "P1",
@@ -324,8 +325,8 @@ def lint(ast: DockerfileAst) -> SmellReport:
         _check_tf1(stage, findings)
         _check_tf2(stage, findings)
         _check_tf3(stage, findings)
-        _check_p1(stage, findings)
         _check_e1(stage, findings)
+    _check_p1(ast, findings)
     findings.sort(key=lambda f: (f.line, f.rule_id))
     counts = {"error": 0, "warning": 0, "info": 0}
     for finding in findings:

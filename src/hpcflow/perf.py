@@ -43,7 +43,8 @@ class ScalingInputs:
     """Model plus machine characteristics feeding the prediction.
 
     Bandwidths are bytes/second and may be ``math.inf`` to model the
-    zero-communication ideal; latency is seconds per ring step.
+    zero-communication ideal; latency is seconds per ring step.  NaN is
+    rejected everywhere, infinity everywhere but in the bandwidths.
     """
 
     model: ModelSpec
@@ -54,12 +55,13 @@ class ScalingInputs:
     intra_node_bandwidth: float
 
     def __post_init__(self) -> None:
-        if self.single_gpu_images_per_sec <= 0:
-            raise ValueError("single_gpu_images_per_sec must be positive")
-        if self.link_bandwidth <= 0 or self.intra_node_bandwidth <= 0:
+        # each test is "not ok", so NaN, which fails every comparison, is rejected
+        if not 0 < self.single_gpu_images_per_sec < math.inf:
+            raise ValueError("single_gpu_images_per_sec must be finite and positive")
+        if not (self.link_bandwidth > 0 and self.intra_node_bandwidth > 0):
             raise ValueError("bandwidths must be positive")
-        if self.link_latency < 0:
-            raise ValueError("link_latency must be non-negative")
+        if not 0 <= self.link_latency < math.inf:
+            raise ValueError("link_latency must be finite and non-negative")
         if self.gpus_per_node < 1:
             raise ValueError("gpus_per_node must be >= 1")
         if self.intra_node_bandwidth < self.link_bandwidth:
@@ -90,7 +92,6 @@ class BenchSummary:
     mean: float
     ci95_half_width: float
     n: int
-    speedup_vs_baseline: float | None = None
     ci_undefined: bool = False
 
 
@@ -141,15 +142,6 @@ def predict(inputs: ScalingInputs, p: int) -> ScalingEstimate:
     )
 
 
-def scale_learning_rate(base_lr: float, p: int) -> float:
-    """Linear learning-rate scaling: base rate times worker count."""
-    if base_lr <= 0:
-        raise ValueError("base_lr must be positive")
-    if p < 1:
-        raise ValueError(f"worker count must be >= 1, got {p}")
-    return base_lr * p
-
-
 def parse_bench_log(
     text: str, warmup_count: int, label: str = "", gpus: int = 1
 ) -> BenchRun:
@@ -190,7 +182,7 @@ def _t_quantile(prob: float, df: int) -> float:
     return float(stats.t.ppf(prob, df))
 
 
-def summarize(run: BenchRun, baseline: BenchRun | None = None) -> BenchSummary:
+def summarize(run: BenchRun) -> BenchSummary:
     """Mean and 95% Student-t confidence half-width of a run.
 
     Uses the n-1 sample standard deviation and the t quantile with n-1
@@ -208,15 +200,10 @@ def summarize(run: BenchRun, baseline: BenchRun | None = None) -> BenchSummary:
         s = statistics.stdev(run.samples)
         ci = _t_quantile(0.975, n - 1) * s / math.sqrt(n)
         undefined = False
-    speedup = None
-    if baseline is not None:
-        base_mean = statistics.fmean(baseline.samples)
-        speedup = mean / base_mean
     return BenchSummary(
         mean=mean,
         ci95_half_width=ci,
         n=n,
-        speedup_vs_baseline=speedup,
         ci_undefined=undefined,
     )
 

@@ -15,7 +15,7 @@ warnings by :func:`validate_profile`, never rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from hpcflow.errors import ProfileError
 
@@ -95,6 +95,43 @@ class SemVer:
 
 
 @dataclass(frozen=True)
+class ImageRef:
+    """A container image reference ``repo[:tag][@digest]``.
+
+    ``repo`` keeps any registry host (port included) and path.  Parsing
+    never fails and loses nothing: ``str(ImageRef.parse(s)) == s``.
+    """
+
+    repo: str
+    tag: str | None = None
+    digest: str | None = None
+
+    @classmethod
+    def parse(cls, ref: str) -> "ImageRef":
+        rest, at, digest = ref.partition("@")
+        head, slash, last = rest.rpartition("/")
+        name, colon, tag = last.rpartition(":")
+        if not colon:
+            name, tag = last, None
+        return cls(f"{head}{slash}{name}", tag, digest if at else None)
+
+    def __str__(self) -> str:
+        tag = "" if self.tag is None else f":{self.tag}"
+        digest = "" if self.digest is None else f"@{self.digest}"
+        return f"{self.repo}{tag}{digest}"
+
+    @property
+    def name(self) -> str:
+        """The last path component of the repository."""
+        return self.repo.rpartition("/")[2]
+
+    @property
+    def pinned(self) -> bool:
+        """True for a digest or an explicit tag other than ``latest``."""
+        return self.digest is not None or self.tag not in (None, "latest")
+
+
+@dataclass(frozen=True)
 class ClusterProfile:
     """Declared capabilities and constraints of one HPC cluster."""
 
@@ -124,7 +161,6 @@ class EnvironmentSpec:
     code_copies: tuple[tuple[str, str], ...] = ()
     entrypoint_path: str | None = None
     registry: str = DEFAULT_REGISTRY
-    unpinned_base_tag: bool = False
     extra: tuple[tuple[str, str], ...] = ()
 
 
@@ -132,22 +168,6 @@ class EnvironmentSpec:
 class ValidationIssue:
     severity: str  # "error" or "warning"
     message: str
-
-
-def normalize_image_ref(ref: str) -> tuple[str, bool]:
-    """Return ``(normalized, was_unpinned)`` for an image reference.
-
-    An untagged reference gets ``:latest`` appended; both untagged and
-    explicitly ``:latest`` references count as unpinned.  Digest-pinned
-    references (``repo@sha256:...``) pass through untouched.
-    """
-    if "@" in ref:
-        return ref, False
-    last = ref.rsplit("/", 1)[-1]
-    if ":" not in last:
-        return f"{ref}:latest", True
-    tag = last.rsplit(":", 1)[1]
-    return ref, tag == "latest"
 
 
 def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
@@ -347,8 +367,9 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
     Enforces strategy consistency: ``tags`` defers the OpenMPI choice to
     the target cluster so must not pin one; ``ngc`` images ship a fixed
     OpenMPI so must state it; ``entrypoint`` needs the in-image script
-    path.  An untagged base image is normalized to ``:latest`` and flagged
-    as unpinned (the linter's P1 rule will surface it).
+    path.  An untagged base image is normalized to ``:latest`` (the
+    linter's P1 rule will surface it); ``tags`` rejects a digest-pinned
+    base image, since it picks the tag per cluster.
 
     Raises:
         ProfileError: on syntax errors, missing mandatory keys, or
@@ -356,7 +377,7 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
     """
     entries = _read_section(text, ENVIRONMENT_SECTION)
 
-    base_image_raw, _ = _require(entries, "base_image")
+    base_image_raw, base_image_line = _require(entries, "base_image")
     strategy, strategy_line = _require(entries, "strategy")
     horovod_version, _ = _require(entries, "horovod_version")
     if strategy not in STRATEGIES:
@@ -394,12 +415,20 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
             line=strategy_line,
         )
 
-    base_image, unpinned = normalize_image_ref(base_image_raw)
+    base_image = ImageRef.parse(base_image_raw)
+    if base_image.digest is not None and strategy == "tags":
+        raise ProfileError(
+            "strategy 'tags' picks the image tag per cluster; "
+            "base_image must not be digest-pinned",
+            line=base_image_line,
+        )
+    if base_image.tag is None and base_image.digest is None:
+        base_image = replace(base_image, tag="latest")
 
     copies_value, copies_line = entries.get("code_copies", ("", 0))
 
     return EnvironmentSpec(
-        base_image=base_image,
+        base_image=str(base_image),
         strategy=strategy,
         horovod_version=horovod_version,
         openmpi_version=openmpi_version,
@@ -407,6 +436,5 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
         code_copies=_split_pairs(copies_value, "code_copies", copies_line),
         entrypoint_path=entrypoint_path,
         registry=entries.get("registry", (DEFAULT_REGISTRY, 0))[0],
-        unpinned_base_tag=unpinned,
         extra=_extras(entries, _KNOWN_ENV_KEYS),
     )

@@ -8,10 +8,10 @@ installation to an entrypoint script executed at first container start.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from hpcflow.errors import ReconcileError
-from hpcflow.profiles import DEFAULT_REGISTRY, ClusterProfile, EnvironmentSpec, SemVer
+from hpcflow.profiles import DEFAULT_REGISTRY, ClusterProfile, EnvironmentSpec, ImageRef, SemVer
 
 _TAG_RE = re.compile(r"^ompi(\d+)\.(\d+)(?:-[A-Za-z0-9._-]+)?$")
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -111,16 +111,11 @@ def select_tag(available_tags: list[str], cluster_mpi: SemVer) -> str:
     return min(matches)
 
 
-def _repo_without_tag(image_ref: str) -> str:
-    head, sep, last = image_ref.rpartition("/")
-    if ":" in last:
-        last = last.rsplit(":", 1)[0]
-    return f"{head}{sep}{last}" if sep else last
-
-
 def resolve_image_ref(spec: EnvironmentSpec, tag: str | None = None) -> str:
     """Build the full reference to pull, honouring a non-default registry."""
-    ref = spec.base_image if tag is None else f"{_repo_without_tag(spec.base_image)}:{tag}"
+    ref = spec.base_image
+    if tag is not None:
+        ref = str(replace(ImageRef.parse(ref), tag=tag))
     if spec.registry and spec.registry != DEFAULT_REGISTRY:
         return f"{spec.registry}/{ref}"
     return ref

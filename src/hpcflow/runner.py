@@ -1,9 +1,8 @@
-"""Execute or simulate generated command sequences.
+"""Preview or simulate generated command sequences.
 
-Provides a recording executor and a local executor behind one contract,
-a dry-run transcript mode, a deterministic poll-driven mock scheduler,
-and a local multi-process rank launcher that reproduces the node x GPU
-process grid with real subprocesses.
+Provides the dry-run transcript of a command sequence and a local
+multi-process rank launcher that reproduces the node x GPU process grid
+with real subprocesses.
 """
 
 from __future__ import annotations
@@ -12,34 +11,9 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from hpcflow.errors import RunnerError
-from hpcflow.launch import JobScript, LaunchPlan
-
-
-class RecordingExecutor:
-    """Collects commands instead of running them."""
-
-    records_only = True
-    executes_locally = False
-
-    def __init__(self) -> None:
-        self.commands: list[list[str]] = []
-
-    def run(self, argv: list[str]) -> int:
-        self.commands.append(list(argv))
-        return 0
-
-
-class LocalExecutor:
-    """Runs commands as local subprocesses."""
-
-    records_only = False
-    executes_locally = True
-
-    def run(self, argv: list[str]) -> int:
-        return subprocess.run(argv, check=False).returncode
+from hpcflow.launch import LaunchPlan
 
 
 def dry_run(commands: list[list[str]]) -> list[str]:
@@ -81,21 +55,16 @@ def mock_run_ranks(
     plan: LaunchPlan,
     rank_command: list[str],
     timeout: float = 60.0,
-    alias_map: dict[str, str] | None = None,
 ) -> list[RankResult]:
     """Spawn one local process per rank, concurrently, and collect results.
 
     Each rank gets RANK (0-based), SIZE, LOCAL_RANK (rank mod GPUs/node),
     NODE_INDEX (rank div GPUs/node) plus the plan's valued exports.  The
-    variable names are deliberately neutral; ``alias_map`` duplicates them
-    under additional names (e.g. ``{"RANK": "OMPI_COMM_WORLD_RANK"}``) for
-    programs expecting one launcher's spelling.  The result's ``env``
-    holds the KEY=VALUE lines the rank printed.  Spawn failures are
-    reported per rank; the full list is always returned.
+    result's ``env`` holds the KEY=VALUE lines the rank printed.  Spawn
+    failures are reported per rank; the full list is always returned.
     """
     procs: list[subprocess.Popen | None] = []
     errors: list[str | None] = []
-    envs: list[dict[str, str]] = []
     for rank in range(plan.total_ranks):
         env = dict(os.environ)
         env.update({k: v for k, v in plan.env_exports.items() if v is not None})
@@ -105,11 +74,7 @@ def mock_run_ranks(
             "LOCAL_RANK": str(rank % plan.slots_per_node),
             "NODE_INDEX": str(rank // plan.slots_per_node),
         }
-        for neutral, alias in (alias_map or {}).items():
-            if neutral in grid_env:
-                grid_env[alias] = grid_env[neutral]
         env.update(grid_env)
-        envs.append(env)
         try:
             procs.append(
                 subprocess.Popen(
@@ -130,27 +95,20 @@ def mock_run_ranks(
         if proc is None:
             results.append(RankResult(rank=rank, exit_code=127, env={}, error=error))
             continue
+        error = None
         try:
             stdout, _ = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
             proc.kill()
             stdout, _ = proc.communicate()
-            results.append(
-                RankResult(
-                    rank=rank,
-                    exit_code=proc.returncode,
-                    env=_parse_env_lines(stdout or ""),
-                    stdout=stdout or "",
-                    error="timeout",
-                )
-            )
-            continue
+            error = "timeout"
         results.append(
             RankResult(
                 rank=rank,
                 exit_code=proc.returncode,
                 env=_parse_env_lines(stdout or ""),
                 stdout=stdout or "",
+                error=error,
             )
         )
     return results
@@ -158,49 +116,3 @@ def mock_run_ranks(
 
 def all_ranks_succeeded(results: list[RankResult]) -> bool:
     return all(r.exit_code == 0 for r in results)
-
-
-@dataclass
-class MockJob:
-    """A job in the in-process scheduler; advances only when polled."""
-
-    job_id: int
-    state: str  # pending -> running -> completed | failed
-    script: JobScript
-    rank_results: list[RankResult] = field(default_factory=list)
-
-
-class MockScheduler:
-    """Deterministic stand-in for a batch system.
-
-    State transitions happen on :meth:`poll`, never on timers: the first
-    poll starts the job, the second executes the rank grid locally (with
-    ``rank_command`` substituted for the real container command) and
-    settles the terminal state.
-    """
-
-    def __init__(self, rank_command: list[str] | None = None) -> None:
-        self._next_id = 1
-        self.rank_command = rank_command or env_dump_command()
-
-    def submit(self, script: JobScript) -> MockJob:
-        """Queue a script; ids are unique and monotonically increasing.
-
-        Raises:
-            RunnerError: for scripts without a launcher line.
-        """
-        if not any(line.startswith("mpirun ") for line in script.text.splitlines()):
-            raise RunnerError("script has no mpirun launcher line")
-        job = MockJob(job_id=self._next_id, state="pending", script=script)
-        self._next_id += 1
-        return job
-
-    def poll(self, job: MockJob) -> str:
-        """Advance the job one state and return the new state."""
-        if job.state == "pending":
-            job.state = "running"
-        elif job.state == "running":
-            results = mock_run_ranks(job.script.plan, self.rank_command)
-            job.rank_results = results
-            job.state = "completed" if all_ranks_succeeded(results) else "failed"
-        return job.state

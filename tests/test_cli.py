@@ -224,6 +224,19 @@ class TestRun:
         assert len(lines) == 4
         assert lines[3].startswith("udocker run ")
 
+    def test_digest_pinned_image_names_container_after_repo(self, tmp_path, capsys):
+        spec = tmp_path / "digest.spec"
+        spec.write_text(
+            "[environment]\nbase_image = org/img@sha256:abcd\nstrategy = ngc\n"
+            "openmpi_version = 4.0.1\nhorovod_version = 0.21.0\n"
+        )
+        code, out, _ = run_cli(
+            ["run", "dry", "--profile", str(PROFILES / "csic.profile"), "--spec", str(spec)],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "udocker create --name=img org/img@sha256:abcd"
+
     def test_mock_run_2x2_prints_rank_table(self, capsys):
         code, out, _ = run_cli(
             ["run", "mock", "--nodes", "2", "--gpus-per-node", "2"], capsys
@@ -277,6 +290,13 @@ class TestPerfPredict:
     def test_zero_p_is_usage_error(self, capsys):
         code, _, err = run_cli(self._argv(["--p-max", "0"]), capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--single-gpu-ips", "--link-latency"])
+    def test_nan_input_exits_one(self, flag, capsys):
+        code, out, err = run_cli(self._argv([flag, "nan"]), capsys)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
 
 class TestBenchReport:

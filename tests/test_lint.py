@@ -102,6 +102,29 @@ class TestTf3:
         assert len([f for f in report.findings if f.rule_id == "TF3"]) == 1
 
 
+class TestP1:
+    @pytest.mark.parametrize(
+        "text,expect",
+        [
+            ("FROM ubuntu\n", ["base image ubuntu has no tag"]),
+            ("FROM ubuntu:latest\n", ["base image ubuntu:latest uses the floating tag 'latest'"]),
+            ("FROM ubuntu:22.04\n", []),
+            ("FROM reg.io:5000/ubuntu\n", ["base image reg.io:5000/ubuntu has no tag"]),
+            ("FROM ubuntu@sha256:abcd\n", []),
+            ("FROM --platform=linux/amd64 ubuntu:22.04\n", []),
+            ("FROM --platform=linux/amd64 ubuntu\n", ["base image ubuntu has no tag"]),
+            ("FROM ubuntu:22.04 AS base\nFROM base\n", []),
+            ("FROM ubuntu:22.04 AS Base\nFROM base AS test\nFROM test\n", []),
+            ("FROM base\nFROM ubuntu:22.04 AS base\n", ["base image base has no tag"]),
+            ("FROM scratch\n", []),
+        ],
+    )
+    def test_from_patterns(self, text, expect):
+        report = lint(parse_dockerfile(text))
+        got = [f.message.split(";")[0] for f in report.findings if f.rule_id == "P1"]
+        assert got == expect, text
+
+
 class TestStructure:
     def test_rule_ids_come_from_registry(self):
         for path in corpus_paths():

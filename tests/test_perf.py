@@ -16,7 +16,6 @@ from hpcflow.perf import (
     allreduce_bytes,
     parse_bench_log,
     predict,
-    scale_learning_rate,
     speedup_table,
     summarize,
 )
@@ -153,20 +152,23 @@ class TestPredict:
         with pytest.raises(ValueError, match="intra_node_bandwidth"):
             make_inputs(intra_node_bandwidth=1.0)
 
-
-class TestScaleLearningRate:
-    def test_identity_at_one_worker(self):
-        assert scale_learning_rate(0.0001, 1) == 0.0001
-
-    def test_linear_scaling(self):
-        assert scale_learning_rate(0.0001, 4) == pytest.approx(0.0004, rel=1e-12)
-        assert scale_learning_rate(0.0001, 3) == pytest.approx(0.0003, rel=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            scale_learning_rate(0.0, 2)
-        with pytest.raises(ValueError):
-            scale_learning_rate(0.1, 0)
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("single_gpu_ips", math.nan, "single_gpu_images_per_sec"),
+            ("single_gpu_ips", math.inf, "single_gpu_images_per_sec"),
+            ("single_gpu_ips", 0.0, "single_gpu_images_per_sec"),
+            ("link_bandwidth", math.nan, "bandwidths"),
+            ("intra_node_bandwidth", math.nan, "bandwidths"),
+            ("link_bandwidth", 0.0, "bandwidths"),
+            ("link_latency", math.nan, "link_latency"),
+            ("link_latency", math.inf, "link_latency"),
+            ("link_latency", -1e-6, "link_latency"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_inputs_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            make_inputs(**{field: value})
 
 
 class TestParseBenchLog:
@@ -209,11 +211,6 @@ class TestSummarize:
         assert summary.ci95_half_width == 0.0
         assert summary.ci_undefined
 
-    def test_speedup_vs_baseline(self):
-        base = BenchRun("b", 1, (100.0,) * 5)
-        run = BenchRun("r", 2, (190.0,) * 5)
-        assert summarize(run, baseline=base).speedup_vs_baseline == 1.9
-
     def test_agrees_with_brute_force_oracle(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -239,6 +236,11 @@ class TestSpeedupTable:
 
     def test_single_baseline_only(self):
         assert speedup_table([BenchRun("b", 1, (10.0,))]) == [(1, 1.0)]
+
+    def test_speedup_against_baseline(self):
+        base = BenchRun("b", 1, (100.0,) * 5)
+        run = BenchRun("r", 2, (190.0,) * 5)
+        assert speedup_table([base, run])[1] == (2, 1.9)
 
     def test_doubled_mean_gives_speedup_two(self):
         runs = [BenchRun("b", 1, (100.0,) * 3), BenchRun("r", 2, (200.0,) * 3)]

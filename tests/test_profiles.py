@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hpcflow.errors import ProfileError
 from hpcflow.profiles import (
     ClusterProfile,
+    ImageRef,
     SemVer,
-    normalize_image_ref,
     parse_cluster_profile,
     parse_env_spec,
     render_cluster_profile,
@@ -196,7 +196,16 @@ class TestParseEnvSpec:
         )
         spec = parse_env_spec(text)
         assert spec.base_image == "org/img:latest"
-        assert spec.unpinned_base_tag
+
+    def test_tags_rejects_digest_pinned_base_image(self):
+        text = (
+            "[environment]\nstrategy = tags\n"
+            "base_image = org/img@sha256:abcd\nhorovod_version = 0.21.3\n"
+        )
+        with pytest.raises(ProfileError, match="digest-pinned") as info:
+            parse_env_spec(text)
+        assert info.value.line == 3
+        assert str(info.value).startswith("line 3: ")
 
     def test_registry_default(self, entrypoint_spec):
         assert entrypoint_spec.registry == "docker.io"
@@ -218,4 +227,28 @@ class TestNormalizeImageRef:
         ],
     )
     def test_normalization(self, ref, expected, unpinned):
-        assert normalize_image_ref(ref) == (expected, unpinned)
+        assert ImageRef.parse(ref).pinned is not unpinned
+        text = (
+            f"[environment]\nbase_image = {ref}\nstrategy = ngc\n"
+            "horovod_version = 0.21.3\nopenmpi_version = 4.0.1\n"
+        )
+        assert parse_env_spec(text).base_image == expected
+
+    @pytest.mark.parametrize(
+        "ref,repo,tag,digest,name",
+        [
+            ("img", "img", None, None, "img"),
+            ("org/img:1.0", "org/img", "1.0", None, "img"),
+            ("reg.example.com:5000/org/img", "reg.example.com:5000/org/img", None, None, "img"),
+            ("reg:5000/img:2", "reg:5000/img", "2", None, "img"),
+            ("org/img@sha256:ab", "org/img", None, "sha256:ab", "img"),
+            ("org/img:1.0@sha256:ab", "org/img", "1.0", "sha256:ab", "img"),
+        ],
+    )
+    def test_fields(self, ref, repo, tag, digest, name):
+        parsed = ImageRef.parse(ref)
+        assert (parsed.repo, parsed.tag, parsed.digest, parsed.name) == (repo, tag, digest, name)
+
+    @given(st.text() | st.text(alphabet="a1:/@"))
+    def test_round_trip(self, ref):
+        assert str(ImageRef.parse(ref)) == ref

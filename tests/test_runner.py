@@ -2,17 +2,12 @@ from __future__ import annotations
 
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpcflow.errors import RunnerError
-from hpcflow.launch import JobRequest, LaunchPlan, plan_launch, render_job_script
+from hpcflow.launch import LaunchPlan
 from hpcflow.recon import reconcile
 from hpcflow.runner import (
-    LocalExecutor,
-    MockScheduler,
-    RecordingExecutor,
     all_ranks_succeeded,
     dry_run,
     env_dump_command,
@@ -48,22 +43,6 @@ class TestDryRun:
     def test_byte_identical_across_calls(self):
         commands = [["echo", "a b"], ["udocker", "pull", "x:1"]]
         assert dry_run(commands) == dry_run(commands)
-
-    def test_matches_recording_executor(self):
-        commands = [["echo", "one"], ["echo", "two words"]]
-        executor = RecordingExecutor()
-        for command in commands:
-            executor.run(command)
-        assert dry_run(executor.commands) == dry_run(commands)
-
-    def test_executor_capability_flags(self):
-        assert RecordingExecutor.records_only and not RecordingExecutor.executes_locally
-        assert LocalExecutor.executes_locally and not LocalExecutor.records_only
-
-    def test_local_executor_returns_exit_code(self):
-        executor = LocalExecutor()
-        assert executor.run([sys.executable, "-c", "pass"]) == 0
-        assert executor.run([sys.executable, "-c", "raise SystemExit(3)"]) == 3
 
 
 class TestMockRunRanks:
@@ -109,58 +88,3 @@ class TestMockRunRanks:
         grid = {(r.env["NODE_INDEX"], r.env["LOCAL_RANK"]) for r in results}
         expected = {(str(n), str(g)) for n in range(nodes) for g in range(gpus)}
         assert grid == expected
-
-
-@pytest.fixture
-def job_script(csic_profile, entrypoint_spec):
-    recon_plan = reconcile(entrypoint_spec, csic_profile)
-    req = JobRequest(
-        nodes=2,
-        gpus_per_node=2,
-        container_name="tfbench",
-        image_ref=recon_plan.image_ref,
-        workdir_mount=("$PWD", "/workdir"),
-        user_command=("python", "train.py"),
-    )
-    plan = plan_launch(csic_profile, recon_plan, req)
-    return render_job_script(plan, csic_profile, req)
-
-
-class TestMockScheduler:
-    def test_ids_monotonic(self, job_script):
-        scheduler = MockScheduler()
-        first = scheduler.submit(job_script)
-        second = scheduler.submit(job_script)
-        assert (first.job_id, second.job_id) == (1, 2)
-        assert first.state == "pending"
-
-    def test_poll_drives_states_to_completed(self, job_script):
-        scheduler = MockScheduler()
-        job = scheduler.submit(job_script)
-        assert scheduler.poll(job) == "running"
-        assert scheduler.poll(job) == "completed"
-        assert scheduler.poll(job) == "completed"  # terminal states are stable
-        assert len(job.rank_results) == job_script.plan.total_ranks
-
-    def test_failing_ranks_mark_job_failed(self, job_script):
-        scheduler = MockScheduler(rank_command=[sys.executable, "-c", "raise SystemExit(1)"])
-        job = scheduler.submit(job_script)
-        scheduler.poll(job)
-        assert scheduler.poll(job) == "failed"
-        assert len(job.rank_results) == 4
-
-    def test_rank_results_only_in_terminal_state(self, job_script):
-        scheduler = MockScheduler()
-        job = scheduler.submit(job_script)
-        assert job.rank_results == []
-        scheduler.poll(job)
-        assert job.rank_results == []
-        scheduler.poll(job)
-        assert job.rank_results != []
-
-    def test_script_without_launcher_rejected(self, job_script):
-        from hpcflow.launch import JobScript
-
-        broken = JobScript(text="#!/bin/sh\necho no launcher\n", scheduler="slurm", plan=job_script.plan)
-        with pytest.raises(RunnerError, match="mpirun"):
-            MockScheduler().submit(broken)
