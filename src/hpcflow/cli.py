@@ -184,15 +184,7 @@ def cmd_run_dry(args: argparse.Namespace) -> int:
 
 
 def cmd_run_mock(args: argparse.Namespace) -> int:
-    env_exports: dict[str, str | None] = dict(args.env or [])
-    plan = launch.LaunchPlan(
-        total_ranks=args.nodes * args.gpus_per_node,
-        slots_per_node=args.gpus_per_node,
-        mpirun_args=(),
-        env_exports=env_exports,
-        udocker_run_args=(),
-        scheduler_directives=(),
-    )
+    plan = launch.grid_plan(args.nodes, args.gpus_per_node, dict(args.env or []))
     command = list(args.user_command) or runner.env_dump_command()
     results = runner.mock_run_ranks(plan, command)
     print("rank node local exit")
@@ -252,7 +244,8 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
     print("gpus,mean,ci95,speedup")
     for run, (gpus, speedup) in zip(sorted(runs, key=lambda r: r.gpus), speedups):
         summary = perf.summarize(run)
-        print(f"{gpus},{summary.mean:.6g},{summary.ci95_half_width:.6g},{speedup:.6g}")
+        ci95 = "" if summary.ci_undefined else f"{summary.ci95_half_width:.6g}"
+        print(f"{gpus},{summary.mean:.6g},{ci95},{speedup:.6g}")
     return EXIT_OK
 
 

@@ -170,6 +170,29 @@ def plan_launch(
     )
 
 
+def grid_plan(
+    nodes: int, gpus_per_node: int, env: dict[str, str | None] | None = None
+) -> LaunchPlan:
+    """A bare nodes x GPUs rank layout for the mock runtime.
+
+    It has no launcher, container or scheduler arguments; ``env`` becomes
+    ``env_exports``.
+
+    Raises:
+        LaunchError: when nodes or gpus_per_node is below 1.
+    """
+    if nodes < 1 or gpus_per_node < 1:
+        raise LaunchError("nodes and gpus_per_node must be >= 1")
+    return LaunchPlan(
+        total_ranks=nodes * gpus_per_node,
+        slots_per_node=gpus_per_node,
+        mpirun_args=(),
+        env_exports=dict(env or {}),
+        udocker_run_args=(),
+        scheduler_directives=(),
+    )
+
+
 def render_job_script(
     plan: LaunchPlan, cluster: ClusterProfile, req: JobRequest
 ) -> JobScript:

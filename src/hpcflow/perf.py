@@ -6,6 +6,12 @@ receives 2(p-1)/p of the payload (the bandwidth-optimal ring volume),
 plus a latency term proportional to the 2(p-1) ring steps.  Bandwidth is
 two-tier: intra-node while the job fits on one node, the inter-node link
 beyond that.
+
+Confidence intervals use the Student t quantile, computed with the
+standard library alone: the upper tail P(T > t) = I_x(df/2, 1/2) / 2 with
+x = df / (df + t^2), the regularized incomplete beta I evaluated as a
+continued fraction (modified Lentz, Numerical Recipes section 6.4), then
+inverted by Newton's method from a Cornish-Fisher start.
 """
 
 from __future__ import annotations
@@ -176,10 +182,85 @@ def parse_bench_log(
     )
 
 
-def _t_quantile(prob: float, df: int) -> float:
-    from scipy import stats  # deferred: keeps CLI start-up light
+_CF_TINY = 1e-300
+_CF_EPS = 3e-16  # a little over one unit in the last place of 1.0
 
-    return float(stats.t.ppf(prob, df))
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b), by the modified Lentz method."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    # converges in O(sqrt(max(a, b))) terms where x is near the switch point
+    for m in range(1, 100 + int(10 * math.sqrt(a + b))):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= c * d
+        if abs(c * d - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b})")
+
+
+def _t_upper_tail(t: float, df: int) -> float:
+    """P(T > t) for t >= 0: half the regularized incomplete beta I_x(df/2, 1/2).
+
+    x = df / (df + t^2); both x and 1 - x are formed directly so neither
+    loses digits to cancellation.
+    """
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    if y == 0.0:
+        return 0.5
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return 0.5 * front * _beta_cf(a, b, x) / a
+    return 0.5 * (1.0 - front * _beta_cf(b, a, y) / b)
+
+
+def _t_density(t: float, df: int) -> float:
+    return math.exp(
+        math.lgamma((df + 1) / 2.0)
+        - math.lgamma(df / 2.0)
+        - 0.5 * math.log(df * math.pi)
+        - (df + 1) / 2.0 * math.log1p(t * t / df)
+    )
+
+
+def _t_quantile(prob: float, df: int) -> float:
+    """The ``prob`` quantile of Student's t with ``df`` degrees of freedom, prob >= 0.5.
+
+    Newton's method on the upper tail, started from the Cornish-Fisher
+    expansion around the normal quantile.  The tail is convex and
+    decreasing for t > 0, so from any start at or below the root the
+    iterates rise monotonically to it, and from a start above the root one
+    step lands below it (clamped at 0).
+    """
+    if not 0.5 <= prob < 1.0 or df < 1:
+        raise ValueError(f"need 0.5 <= prob < 1 and df >= 1, got prob={prob}, df={df}")
+    tail = 1.0 - prob
+    z = statistics.NormalDist().inv_cdf(prob)
+    t = (
+        z
+        + (z**3 + z) / (4 * df)
+        + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * df**2)
+    )
+    for _ in range(100):
+        step = (_t_upper_tail(t, df) - tail) / _t_density(t, df)
+        t = max(t + step, 0.0)
+        # convergence is quadratic: after a step below 1e-8 * t the relative
+        # error left is of order 1e-16, under the rounding noise of the tail
+        if abs(step) <= 1e-8 * t:
+            return t
+    raise ArithmeticError(f"t quantile did not converge (prob={prob}, df={df})")
 
 
 def summarize(run: BenchRun) -> BenchSummary:

@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 
 from hpcflow.launch import LaunchPlan
@@ -39,7 +40,8 @@ def env_dump_command(extra_keys: tuple[str, ...] = ()) -> list[str]:
         "    if key in os.environ:\n"
         "        print(f'{key}={os.environ[key]}')\n"
     )
-    return [sys.executable, "-c", code]
+    # -I -S: the code reads only os.environ, so skip site and its .pth files
+    return [sys.executable, "-I", "-S", "-c", code]
 
 
 def _parse_env_lines(text: str) -> dict[str, str]:
@@ -62,7 +64,12 @@ def mock_run_ranks(
     NODE_INDEX (rank div GPUs/node) plus the plan's valued exports.  The
     result's ``env`` holds the KEY=VALUE lines the rank printed.  Spawn
     failures are reported per rank; the full list is always returned.
+
+    ``timeout`` is one deadline for the whole call, not one per rank: each
+    rank still running at the deadline is killed, collected and marked
+    ``error="timeout"``.
     """
+    deadline = time.monotonic() + timeout
     procs: list[subprocess.Popen | None] = []
     errors: list[str | None] = []
     for rank in range(plan.total_ranks):
@@ -97,11 +104,13 @@ def mock_run_ranks(
             continue
         error = None
         try:
-            stdout, _ = proc.communicate(timeout=timeout)
+            stdout, _ = proc.communicate(timeout=max(deadline - time.monotonic(), 0.0))
         except subprocess.TimeoutExpired:
-            proc.kill()
+            # a rank that had already exited when its turn came is no timeout
+            if proc.poll() is None:
+                proc.kill()
+                error = "timeout"
             stdout, _ = proc.communicate()
-            error = "timeout"
         results.append(
             RankResult(
                 rank=rank,

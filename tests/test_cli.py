@@ -323,6 +323,13 @@ class TestBenchReport:
         assert float(rows[1][3]) == pytest.approx(1.9)
         assert float(rows[2][3]) == pytest.approx(2.7)
 
+    def test_single_sample_has_empty_ci95(self, tmp_path, capsys):
+        log = tmp_path / "one.log"
+        log.write_text("iter 1: 42.0 images/sec\n")
+        code, out, _ = run_cli(["bench", "report", f"1:{log}"], capsys)
+        assert code == 0
+        assert out == "gpus,mean,ci95,speedup\n1,42,,1\n"
+
     def test_missing_baseline_exits_one(self, capsys):
         code, _, err = run_cli(
             ["bench", "report", "--warmup", "10", f"2:{LOGS / 'bench_2gpu.log'}"], capsys

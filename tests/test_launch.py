@@ -11,6 +11,7 @@ from hpcflow.errors import LaunchError
 from hpcflow.launch import (
     JobRequest,
     find_privileged_tokens,
+    grid_plan,
     plan_launch,
     render_install_script,
     render_job_script,
@@ -257,3 +258,19 @@ class TestNoPrivilegedCommands:
         ]
         for text in texts:
             assert find_privileged_tokens(text) == []
+
+
+class TestGridPlan:
+    def test_layout_without_launcher_fields(self):
+        plan = grid_plan(2, 3, {"FOO": "bar", "PATH": None})
+        assert (plan.total_ranks, plan.slots_per_node) == (6, 3)
+        assert plan.env_exports == {"FOO": "bar", "PATH": None}
+        assert plan.mpirun_args == plan.udocker_run_args == plan.scheduler_directives == ()
+
+    def test_env_defaults_to_empty(self):
+        assert grid_plan(1, 1).env_exports == {}
+
+    @pytest.mark.parametrize("nodes, gpus", [(0, 1), (1, 0)])
+    def test_rejects_empty_grid(self, nodes, gpus):
+        with pytest.raises(LaunchError, match=">= 1"):
+            grid_plan(nodes, gpus)

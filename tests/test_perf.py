@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_stats
+from conftest import FIXTURES
 from hpcflow.errors import BenchLogError
 from hpcflow.perf import (
     BenchRun,
     ModelSpec,
     ScalingInputs,
+    _t_quantile,
     allreduce_bytes,
     parse_bench_log,
     predict,
@@ -221,6 +227,59 @@ class TestSummarize:
             ci = oracle_stats.brute_ci95_half_width(samples)
             assert summary.mean == pytest.approx(mean, rel=1e-9)
             assert summary.ci95_half_width == pytest.approx(ci, rel=1e-9)
+
+
+# scipy.stats.t.ppf(0.975, df), computed once with scipy 1.17.1
+T_975 = {
+    1: 12.706204736174694,
+    2: 4.302652729749462,
+    3: 3.1824463052837078,
+    5: 2.5705818356363146,
+    10: 2.228138851986274,
+    29: 2.045229642132703,
+    30: 2.0422724563012378,
+    100: 1.9839715185235518,
+    316: 1.9674995188240583,
+    999: 1.9623414611334493,
+    10000: 1.960201239890626,
+}
+
+
+class TestTQuantile:
+    @pytest.mark.parametrize("df", sorted(T_975))
+    def test_matches_reference_values(self, df):
+        assert _t_quantile(0.975, df) == pytest.approx(T_975[df], rel=1e-9)
+
+    def test_median_is_zero(self):
+        assert _t_quantile(0.5, 7) == 0.0
+
+    @pytest.mark.parametrize("prob, df", [(0.025, 5), (1.0, 5), (math.nan, 5), (0.975, 0)])
+    def test_rejects_out_of_range(self, prob, df):
+        with pytest.raises(ValueError):
+            _t_quantile(prob, df)
+
+    def test_bench_report_does_not_import_scipy(self):
+        logs = FIXTURES / "logs"
+        code = (
+            "import sys\n"
+            "from hpcflow.cli import main\n"
+            "code = main(['bench', 'report', '--warmup', '10', *sys.argv[1:]])\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        runs = [f"{gpus}:{logs / f'bench_{gpus}gpu.log'}" for gpus in (1, 2, 3)]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *runs],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("gpus,mean,ci95,speedup\n1,")
 
 
 class TestSpeedupTable:

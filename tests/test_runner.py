@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import sys
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpcflow.launch import LaunchPlan
+from hpcflow.launch import grid_plan
 from hpcflow.recon import reconcile
 from hpcflow.runner import (
     all_ranks_succeeded,
@@ -13,17 +14,6 @@ from hpcflow.runner import (
     env_dump_command,
     mock_run_ranks,
 )
-
-
-def grid_plan(nodes: int, gpus_per_node: int, env=None) -> LaunchPlan:
-    return LaunchPlan(
-        total_ranks=nodes * gpus_per_node,
-        slots_per_node=gpus_per_node,
-        mpirun_args=(),
-        env_exports=env or {},
-        udocker_run_args=(),
-        scheduler_directives=(),
-    )
 
 
 class TestDryRun:
@@ -80,6 +70,32 @@ class TestMockRunRanks:
         results = mock_run_ranks(grid_plan(1, 2), ["/nonexistent/binary"])
         assert len(results) == 2
         assert all(r.exit_code == 127 and r.error for r in results)
+
+    def test_one_deadline_for_all_hung_ranks(self):
+        # with a 2 s timeout per rank in turn, three hung ranks take 6 s
+        command = [sys.executable, "-I", "-S", "-c", "import time; time.sleep(30)"]
+        start = time.monotonic()
+        results = mock_run_ranks(grid_plan(1, 3), command, timeout=2)
+        assert time.monotonic() - start < 5
+        assert [r.error for r in results] == ["timeout"] * 3
+        assert all(r.exit_code != 0 for r in results)
+
+    def test_ranks_done_before_deadline_are_not_timeouts(self):
+        # rank 0 holds the collection loop until the deadline; ranks 1 and 2
+        # exited long before it and are collected after it
+        command = [
+            sys.executable,
+            "-I",
+            "-S",
+            "-c",
+            "import os, time; time.sleep(30 if os.environ['RANK'] == '0' else 0)",
+        ]
+        results = mock_run_ranks(grid_plan(1, 3), command, timeout=2)
+        assert [r.error for r in results] == ["timeout", None, None]
+        assert [r.exit_code for r in results][1:] == [0, 0]
+
+    def test_env_dump_skips_site(self):
+        assert env_dump_command()[1:3] == ["-I", "-S"]
 
     @settings(max_examples=8, deadline=None)
     @given(nodes=st.integers(1, 3), gpus=st.integers(1, 3))
