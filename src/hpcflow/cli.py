@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     dry.add_argument("--spec", required=True)
     dry.add_argument("--container-name", default=None)
     dry.add_argument("--tags", default=None)
-    dry.add_argument("--machine", action="store_true", help="transcript lines only")
     dry.set_defaults(func=cmd_run_dry)
     mock = run_verbs.add_parser("mock", help="run the rank grid with local processes")
     mock.add_argument("--nodes", type=_positive_int, required=True)

@@ -4,18 +4,32 @@ Five rules, centred on temporary-file smells that bloat images because
 layers are append-only: a file deleted in a later layer still occupies
 space in the layer that created it.
 
-Detection is token-pattern based (shell words), not full shell parsing;
-each rule documents its false-negative risk inline.
+Detection is token-pattern based (shell words), not full shell parsing:
+each RUN is tokenized once and split into commands at standalone shell
+operators (``&& || ; |``), and each rule misses what its patterns cannot see.
+
+- TF1 knows creations by ``wget`` (plain or ``-O``), ``curl -o/-O`` and
+  ``tar x ... -C dir``, and a removal must name the created path textually:
+  creations behind variables or subshells, renames and glob deletions go
+  undetected.
+- TF2 misses extractions that rename or move the archive first, or that
+  address it through variables.
+- TF3 misses package managers invoked through wrapper scripts or variable
+  expansion.
+- P1 passes any tag but ``latest``, though a tag can be moved to another
+  image.
+- E1 sees only the stage's own instructions, not an ENTRYPOINT inherited
+  from the base image.
 """
 
 from __future__ import annotations
 
-import json
 import posixpath
 import shlex
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from hpcflow.dockerfile import DockerfileAst, Instruction
+from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
 from hpcflow.profiles import ImageRef
 
 RULES: dict[str, tuple[str, str]] = {
@@ -28,6 +42,8 @@ RULES: dict[str, tuple[str, str]] = {
 
 _ARCHIVE_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".zip")
 _SHELL_OPERATORS = frozenset({"&&", "||", ";", "|"})
+# the command words whose arguments are paths
+_PATH_WORDS = frozenset({"wget", "curl", "tar", "rm", "unzip"})
 
 
 @dataclass(frozen=True)
@@ -45,178 +61,94 @@ class SmellReport:
     counts: dict[str, int]
 
 
-def _tokens(instr: Instruction) -> list[str]:
-    if instr.exec_form:
-        return json.loads(instr.args)
+def _words(instr: Instruction) -> list[str]:
+    """The instruction's shell words, tokenized once."""
+    tokens = exec_tokens(instr)
+    if tokens is not None:
+        return tokens
     try:
         return shlex.split(instr.args, posix=True)
     except ValueError:  # unbalanced quoting; fall back to whitespace words
         return instr.args.split()
 
 
-def _segment(tokens: list[str], start: int) -> list[str]:
-    """Tokens from ``start`` up to the next shell operator."""
-    seg = []
-    for tok in tokens[start:]:
-        if tok in _SHELL_OPERATORS:
-            break
-        seg.append(tok)
-    return seg
-
-
-def _flag_value(seg: list[str], flag: str) -> str | None:
-    for i, tok in enumerate(seg):
-        if tok == flag and i + 1 < len(seg):
-            return seg[i + 1]
+def _flag_value(args: list[str], flag: str) -> str | None:
+    for i, arg in enumerate(args[:-1]):
+        if arg == flag:
+            return args[i + 1]
     return None
+
+
+def _operands(args: list[str]) -> list[str]:
+    return [a for a in args if a and not a.startswith("-")]
 
 
 def _norm(path: str) -> str:
     return path.rstrip("/") if path != "/" else path
 
 
-def _created_paths(tokens: list[str]) -> list[str]:
-    """Paths a RUN creates via download/extract patterns.
+def _run_paths(words: list[str]) -> tuple[list[str], list[str], list[str]]:
+    """The paths a RUN creates, removes and extracts, in order of appearance.
 
-    Covers ``wget`` (plain or -O), ``curl -o/-O``, and ``tar x ... -C dir``.
-    Creations hidden behind variables or subshells go undetected.
+    The RUN is split into commands at standalone shell operators; a command
+    word counts wherever it stands in its command, and its arguments run to
+    the end of that command.
     """
+    commands: list[list[str]] = [[]]
+    for word in words:
+        if word in _SHELL_OPERATORS:
+            commands.append([])
+        else:
+            commands[-1].append(word)
     created: list[str] = []
-    for i, tok in enumerate(tokens):
-        seg = _segment(tokens, i + 1)
-        if tok == "wget":
-            target = _flag_value(seg, "-O")
-            if target is not None:
-                created.append(target)
-            else:
-                created.extend(
-                    posixpath.basename(t) for t in seg if t and not t.startswith("-")
-                )
-        elif tok == "curl":
-            for j, t in enumerate(seg):
-                if t == "-o" and j + 1 < len(seg):
-                    created.append(seg[j + 1])
-            if "-O" in seg:
-                o_values = {seg[j + 1] for j, t in enumerate(seg) if t == "-o" and j + 1 < len(seg)}
-                created.extend(
-                    posixpath.basename(t)
-                    for t in seg
-                    if t and not t.startswith("-") and t not in o_values
-                )
-        elif tok == "tar" and seg and "x" in seg[0].lstrip("-"):
-            target_dir = _flag_value(seg, "-C")
-            if target_dir is not None:
-                created.append(target_dir)
-    return [_norm(c) for c in created if c]
-
-
-def _removed_paths(tokens: list[str]) -> list[str]:
-    removed = []
-    for i, tok in enumerate(tokens):
-        if tok == "rm":
-            removed.extend(
-                _norm(t) for t in _segment(tokens, i + 1) if t and not t.startswith("-")
-            )
-    return removed
-
-
-def _extraction_targets(tokens: list[str]) -> list[str]:
-    """Archive paths referenced by ``tar x``/``unzip`` invocations."""
-    targets = []
-    for i, tok in enumerate(tokens):
-        seg = _segment(tokens, i + 1)
-        if tok == "tar" and seg and "x" in seg[0].lstrip("-"):
-            skip_next = False
-            for t in seg[1:]:
-                if skip_next:
-                    skip_next = False
-                    continue
-                if t == "-C":
-                    skip_next = True
-                    continue
-                if t and not t.startswith("-"):
-                    targets.append(_norm(t))
-        elif tok == "unzip":
-            targets.extend(_norm(t) for t in seg if t and not t.startswith("-"))
-    return targets
-
-
-def _stages(ast: DockerfileAst) -> list[list[tuple[int, Instruction]]]:
-    stages: list[list[tuple[int, Instruction]]] = []
-    current: list[tuple[int, Instruction]] = []
-    has_from = False
-    for pos, instr in enumerate(ast.instructions):
-        if instr.kind == "FROM" and has_from:
-            stages.append(current)
-            current = []
-            has_from = False
-        current.append((pos, instr))
-        if instr.kind == "FROM":
-            has_from = True
-    if current:
-        stages.append(current)
-    return stages
-
-
-def _check_tf1(stage: list[tuple[int, Instruction]], findings: list[SmellFinding]) -> None:
-    # removal paths must match the created path textually; renames and glob
-    # deletions go undetected
-    created: list[tuple[str, int]] = []  # (path, creating line)
-    for _, instr in stage:
-        if instr.kind != "RUN":
-            continue
-        tokens = _tokens(instr)
-        for path in _removed_paths(tokens):
-            for known, creating_line in created:
-                if path == known:
-                    findings.append(
-                        SmellFinding(
-                            "TF1",
-                            RULES["TF1"][0],
-                            instr.line_span[0],
-                            f"{path} was created on line {creating_line} and removed "
-                            "in a later layer; the space is not freed, only the "
-                            "reference is removed",
-                            f"merge the removal into the RUN on line {creating_line} "
-                            "so creation and deletion share one layer",
-                        )
-                    )
-        for path in _created_paths(tokens):
-            created.append((path, instr.line_span[0]))
-
-
-def _check_tf2(stage: list[tuple[int, Instruction]], findings: list[SmellFinding]) -> None:
-    # misses extractions that rename/move the archive first, or address it
-    # through variables
-    archives: list[tuple[str, int]] = []  # (path in image, COPY line)
-    flagged: set[int] = set()
-    for _, instr in stage:
-        if instr.kind == "COPY":
-            tokens = _tokens(instr)
-            if len(tokens) < 2:
+    removed: list[str] = []
+    extracted: list[str] = []
+    for command in commands:
+        for i, word in enumerate(command):
+            if word not in _PATH_WORDS:
                 continue
-            dst = tokens[-1]
-            for src in tokens[:-1]:
-                if src.endswith(_ARCHIVE_SUFFIXES):
-                    path = dst + posixpath.basename(src) if dst.endswith("/") else dst
-                    archives.append((_norm(path), instr.line_span[0]))
-        elif instr.kind == "RUN":
-            for target in _extraction_targets(_tokens(instr)):
-                for path, copy_line in archives:
-                    if target == path and copy_line not in flagged:
-                        flagged.add(copy_line)
-                        findings.append(
-                            SmellFinding(
-                                "TF2",
-                                RULES["TF2"][0],
-                                copy_line,
-                                f"archive {path} is copied here and extracted on "
-                                f"line {instr.line_span[0]}, leaving the archive in "
-                                "its own layer",
-                                "use ADD instead of COPY; it extracts local archives "
-                                "in a single layer",
-                            )
-                        )
+            args = command[i + 1 :]
+            if word == "wget":
+                target = _flag_value(args, "-O")
+                if target is not None:
+                    created.append(target)
+                else:
+                    created.extend(posixpath.basename(a) for a in _operands(args))
+            elif word == "curl":
+                outputs = [args[j + 1] for j, a in enumerate(args[:-1]) if a == "-o"]
+                created.extend(outputs)
+                if "-O" in args:
+                    created.extend(
+                        posixpath.basename(a) for a in _operands(args) if a not in outputs
+                    )
+            elif word == "rm":
+                removed.extend(_norm(a) for a in _operands(args))
+            elif word == "unzip":
+                extracted.extend(_norm(a) for a in _operands(args))
+            elif args and "x" in args[0].lstrip("-"):  # tar x
+                target_dir = _flag_value(args, "-C")
+                if target_dir is not None:
+                    created.append(target_dir)
+                rest = iter(args[1:])
+                for arg in rest:
+                    if arg == "-C":
+                        next(rest, None)  # the directory, not an archive
+                    elif arg and not arg.startswith("-"):
+                        extracted.append(_norm(arg))
+    return [_norm(c) for c in created if c], removed, extracted
+
+
+def _stages(ast: DockerfileAst) -> list[list[Instruction]]:
+    """Instructions grouped by stage; the ARGs before the first FROM join it."""
+    stages: list[list[Instruction]] = [[]]
+    has_from = False
+    for instr in ast.instructions:
+        if instr.kind == "FROM":
+            if has_from:
+                stages.append([])
+            has_from = True
+        stages[-1].append(instr)
+    return stages
 
 
 _CACHE_CLEANERS = {
@@ -242,35 +174,70 @@ _CACHE_CLEANERS = {
         lambda toks: "--no-cache-dir" in toks or ("cache" in toks and "purge" in toks),
         "pip install --no-cache-dir",
     ),
-    "pip3": (
-        lambda toks: "install" in toks,
-        lambda toks: "--no-cache-dir" in toks or ("cache" in toks and "purge" in toks),
-        "pip install --no-cache-dir",
-    ),
 }
+_CACHE_CLEANERS["pip3"] = _CACHE_CLEANERS["pip"]
 
 
-def _check_tf3(stage: list[tuple[int, Instruction]], findings: list[SmellFinding]) -> None:
-    # misses managers invoked through wrapper scripts or variable expansion
-    for _, instr in stage:
+def _finding(rule_id: str, line: int, message: str, suggestion: str) -> SmellFinding:
+    return SmellFinding(rule_id, RULES[rule_id][0], line, message, suggestion)
+
+
+def _check_layers(stage: list[Instruction]) -> Iterator[SmellFinding]:
+    """TF1, TF2 and TF3 in one pass over the stage."""
+    created: dict[str, list[int]] = {}  # path -> lines of the RUNs creating it
+    archives: dict[str, list[int]] = {}  # archive path in image -> COPY lines
+    flagged: set[int] = set()  # COPY lines already reported by TF2
+    for instr in stage:
+        line = instr.line_span[0]
+        if instr.kind == "COPY":
+            words = _words(instr)
+            for src in words[:-1]:
+                if src.endswith(_ARCHIVE_SUFFIXES):
+                    dst = words[-1]
+                    path = dst + posixpath.basename(src) if dst.endswith("/") else dst
+                    archives.setdefault(_norm(path), []).append(line)
+            continue
         if instr.kind != "RUN":
             continue
-        tokens = _tokens(instr)
-        for manager, (installs, cleans, fix) in _CACHE_CLEANERS.items():
-            if manager in tokens and installs(tokens) and not cleans(tokens):
-                findings.append(
-                    SmellFinding(
-                        "TF3",
-                        RULES["TF3"][0],
-                        instr.line_span[0],
-                        f"{manager} runs without a cache cleanup in the same RUN",
-                        f"end the shell command with a cleanup, e.g. {fix}",
+        words = _words(instr)
+        made, removed, extracted = _run_paths(words)
+        for path in removed:
+            for creating_line in created.get(path, ()):
+                yield _finding(
+                    "TF1",
+                    line,
+                    f"{path} was created on line {creating_line} and removed "
+                    "in a later layer; the space is not freed, only the "
+                    "reference is removed",
+                    f"merge the removal into the RUN on line {creating_line} "
+                    "so creation and deletion share one layer",
+                )
+        for path in made:
+            created.setdefault(path, []).append(line)
+        for path in extracted:
+            for copy_line in archives.get(path, ()):
+                if copy_line not in flagged:
+                    flagged.add(copy_line)
+                    yield _finding(
+                        "TF2",
+                        copy_line,
+                        f"archive {path} is copied here and extracted on "
+                        f"line {line}, leaving the archive in its own layer",
+                        "use ADD instead of COPY; it extracts local archives "
+                        "in a single layer",
                     )
+        for manager, (installs, cleans, fix) in _CACHE_CLEANERS.items():
+            if manager in words and installs(words) and not cleans(words):
+                yield _finding(
+                    "TF3",
+                    line,
+                    f"{manager} runs without a cache cleanup in the same RUN",
+                    f"end the shell command with a cleanup, e.g. {fix}",
                 )
                 break  # one finding per RUN
 
 
-def _check_p1(ast: DockerfileAst, findings: list[SmellFinding]) -> None:
+def _check_p1(ast: DockerfileAst) -> Iterator[SmellFinding]:
     # FROM flags, ``scratch`` and the names of earlier stages are not image
     # references; stage names compare case-insensitively, as in Docker
     stage_names = {"scratch"}
@@ -287,34 +254,28 @@ def _check_p1(ast: DockerfileAst, findings: list[SmellFinding]) -> None:
         if names_stage or ref.pinned:
             continue
         problem = "has no tag" if ref.tag is None else "uses the floating tag 'latest'"
-        findings.append(
-            SmellFinding(
-                "P1",
-                RULES["P1"][0],
-                instr.line_span[0],
-                f"base image {ref} {problem}; the build environment is not reproducible",
-                "pin an exact version tag for the base image",
-            )
+        yield _finding(
+            "P1",
+            instr.line_span[0],
+            f"base image {ref} {problem}; the build environment is not reproducible",
+            "pin an exact version tag for the base image",
         )
 
 
-def _check_e1(stage: list[tuple[int, Instruction]], findings: list[SmellFinding]) -> None:
+def _check_e1(stage: list[Instruction]) -> Iterator[SmellFinding]:
     entrypoint_line: int | None = None
     has_cmd = False
-    for _, instr in stage:
+    for instr in stage:
         if instr.kind == "ENTRYPOINT" and entrypoint_line is None:
             entrypoint_line = instr.line_span[0]
         elif instr.kind == "CMD":
             has_cmd = True
     if entrypoint_line is not None and not has_cmd:
-        findings.append(
-            SmellFinding(
-                "E1",
-                RULES["E1"][0],
-                entrypoint_line,
-                "ENTRYPOINT is set but no CMD provides default arguments",
-                "add a CMD with default arguments; callers can still override them",
-            )
+        yield _finding(
+            "E1",
+            entrypoint_line,
+            "ENTRYPOINT is set but no CMD provides default arguments",
+            "add a CMD with default arguments; callers can still override them",
         )
 
 
@@ -322,11 +283,9 @@ def lint(ast: DockerfileAst) -> SmellReport:
     """Apply every registered rule; findings are ordered (line, rule_id)."""
     findings: list[SmellFinding] = []
     for stage in _stages(ast):
-        _check_tf1(stage, findings)
-        _check_tf2(stage, findings)
-        _check_tf3(stage, findings)
-        _check_e1(stage, findings)
-    _check_p1(ast, findings)
+        findings += _check_layers(stage)
+        findings += _check_e1(stage)
+    findings += _check_p1(ast)
     findings.sort(key=lambda f: (f.line, f.rule_id))
     counts = {"error": 0, "warning": 0, "info": 0}
     for finding in findings:

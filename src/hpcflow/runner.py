@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -66,8 +67,10 @@ def mock_run_ranks(
     failures are reported per rank; the full list is always returned.
 
     ``timeout`` is one deadline for the whole call, not one per rank: each
-    rank still running at the deadline is killed, collected and marked
-    ``error="timeout"``.
+    rank still running at the deadline is marked ``error="timeout"``.  Every
+    rank runs in its own session, and at the deadline its whole process
+    group is killed, so a child that holds the rank's output open cannot
+    outlive the deadline either.
     """
     deadline = time.monotonic() + timeout
     procs: list[subprocess.Popen | None] = []
@@ -90,6 +93,7 @@ def mock_run_ranks(
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
                     text=True,
+                    start_new_session=True,
                 )
             )
             errors.append(None)
@@ -108,8 +112,11 @@ def mock_run_ranks(
         except subprocess.TimeoutExpired:
             # a rank that had already exited when its turn came is no timeout
             if proc.poll() is None:
-                proc.kill()
                 error = "timeout"
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the rank and its children are gone
+                pass
             stdout, _ = proc.communicate()
         results.append(
             RankResult(

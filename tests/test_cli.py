@@ -237,6 +237,22 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[1] == "udocker create --name=img org/img@sha256:abcd"
 
+    def test_dry_run_has_no_machine_flag(self, capsys):
+        code, out, _ = run_cli(
+            [
+                "run",
+                "dry",
+                "--machine",
+                "--profile",
+                str(PROFILES / "csic.profile"),
+                "--spec",
+                str(SPECS / "entrypoint.spec"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+
     def test_mock_run_2x2_prints_rank_table(self, capsys):
         code, out, _ = run_cli(
             ["run", "mock", "--nodes", "2", "--gpus-per-node", "2"], capsys

@@ -60,8 +60,84 @@ class TestTf1:
             }
             assert expected <= got, name
 
+    @pytest.mark.parametrize(
+        "body,expect",
+        [
+            # a command word counts wherever it stands in its command
+            ("RUN env X=1 wget http://h/u\nRUN rm u\n", [(3, "u", 2)]),
+            # one finding per creating RUN
+            (
+                "RUN wget -O /tmp/f u\nRUN wget -O /tmp/f u\nRUN rm /tmp/f\n",
+                [(4, "/tmp/f", 2), (4, "/tmp/f", 3)],
+            ),
+            # the -o value is not also taken as a -O URL
+            ("RUN curl -o x -O http://h/y.tgz\nRUN rm x y.tgz\n", [(3, "x", 2), (3, "y.tgz", 2)]),
+            # an operator glued to a word does not end the command
+            ("RUN wget http://h/u; echo v\nRUN rm u v\n", [(3, "v", 2)]),
+            ('RUN ["wget", "-O", "/tmp/a b", "u"]\nRUN rm "/tmp/a b"\n', [(3, "/tmp/a b", 2)]),
+            # unbalanced quoting falls back to whitespace words
+            ("RUN wget -O /tmp/f u 'oops\nRUN rm /tmp/f\n", [(3, "/tmp/f", 2)]),
+        ],
+    )
+    def test_creation_patterns(self, body, expect):
+        report = lint(parse_dockerfile(f"FROM a:1\n{body}"))
+        got = [(f.line, f.message) for f in report.findings if f.rule_id == "TF1"]
+        assert got == [
+            (
+                rm_line,
+                f"{path} was created on line {created} and removed in a later layer; "
+                "the space is not freed, only the reference is removed",
+            )
+            for rm_line, path, created in expect
+        ], body
+
+    def test_large_run(self):
+        # the shape of the benchmark's command ladder: one RUN of 1,600
+        # commands that cleans up its downloads, then later removals of
+        # three extracted directories and of one path never created
+        parts = []
+        for k in range(0, 1600, 4):
+            parts += [
+                f"wget -O /tmp/c{k}.tgz http://example.com/c{k}.tgz",
+                f"tar -xzf /tmp/c{k}.tgz -C /srv/x{k}",
+                f"rm -f /tmp/c{k}.tgz",
+                f"echo unpacked{k + 3}",
+            ]
+        removed = [0, 796, 1596]
+        text = "FROM a:1\nRUN " + " \\\n    && ".join(parts) + "\n"
+        text += "".join(f"RUN rm -rf /srv/x{k}\n" for k in removed) + "RUN rm -rf /srv/y\n"
+        report = lint(parse_dockerfile(text))
+        assert [(f.rule_id, f.line, f.message.split(";")[0]) for f in report.findings] == [
+            ("TF1", 1602 + i, f"/srv/x{k} was created on line 2 and removed in a later layer")
+            for i, k in enumerate(removed)
+        ]
+
 
 class TestTf2:
+    @pytest.mark.parametrize(
+        "body,expect",
+        [
+            # the value of tar -C is a directory, never an extraction target
+            ("COPY b.tar /srv/\nRUN tar -xzf c.tgz -C /srv/b.tar\n", []),
+            # one finding per COPY line, for the first archive extracted
+            (
+                "COPY b.tar c.zip /srv/\nRUN unzip /srv/c.zip && tar -xf /srv/b.tar\n",
+                [(2, "/srv/c.zip", 3)],
+            ),
+        ],
+    )
+    def test_extraction_patterns(self, body, expect):
+        report = lint(parse_dockerfile(f"FROM a:1\n{body}"))
+        got = [(f.line, f.message) for f in report.findings if f.rule_id == "TF2"]
+        assert got == [
+            (
+                copy_line,
+                f"archive {path} is copied here and extracted on line {run_line}, "
+                "leaving the archive in its own layer",
+            )
+            for copy_line, path, run_line in expect
+        ], body
+
     def test_copy_archive_then_extract(self):
         report = _findings(CORPUS / "04_copy_archive_extract.dockerfile")
         (finding,) = report.findings

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,22 @@ from hpcflow.runner import (
     env_dump_command,
     mock_run_ranks,
 )
+
+
+def _alive(pid: int, grace: float = 0.5) -> bool:
+    """Whether ``pid`` still runs after ``grace`` seconds; a killed orphan
+    may linger as a zombie until it is reaped, which counts as dead."""
+    end = time.monotonic() + grace
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        if stat.rpartition(")")[2].split()[0] == "Z":
+            return False
+        if time.monotonic() > end:
+            return True
+        time.sleep(0.01)
 
 
 class TestDryRun:
@@ -93,6 +110,16 @@ class TestMockRunRanks:
         results = mock_run_ranks(grid_plan(1, 3), command, timeout=2)
         assert [r.error for r in results] == ["timeout", None, None]
         assert [r.exit_code for r in results][1:] == [0, 0]
+
+    def test_deadline_bounds_a_child_holding_the_output_open(self):
+        # the rank exits at once, but its background child keeps stdout open
+        command = ["sh", "-c", "sleep 3 & echo $!"]
+        start = time.monotonic()
+        (result,) = mock_run_ranks(grid_plan(1, 1), command, timeout=1)
+        assert time.monotonic() - start < 2.5
+        assert result.error is None
+        assert result.exit_code == 0
+        assert not _alive(int(result.stdout))
 
     def test_env_dump_skips_site(self):
         assert env_dump_command()[1:3] == ["-I", "-S"]
