@@ -15,17 +15,18 @@ from hpcflow.errors import (
     ProfileError,
     ReconcileError,
 )
-from hpcflow.profiles import (
-    ClusterProfile,
-    EnvironmentSpec,
-    ImageRef,
-    SemVer,
-    ValidationIssue,
-    parse_cluster_profile,
-    parse_env_spec,
-    render_cluster_profile,
-    validate_profile,
-)
+
+
+def __getattr__(name: str):
+    # the names in __all__ not bound above come from profiles, loaded on
+    # first use (PEP 562), so importing hpcflow.cli or hpcflow.errors does
+    # not load it
+    if name in __all__:
+        from hpcflow import profiles
+
+        return getattr(profiles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -16,16 +16,13 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from hpcflow import dockerfile, launch, lint, perf, recon, runner
 from hpcflow.errors import HpcflowError
-from hpcflow.profiles import (
-    ClusterProfile,
-    ImageRef,
-    parse_cluster_profile,
-    parse_env_spec,
-    validate_profile,
-)
+
+# Each command imports the layers it runs, so a cold start loads only those.
+if TYPE_CHECKING:
+    from hpcflow.profiles import ClusterProfile
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -85,15 +82,21 @@ def _tag_list(text: str) -> list[str]:
 
 
 def _default_container_name(image_ref: str) -> str:
+    from hpcflow.profiles import ImageRef
+
     name = re.sub(r"[^A-Za-z0-9_.-]", "-", ImageRef.parse(image_ref).name)
     return name or "container"
 
 
 def _load_profile(path: str) -> ClusterProfile:
+    from hpcflow.profiles import parse_cluster_profile
+
     return parse_cluster_profile(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_profile_validate(args: argparse.Namespace) -> int:
+    from hpcflow.profiles import validate_profile
+
     profile = _load_profile(args.path)
     issues = validate_profile(profile)
     for issue in issues:
@@ -104,6 +107,9 @@ def cmd_profile_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_image_gen(args: argparse.Namespace) -> int:
+    from hpcflow import dockerfile, recon
+    from hpcflow.profiles import parse_env_spec
+
     spec = parse_env_spec(Path(args.spec).read_text(encoding="utf-8"))
     ast = dockerfile.generate_dockerfile(spec)
     out = Path(args.out)
@@ -120,6 +126,8 @@ def cmd_image_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_image_lint(args: argparse.Namespace) -> int:
+    from hpcflow import dockerfile, lint
+
     ast = dockerfile.parse_dockerfile(
         Path(args.path).read_text(encoding="utf-8"), source_name=args.path
     )
@@ -142,6 +150,9 @@ def cmd_image_lint(args: argparse.Namespace) -> int:
 
 
 def _reconcile_from_args(args: argparse.Namespace):
+    from hpcflow import recon
+    from hpcflow.profiles import parse_env_spec
+
     profile = _load_profile(args.profile)
     spec = parse_env_spec(Path(args.spec).read_text(encoding="utf-8"))
     tags = _tag_list(args.tags) if args.tags else None
@@ -150,6 +161,8 @@ def _reconcile_from_args(args: argparse.Namespace):
 
 
 def cmd_job_gen(args: argparse.Namespace) -> int:
+    from hpcflow import launch, runner
+
     profile, spec, plan = _reconcile_from_args(args)
     container_name = args.container_name or _default_container_name(plan.image_ref)
     request = launch.JobRequest(
@@ -176,6 +189,8 @@ def cmd_job_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run_dry(args: argparse.Namespace) -> int:
+    from hpcflow import launch, runner
+
     _, spec, plan = _reconcile_from_args(args)
     container_name = args.container_name or _default_container_name(plan.image_ref)
     for line in runner.dry_run(launch.render_udocker_setup(plan, container_name)):
@@ -184,6 +199,8 @@ def cmd_run_dry(args: argparse.Namespace) -> int:
 
 
 def cmd_run_mock(args: argparse.Namespace) -> int:
+    from hpcflow import launch, runner
+
     plan = launch.grid_plan(args.nodes, args.gpus_per_node, dict(args.env or []))
     command = list(args.user_command) or runner.env_dump_command()
     results = runner.mock_run_ranks(plan, command)
@@ -196,6 +213,8 @@ def cmd_run_mock(args: argparse.Namespace) -> int:
 
 
 def cmd_perf_predict(args: argparse.Namespace) -> int:
+    from hpcflow import perf
+
     model = perf.ModelSpec(
         name=args.name,
         param_count=args.params,
@@ -233,6 +252,8 @@ def cmd_perf_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_report(args: argparse.Namespace) -> int:
+    from hpcflow import perf
+
     runs = []
     for gpus, path in args.runs:
         text = Path(path).read_text(encoding="utf-8")

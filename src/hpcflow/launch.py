@@ -17,6 +17,9 @@ from hpcflow.profiles import ClusterProfile
 from hpcflow.recon import ReconcilePlan, is_identifier
 
 _WALLTIME_RE = re.compile(r"^\d{1,3}:\d{2}:\d{2}$")
+_ENV_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# where a shell word can end without whitespace: operators and substitutions
+_WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
 
 # commands that would need elevated rights; generated scripts must never
 # contain any of these as a shell word
@@ -91,9 +94,10 @@ def plan_launch(
 
     Raises:
         LaunchError: when the request exceeds the cluster's capacity, the
-            container name is not an identifier, the walltime is not
-            HH:MM:SS, or the user command is empty for a strategy whose
-            image has no entrypoint to fall back on.
+            container name is not an identifier, an ``extra_env`` key is
+            not a shell identifier, the walltime is not HH:MM:SS, or the
+            user command is empty for a strategy whose image has no
+            entrypoint to fall back on.
     """
     if req.nodes < 1 or req.gpus_per_node < 1:
         raise LaunchError("nodes and gpus_per_node must be >= 1")
@@ -109,6 +113,9 @@ def plan_launch(
         )
     if not is_identifier(req.container_name):
         raise LaunchError(f"container name {req.container_name!r} is not an identifier")
+    for key in req.extra_env:
+        if not _ENV_KEY_RE.fullmatch(key):
+            raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
     if not _WALLTIME_RE.match(req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")
     if not req.user_command and recon.strategy_used != "entrypoint":
@@ -198,6 +205,10 @@ def render_job_script(
 ) -> JobScript:
     """Render the batch script: directives, module loads, exports, launcher.
 
+    Export values and the user's command are shell-quoted, so the script
+    passes them through unchanged; the rest of the launcher is written as
+    it is, so ``$PWD`` and ``$USER`` still expand.
+
     Raises:
         LaunchError: for scheduler 'none'; local execution goes through
             the mock runtime instead.
@@ -214,16 +225,14 @@ def render_job_script(
         lines.append(f"module load {module}")
     for key, value in plan.env_exports.items():
         if value is not None:
-            lines.append(f"export {key}={value}")
+            lines.append(f"export {key}={shlex.quote(value)}")
+    # udocker_run_args ends with the user's command
+    run_args = plan.udocker_run_args[: len(plan.udocker_run_args) - len(req.user_command)]
     launcher = " ".join(
-        [
-            "mpirun",
-            *plan.mpirun_args,
-            cluster.container_runtime_path,
-            "run",
-            *plan.udocker_run_args,
-        ]
+        ["mpirun", *plan.mpirun_args, cluster.container_runtime_path, "run", *run_args]
     )
+    if req.user_command:
+        launcher += " " + shlex.join(req.user_command)
     lines.append(launcher)
     return JobScript(text="\n".join(lines) + "\n")
 
@@ -276,12 +285,17 @@ echo "prepend to PATH: $PREFIX"
 
 
 def find_privileged_tokens(text: str) -> list[str]:
-    """Shell words in ``text`` that imply elevated rights (sorted, unique)."""
+    """Shell words in ``text`` that imply elevated rights (sorted, unique).
+
+    Words are also split at ``; & |``, ``$(`` and backticks, so a command
+    glued to an operator or inside a substitution is still seen.
+    """
     found = set()
     for line in text.splitlines():
         try:
             words = shlex.split(line, posix=True)
         except ValueError:
             words = line.split()
-        found.update(w for w in words if w in PRIVILEGED_TOKENS)
+        for word in words:
+            found.update(w for w in _WORD_BREAK_RE.split(word) if w in PRIVILEGED_TOKENS)
     return sorted(found)

@@ -9,8 +9,10 @@ each RUN is tokenized once and split into commands at standalone shell
 operators (``&& || ; |``), and each rule misses what its patterns cannot see.
 
 - TF1 knows creations by ``wget`` (plain or ``-O``), ``curl -o/-O`` and
-  ``tar x ... -C dir``, and a removal must name the created path textually:
-  creations behind variables or subshells, renames and glob deletions go
+  ``tar x ... -C dir``, and a removal must name the created path textually.
+  These words count only as the command word (first, after ``NAME=value``
+  words and an optional ``env``): creations behind variables, subshells or
+  wrappers such as ``sudo`` or ``xargs``, renames and glob deletions go
   undetected.
 - TF2 misses extractions that rename or move the archive first, or that
   address it through variables.
@@ -25,6 +27,7 @@ operators (``&& || ; |``), and each rule misses what its patterns cannot see.
 from __future__ import annotations
 
 import posixpath
+import re
 import shlex
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -44,6 +47,7 @@ _ARCHIVE_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".zip")
 _SHELL_OPERATORS = frozenset({"&&", "||", ";", "|"})
 # the command words whose arguments are paths
 _PATH_WORDS = frozenset({"wget", "curl", "tar", "rm", "unzip"})
+_ASSIGNMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
 
 
 @dataclass(frozen=True)
@@ -87,12 +91,25 @@ def _norm(path: str) -> str:
     return path.rstrip("/") if path != "/" else path
 
 
+def _command_word_index(command: list[str]) -> int:
+    """Index of the command word: past ``NAME=value`` words and one ``env``."""
+    i = 0
+    while i < len(command) and _ASSIGNMENT_RE.match(command[i]):
+        i += 1
+    if i < len(command) and command[i] == "env":
+        i += 1
+        while i < len(command) and _ASSIGNMENT_RE.match(command[i]):
+            i += 1
+    return i
+
+
 def _run_paths(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     """The paths a RUN creates, removes and extracts, in order of appearance.
 
-    The RUN is split into commands at standalone shell operators; a command
-    word counts wherever it stands in its command, and its arguments run to
-    the end of that command.
+    The RUN is split into commands at standalone shell operators.  The
+    command word is the first word of a command after any ``NAME=value``
+    words and an optional ``env`` prefix (with its own ``NAME=value``
+    words); its arguments run to the end of that command.
     """
     commands: list[list[str]] = [[]]
     for word in words:
@@ -104,37 +121,37 @@ def _run_paths(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     removed: list[str] = []
     extracted: list[str] = []
     for command in commands:
-        for i, word in enumerate(command):
-            if word not in _PATH_WORDS:
-                continue
-            args = command[i + 1 :]
-            if word == "wget":
-                target = _flag_value(args, "-O")
-                if target is not None:
-                    created.append(target)
-                else:
-                    created.extend(posixpath.basename(a) for a in _operands(args))
-            elif word == "curl":
-                outputs = [args[j + 1] for j, a in enumerate(args[:-1]) if a == "-o"]
-                created.extend(outputs)
-                if "-O" in args:
-                    created.extend(
-                        posixpath.basename(a) for a in _operands(args) if a not in outputs
-                    )
-            elif word == "rm":
-                removed.extend(_norm(a) for a in _operands(args))
-            elif word == "unzip":
-                extracted.extend(_norm(a) for a in _operands(args))
-            elif args and "x" in args[0].lstrip("-"):  # tar x
-                target_dir = _flag_value(args, "-C")
-                if target_dir is not None:
-                    created.append(target_dir)
-                rest = iter(args[1:])
-                for arg in rest:
-                    if arg == "-C":
-                        next(rest, None)  # the directory, not an archive
-                    elif arg and not arg.startswith("-"):
-                        extracted.append(_norm(arg))
+        i = _command_word_index(command)
+        if i == len(command) or command[i] not in _PATH_WORDS:
+            continue
+        word, args = command[i], command[i + 1 :]
+        if word == "wget":
+            target = _flag_value(args, "-O")
+            if target is not None:
+                created.append(target)
+            else:
+                created.extend(posixpath.basename(a) for a in _operands(args))
+        elif word == "curl":
+            outputs = [args[j + 1] for j, a in enumerate(args[:-1]) if a == "-o"]
+            created.extend(outputs)
+            if "-O" in args:
+                created.extend(
+                    posixpath.basename(a) for a in _operands(args) if a not in outputs
+                )
+        elif word == "rm":
+            removed.extend(_norm(a) for a in _operands(args))
+        elif word == "unzip":
+            extracted.extend(_norm(a) for a in _operands(args))
+        elif args and "x" in args[0].lstrip("-"):  # tar x
+            target_dir = _flag_value(args, "-C")
+            if target_dir is not None:
+                created.append(target_dir)
+            rest = iter(args[1:])
+            for arg in rest:
+                if arg == "-C":
+                    next(rest, None)  # the directory, not an archive
+                elif arg and not arg.startswith("-"):
+                    extracted.append(_norm(arg))
     return [_norm(c) for c in created if c], removed, extracted
 
 
@@ -184,7 +201,8 @@ def _finding(rule_id: str, line: int, message: str, suggestion: str) -> SmellFin
 
 def _check_layers(stage: list[Instruction]) -> Iterator[SmellFinding]:
     """TF1, TF2 and TF3 in one pass over the stage."""
-    created: dict[str, list[int]] = {}  # path -> lines of the RUNs creating it
+    # path -> lines of the RUNs creating it, each once (a dict as ordered set)
+    created: dict[str, dict[int, None]] = {}
     archives: dict[str, list[int]] = {}  # archive path in image -> COPY lines
     flagged: set[int] = set()  # COPY lines already reported by TF2
     for instr in stage:
@@ -201,7 +219,7 @@ def _check_layers(stage: list[Instruction]) -> Iterator[SmellFinding]:
             continue
         words = _words(instr)
         made, removed, extracted = _run_paths(words)
-        for path in removed:
+        for path in dict.fromkeys(removed):
             for creating_line in created.get(path, ()):
                 yield _finding(
                     "TF1",
@@ -213,7 +231,7 @@ def _check_layers(stage: list[Instruction]) -> Iterator[SmellFinding]:
                     "so creation and deletion share one layer",
                 )
         for path in made:
-            created.setdefault(path, []).append(line)
+            created.setdefault(path, {})[line] = None
         for path in extracted:
             for copy_line in archives.get(path, ()):
                 if copy_line not in flagged:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
 from dataclasses import dataclass
 
 from hpcflow.errors import BenchLogError
@@ -246,6 +245,9 @@ def _t_quantile(prob: float, df: int) -> float:
     """
     if not 0.5 <= prob < 1.0 or df < 1:
         raise ValueError(f"need 0.5 <= prob < 1 and df >= 1, got prob={prob}, df={df}")
+    # statistics pulls in fractions and decimal; `perf predict` never needs it
+    import statistics
+
     tail = 1.0 - prob
     z = statistics.NormalDist().inv_cdf(prob)
     t = (
@@ -270,6 +272,8 @@ def summarize(run: BenchRun) -> BenchSummary:
     degrees of freedom.  A single-sample run has no defined interval; it
     is reported as 0 with ``ci_undefined`` set.
     """
+    import statistics
+
     n = len(run.samples)
     if n == 0:
         raise ValueError("run has no samples")
@@ -296,6 +300,8 @@ def speedup_table(runs: list[BenchRun]) -> list[tuple[int, float]]:
         ValueError: without exactly one 1-GPU run, or on duplicate GPU
             counts.
     """
+    import statistics
+
     baselines = [r for r in runs if r.gpus == 1]
     if len(baselines) != 1:
         raise ValueError(

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import os
 import shlex
-import signal
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
@@ -72,6 +70,10 @@ def mock_run_ranks(
     group is killed, so a child that holds the rank's output open cannot
     outlive the deadline either.
     """
+    # imported here: ``job gen`` and ``run dry`` load this module for dry_run
+    import signal
+    import subprocess
+
     deadline = time.monotonic() + timeout
     procs: list[subprocess.Popen | None] = []
     errors: list[str | None] = []

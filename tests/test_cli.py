@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hpcflow
 from conftest import FIXTURES
 from hpcflow.cli import main
 
@@ -205,6 +212,44 @@ class TestJobGen:
         assert code == 1
         assert "error:" in err
 
+    def _job_gen(self, tmp_path, extra: list[str]) -> list[str]:
+        return [
+            "job",
+            "gen",
+            "--profile",
+            str(PROFILES / "csic.profile"),
+            "--spec",
+            str(SPECS / "entrypoint.spec"),
+            "--nodes",
+            "1",
+            "--gpus-per-node",
+            "1",
+            "--out",
+            str(tmp_path / "job.sh"),
+            *extra,
+        ]
+
+    def test_env_value_and_command_are_quoted(self, tmp_path, capsys):
+        argv = ["python", "-c", 'print("hi there")']
+        code, _, _ = run_cli(
+            self._job_gen(tmp_path, ["--env", "MSG=hello world", "--", *argv]), capsys
+        )
+        assert code == 0
+        job = tmp_path / "job.sh"
+        assert subprocess.run(["/usr/bin/sh", "-n", str(job)]).returncode == 0
+        lines = job.read_text().splitlines()
+        assert "export MSG='hello world'" in lines
+        assert shlex.split(lines[-1])[-3:] == argv
+
+    def test_env_key_not_identifier_exits_one(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            self._job_gen(tmp_path, ["--env", "BAD-KEY=1", "--", "python", "train.py"]), capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "shell identifier" in err
+        assert not (tmp_path / "job.sh").exists()
+
 
 class TestRun:
     def test_dry_run_prints_setup_transcript(self, capsys):
@@ -368,3 +413,95 @@ class TestUsageErrors:
     def test_unknown_noun(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
+
+
+# the hpcflow modules each verb may load, and the standard-library modules
+# it must not load; anything else hpcflow would be a wasted import
+_LAYERS = {"profiles", "recon", "dockerfile", "lint", "launch", "runner", "perf"}
+_RECONCILE = {"errors", "profiles", "recon", "launch", "runner"}
+_RECONCILE_ARGS = [
+    "--profile", str(PROFILES / "csic.profile"), "--spec", str(SPECS / "entrypoint.spec")
+]
+_VERBS = {
+    "profile validate": (
+        ["profile", "validate", str(PROFILES / "csic.profile")],
+        {"errors", "profiles"},
+        {"subprocess", "statistics"},
+    ),
+    "image gen": (
+        ["image", "gen", "--spec", str(SPECS / "entrypoint.spec"), "--out", "{tmp}/Dockerfile"],
+        {"errors", "profiles", "recon", "dockerfile"},
+        {"subprocess", "statistics"},
+    ),
+    "image lint": (
+        ["image", "lint", "--machine", str(LINT / "12_multiple_smells.dockerfile")],
+        {"errors", "profiles", "recon", "dockerfile", "lint"},
+        {"subprocess", "statistics"},
+    ),
+    "job gen": (
+        ["job", "gen", *_RECONCILE_ARGS, "--nodes", "2", "--gpus-per-node", "2",
+         "--out", "{tmp}/job.sh", "--", "python", "train.py"],
+        _RECONCILE,
+        {"subprocess", "statistics"},
+    ),
+    "run dry": (["run", "dry", *_RECONCILE_ARGS], _RECONCILE, {"subprocess", "statistics"}),
+    "run mock": (
+        ["run", "mock", "--nodes", "1", "--gpus-per-node", "2"], _RECONCILE, {"statistics"}
+    ),
+    "perf predict": (
+        ["perf", "predict", "--params", "25636712", "--batch-per-gpu", "256",
+         "--single-gpu-ips", "380"],
+        {"errors", "perf"},
+        {"subprocess", "statistics"},
+    ),
+    "bench report": (
+        ["bench", "report", "--warmup", "10", f"1:{LOGS / 'bench_1gpu.log'}",
+         f"2:{LOGS / 'bench_2gpu.log'}"],
+        {"errors", "perf"},
+        {"subprocess"},
+    ),
+}
+
+
+def _modules_after(code: str, argv: list[str] = ()) -> set[str]:
+    """Run ``code`` in a fresh interpreter and return its ``sys.modules``."""
+    env = dict(os.environ)
+    src = str(Path(hpcflow.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code + "\nprint(' '.join(sorted(sys.modules)))", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    return set(child.stdout.splitlines()[-1].split())
+
+
+class TestColdStartImports:
+    @pytest.mark.parametrize("verb", list(_VERBS))
+    def test_verb_loads_only_its_layers(self, verb, tmp_path):
+        argv, layers, forbidden = _VERBS[verb]
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code = "import sys\nfrom hpcflow.cli import main\nmain(sys.argv[1:])"
+        modules = _modules_after(code, argv)
+        assert modules & forbidden == set()
+        loaded = {m.partition(".")[2] for m in modules if m.startswith("hpcflow.")}
+        assert loaded - {"cli"} == layers
+
+    @pytest.mark.parametrize("module", ["hpcflow.cli", "hpcflow.errors"])
+    def test_import_loads_no_layer(self, module):
+        modules = _modules_after(f"import sys\nimport {module}")
+        assert {f"hpcflow.{layer}" for layer in _LAYERS} & modules == set()
+
+    def test_every_public_name_resolves(self):
+        from hpcflow import profiles
+
+        namespace: dict = {}
+        exec("from hpcflow import *", namespace)
+        for name in hpcflow.__all__:
+            assert namespace[name] is getattr(hpcflow, name)
+        assert hpcflow.ClusterProfile is profiles.ClusterProfile
+        with pytest.raises(AttributeError):
+            hpcflow.not_a_name

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import shlex
 import subprocess
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -122,6 +123,11 @@ class TestPlanLaunch:
         with pytest.raises(LaunchError, match="identifier"):
             plan_launch(csic_profile, csic_plan, make_request(1, 1, container_name="a b"))
 
+    @pytest.mark.parametrize("key", ["A-B", "1X", "", "X Y", "X;sudo", "$X"])
+    def test_env_key_must_be_shell_identifier(self, key, csic_profile, csic_plan):
+        with pytest.raises(LaunchError, match="shell identifier"):
+            plan_launch(csic_profile, csic_plan, make_request(1, 1, extra_env={key: "1"}))
+
     def test_walltime_format(self, csic_profile, csic_plan):
         with pytest.raises(LaunchError, match="HH:MM:SS"):
             plan_launch(csic_profile, csic_plan, make_request(1, 1, walltime="2h"))
@@ -201,6 +207,35 @@ class TestRenderJobScript:
         assert script.text == golden
 
 
+# printable text without line breaks: no control, format, private-use,
+# unassigned or surrogate characters, and no line or paragraph separators
+_PRINTABLE = st.text(st.characters(blacklist_categories=("C", "Zl", "Zp")))
+
+
+class TestJobScriptQuoting:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        env=st.dictionaries(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True), _PRINTABLE),
+        argv=st.lists(_PRINTABLE, min_size=1, max_size=4),
+    )
+    def test_user_values_pass_through_unchanged(self, tmp_path_factory, env, argv):
+        from hpcflow.profiles import parse_cluster_profile, parse_env_spec
+
+        cluster = parse_cluster_profile((FIXTURES / "profiles" / "csic.profile").read_text())
+        spec = parse_env_spec((FIXTURES / "specs" / "entrypoint.spec").read_text())
+        req = make_request(1, 1, extra_env=env, user_command=tuple(argv))
+        plan = plan_launch(cluster, reconcile(spec, cluster), req)
+        text = render_job_script(plan, cluster, req).text
+        path = tmp_path_factory.mktemp("job") / "job.sh"
+        path.write_text(text, encoding="utf-8")
+        assert subprocess.run(["/usr/bin/sh", "-n", str(path)]).returncode == 0, text
+        (launcher,) = [line for line in text.splitlines() if line.startswith("mpirun ")]
+        assert shlex.split(launcher)[-len(argv) :] == argv
+        for key, value in env.items():
+            (export,) = [l for l in text.splitlines() if l.startswith(f"export {key}=")]
+            assert shlex.split(export) == ["export", f"{key}={value}"]
+
+
 class TestUdockerSetup:
     def test_entrypoint_sequence_has_four_commands(self, csic_plan):
         commands = render_udocker_setup(csic_plan, "tfbench")
@@ -240,6 +275,12 @@ class TestNoPrivilegedCommands:
     def test_scan_catches_sudo(self):
         assert find_privileged_tokens("sudo rm -rf /\n") == ["sudo"]
         assert find_privileged_tokens("echo su && su - root\n") == ["su"]
+
+    @pytest.mark.parametrize(
+        "text", ["export X=1;sudo true\n", "echo $(sudo id)\n", "echo `sudo id`\n"]
+    )
+    def test_scan_splits_at_operators_and_substitutions(self, text):
+        assert find_privileged_tokens(text) == ["sudo"]
 
     def test_scan_ignores_substrings(self):
         assert find_privileged_tokens("udocker run --user=$USER img\n") == []

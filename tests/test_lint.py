@@ -63,7 +63,7 @@ class TestTf1:
     @pytest.mark.parametrize(
         "body,expect",
         [
-            # a command word counts wherever it stands in its command
+            # the command word comes after NAME=value words and an env prefix
             ("RUN env X=1 wget http://h/u\nRUN rm u\n", [(3, "u", 2)]),
             # one finding per creating RUN
             (
@@ -77,6 +77,14 @@ class TestTf1:
             ('RUN ["wget", "-O", "/tmp/a b", "u"]\nRUN rm "/tmp/a b"\n', [(3, "/tmp/a b", 2)]),
             # unbalanced quoting falls back to whitespace words
             ("RUN wget -O /tmp/f u 'oops\nRUN rm /tmp/f\n", [(3, "/tmp/f", 2)]),
+            # NAME=value words without env come before the command word too
+            ("RUN X=1 Y=2 curl -o f u\nRUN rm f\n", [(3, "f", 2)]),
+            # a command word elsewhere in a command is an argument
+            ("RUN echo wget is used to fetch\nRUN rm fetch\n", []),
+            ("RUN apt-get install -y wget curl\nRUN rm curl\n", []),
+            # one finding per (path, creating line), however often either repeats
+            ("RUN wget -O /a u && wget -O /a u\nRUN rm /a\n", [(3, "/a", 2)]),
+            ("RUN wget -O /a u\nRUN rm /a /a\n", [(3, "/a", 2)]),
         ],
     )
     def test_creation_patterns(self, body, expect):
