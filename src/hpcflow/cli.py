@@ -30,24 +30,20 @@ EXIT_USAGE = 2
 EXIT_LINT = 3
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} must be >= {minimum}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 0")
-    return value
+_positive_int = _int_at_least(1)
 
 
 def _env_pair(text: str) -> tuple[str, str]:
@@ -156,14 +152,13 @@ def _reconcile_from_args(args: argparse.Namespace):
     profile = _load_profile(args.profile)
     spec = parse_env_spec(Path(args.spec).read_text(encoding="utf-8"))
     tags = _tag_list(args.tags) if args.tags else None
-    plan = recon.reconcile(spec, profile, available_tags=tags)
-    return profile, spec, plan
+    return profile, recon.reconcile(spec, profile, available_tags=tags)
 
 
 def cmd_job_gen(args: argparse.Namespace) -> int:
     from hpcflow import launch, runner
 
-    profile, spec, plan = _reconcile_from_args(args)
+    profile, plan = _reconcile_from_args(args)
     container_name = args.container_name or _default_container_name(plan.image_ref)
     request = launch.JobRequest(
         nodes=args.nodes,
@@ -191,7 +186,7 @@ def cmd_job_gen(args: argparse.Namespace) -> int:
 def cmd_run_dry(args: argparse.Namespace) -> int:
     from hpcflow import launch, runner
 
-    _, spec, plan = _reconcile_from_args(args)
+    _, plan = _reconcile_from_args(args)
     container_name = args.container_name or _default_container_name(plan.image_ref)
     for line in runner.dry_run(launch.render_udocker_setup(plan, container_name)):
         print(line)
@@ -216,7 +211,7 @@ def cmd_perf_predict(args: argparse.Namespace) -> int:
     from hpcflow import perf
 
     model = perf.ModelSpec(
-        name=args.name,
+        name="model",
         param_count=args.params,
         batch_per_gpu=args.batch_per_gpu,
         bytes_per_param=args.bytes_per_param,
@@ -257,7 +252,7 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
     runs = []
     for gpus, path in args.runs:
         text = Path(path).read_text(encoding="utf-8")
-        runs.append(perf.parse_bench_log(text, args.warmup, label=path, gpus=gpus))
+        runs.append(perf.parse_bench_log(text, args.warmup, gpus=gpus))
     try:
         speedups = perf.speedup_table(runs)
     except ValueError as exc:
@@ -333,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf_cmd = nouns.add_parser("perf", help="scaling prediction")
     perf_verbs = perf_cmd.add_subparsers(dest="verb", required=True)
     predict = perf_verbs.add_parser("predict", help="CSV speedup table for 1..P workers")
-    predict.add_argument("--name", default="model")
     predict.add_argument("--params", type=_positive_int, required=True)
     predict.add_argument("--batch-per-gpu", type=_positive_int, required=True)
     predict.add_argument("--single-gpu-ips", type=float, required=True)
@@ -352,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_verbs = bench.add_subparsers(dest="verb", required=True)
     report = bench_verbs.add_parser("report", help="summarize runs as CSV")
     report.add_argument("runs", nargs="+", type=_gpus_log_pair, metavar="GPUS:LOGPATH")
-    report.add_argument("--warmup", type=_nonneg_int, default=0)
+    report.add_argument("--warmup", type=_int_at_least(0), default=0)
     report.set_defaults(func=cmd_bench_report)
 
     return parser
@@ -368,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         user_command = []
     parser = build_parser()
     args = parser.parse_args(argv)
+    if user_command and args.func not in (cmd_job_gen, cmd_run_mock):
+        parser.error(f"'{args.noun} {args.verb}' takes no command after '--'")
     args.user_command = user_command
     try:
         return args.func(args)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from hpcflow.errors import DockerfileError
 from hpcflow.profiles import EnvironmentSpec
-from hpcflow.recon import DEFAULT_INSTALLERS, InstallerConfig, default_cmd_args
+from hpcflow.recon import DEFAULT_INSTALLERS, default_cmd_args
 
 KNOWN_KINDS = frozenset(
     {
@@ -41,6 +41,11 @@ _EXEC_KINDS = frozenset({"RUN", "CMD", "ENTRYPOINT"})
 _PREAMBLE_KINDS = frozenset({"ARG", "COMMENT", "UNKNOWN"})
 
 _ESCAPE_DIRECTIVE_RE = re.compile(r"^#\s*escape\s*=", re.IGNORECASE)
+# instructions that may open a heredoc, and their words with quotes kept: a
+# word reading [fd]<<[-]NAME (NAME possibly quoted) opens one, as in BuildKit
+_HEREDOC_KINDS = frozenset({"RUN", "COPY", "ADD"})
+_RAW_WORD_RE = re.compile(r"""(?:[^\s'"\\]+|'[^']*'|"(?:[^"\\]|\\.)*"|\\.|['"\\])+""", re.DOTALL)
+_HEREDOC_WORD_RE = re.compile(r"\d*<<-?[^<]+")
 _WORD_RE = re.compile(r"^\s*(\S+)(?:\s+(.*))?$", re.DOTALL)
 
 
@@ -83,11 +88,13 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
     """Parse Dockerfile text into an ordered instruction list.
 
     Unrecognized directives never fail; they become ``UNKNOWN`` nodes kept
-    verbatim.  Escape directives are not supported and are rejected.
+    verbatim.  Escape directives and heredocs are not supported and are
+    rejected.
 
     Raises:
         DockerfileError: when a recognized non-ARG instruction appears
-            before any FROM, or when an escape directive is declared.
+            before any FROM, an escape directive is declared, or a RUN,
+            COPY or ADD opens a heredoc.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -142,6 +149,12 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
             kind = "UNKNOWN"
             args = buf
 
+        if (
+            kind in _HEREDOC_KINDS
+            and "<<" in args
+            and any(_HEREDOC_WORD_RE.fullmatch(w) for w in _RAW_WORD_RE.findall(args))
+        ):
+            raise DockerfileError(f"{kind} heredocs are not supported", line=start + 1)
         if kind == "FROM":
             seen_from = True
         elif kind not in _PREAMBLE_KINDS and not seen_from:
@@ -184,9 +197,7 @@ def render_dockerfile(ast: DockerfileAst) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_dockerfile(
-    spec: EnvironmentSpec, installers: InstallerConfig = DEFAULT_INSTALLERS
-) -> DockerfileAst:
+def generate_dockerfile(spec: EnvironmentSpec) -> DockerfileAst:
     """Generate a workflow-conformant Dockerfile from an environment spec.
 
     Layout: FROM the chosen base image, a single RUN installing system
@@ -215,12 +226,8 @@ def generate_dockerfile(
     if spec.strategy == "tags":
         shell("ARG", "openmpi_version")
     if spec.system_packages:
-        shell(
-            "RUN",
-            installers.system_packages_install.format(
-                packages=" ".join(spec.system_packages)
-            ),
-        )
+        packages = " ".join(spec.system_packages)
+        shell("RUN", DEFAULT_INSTALLERS.system_packages_install.format(packages=packages))
     for src, dst in spec.code_copies:
         shell("COPY", f"{src} {dst}")
 
@@ -234,19 +241,9 @@ def generate_dockerfile(
         execf("CMD", list(default_cmd_args(spec)))
     elif spec.strategy == "tags":
         # the build argument carries the per-variant OpenMPI version
-        shell(
-            "RUN",
-            installers.openmpi_install.format(
-                openmpi_version="${openmpi_version}",
-                horovod_version=spec.horovod_version,
-            ),
-        )
-        shell(
-            "RUN",
-            installers.horovod_install.format(
-                openmpi_version="${openmpi_version}",
-                horovod_version=spec.horovod_version,
-            ),
-        )
+        for command in DEFAULT_INSTALLERS.version_installs(
+            "${openmpi_version}", spec.horovod_version
+        ):
+            shell("RUN", command)
 
     return DockerfileAst(tuple(instructions))

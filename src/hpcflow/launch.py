@@ -13,38 +13,28 @@ import shlex
 from dataclasses import dataclass, field
 
 from hpcflow.errors import LaunchError
-from hpcflow.profiles import ClusterProfile
+from hpcflow.profiles import CONTROL_CHAR_RE, ClusterProfile
 from hpcflow.recon import ReconcilePlan, is_identifier
 
 _WALLTIME_RE = re.compile(r"^\d{1,3}:\d{2}:\d{2}$")
 _ENV_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # where a shell word can end without whitespace: operators and substitutions
 _WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
+# a launcher word written as it is: shlex's safe characters, ``^``, and
+# $NAME or ${NAME} references, which the batch job expands
+_PLAIN_WORD_RE = re.compile(r"(?:[\w@%+=:,./^-]|\$[A-Za-z_]\w*|\$\{[A-Za-z_]\w*\})+", re.ASCII)
+
+# mpirun transport flags: NCCL carries GPU collectives, MPI the rest (the
+# common Horovod launch pattern)
+_TRANSPORT_ARGS = ("-mca", "pml", "ob1", "-mca", "btl", "^openib")
+_USER_MAP_ARGS = ("--hostauth", "--user=$USER")
+_UDOCKER_RELEASE_URL = (
+    "https://github.com/indigo-dc/udocker/releases/download/1.3.17/udocker-1.3.17.tar.gz"
+)
 
 # commands that would need elevated rights; generated scripts must never
 # contain any of these as a shell word
 PRIVILEGED_TOKENS = frozenset({"sudo", "su", "doas", "pkexec", "setcap", "visudo"})
-
-
-@dataclass(frozen=True)
-class LaunchConfig:
-    """Cluster-independent knobs for command rendering.
-
-    The mpirun transport flags follow the common Horovod launch pattern
-    (NCCL carries GPU collectives, MPI the rest); they are configurable
-    because MCA option syntax differs between OpenMPI major versions.
-    """
-
-    transport_args: tuple[str, ...] = ("-mca", "pml", "ob1", "-mca", "btl", "^openib")
-    user_map_args: tuple[str, ...] = ("--hostauth", "--user=$USER")
-    udocker_release_url: str = (
-        "https://github.com/indigo-dc/udocker/releases/download/"
-        "1.3.17/udocker-1.3.17.tar.gz"
-    )
-    install_prefix: str = "$HOME/.local/udocker"
-
-
-DEFAULT_LAUNCH_CONFIG = LaunchConfig()
 
 
 @dataclass(frozen=True)
@@ -84,18 +74,15 @@ class JobScript:
     text: str
 
 
-def plan_launch(
-    cluster: ClusterProfile,
-    recon: ReconcilePlan,
-    req: JobRequest,
-    config: LaunchConfig = DEFAULT_LAUNCH_CONFIG,
-) -> LaunchPlan:
+def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) -> LaunchPlan:
     """Lay out one rank per GPU across the requested nodes.
 
     Raises:
         LaunchError: when the request exceeds the cluster's capacity, the
             container name is not an identifier, an ``extra_env`` key is
-            not a shell identifier, the walltime is not HH:MM:SS, or the
+            not a shell identifier, the job name, partition or account
+            holds a line break or control character, the walltime is not
+            HH:MM:SS, or the
             user command is empty for a strategy whose image has no
             entrypoint to fall back on.
     """
@@ -113,6 +100,14 @@ def plan_launch(
         )
     if not is_identifier(req.container_name):
         raise LaunchError(f"container name {req.container_name!r} is not an identifier")
+    # each directive is one script line; a profile file is checked when parsed
+    for what, value in (
+        ("job name", req.job_name),
+        ("partition", cluster.partition or ""),
+        ("account", cluster.account or ""),
+    ):
+        if CONTROL_CHAR_RE.search(value):
+            raise LaunchError(f"{what} {value!r} contains a line break or control character")
     for key in req.extra_env:
         if not _ENV_KEY_RE.fullmatch(key):
             raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
@@ -141,13 +136,13 @@ def plan_launch(
         f"ppr:{req.gpus_per_node}:node",
         "-bind-to",
         "none",
-        *config.transport_args,
+        *_TRANSPORT_ARGS,
     ]
     for key in env_exports:
         mpirun_args.extend(("-x", key))
 
     udocker_run_args = [
-        *config.user_map_args,
+        *_USER_MAP_ARGS,
         f"--volume={req.workdir_mount[0]}:{req.workdir_mount[1]}",
         *(f"--volume={src}:{dst}" for src, dst in cluster.default_mounts),
         req.container_name,
@@ -200,14 +195,20 @@ def grid_plan(
     )
 
 
+def _sh_word(word: str) -> str:
+    return word if _PLAIN_WORD_RE.fullmatch(word) else shlex.quote(word)
+
+
 def render_job_script(
     plan: LaunchPlan, cluster: ClusterProfile, req: JobRequest
 ) -> JobScript:
     """Render the batch script: directives, module loads, exports, launcher.
 
     Export values and the user's command are shell-quoted, so the script
-    passes them through unchanged; the rest of the launcher is written as
-    it is, so ``$PWD`` and ``$USER`` still expand.
+    passes them through unchanged.  Every other launcher word, and each
+    module name, is written as it is when it holds only safe characters
+    and $NAME references, so ``$PWD`` and ``$USER`` still expand, and is
+    shell-quoted otherwise.
 
     Raises:
         LaunchError: for scheduler 'none'; local execution goes through
@@ -222,14 +223,15 @@ def render_job_script(
     for key, value in plan.scheduler_directives:
         lines.append(f"#SBATCH --{key}={value}")
     for module in cluster.module_loads:
-        lines.append(f"module load {module}")
+        lines.append(f"module load {_sh_word(module)}")
     for key, value in plan.env_exports.items():
         if value is not None:
             lines.append(f"export {key}={shlex.quote(value)}")
     # udocker_run_args ends with the user's command
     run_args = plan.udocker_run_args[: len(plan.udocker_run_args) - len(req.user_command)]
     launcher = " ".join(
-        ["mpirun", *plan.mpirun_args, cluster.container_runtime_path, "run", *run_args]
+        _sh_word(word)
+        for word in ["mpirun", *plan.mpirun_args, cluster.container_runtime_path, "run", *run_args]
     )
     if req.user_command:
         launcher += " " + shlex.join(req.user_command)
@@ -259,25 +261,22 @@ def render_udocker_setup(recon: ReconcilePlan, container_name: str) -> list[list
     return commands
 
 
-def render_install_script(
-    config: LaunchConfig = DEFAULT_LAUNCH_CONFIG, prefix: str | None = None
-) -> str:
+def render_install_script(prefix: str = "$HOME/.local/udocker") -> str:
     """Script installing the container runtime into a user-writable prefix.
 
-    Downloads the configured release tarball, extracts it, and prints the
+    Downloads the udocker release tarball, extracts it, and prints the
     directory to prepend to PATH.  No step needs rights beyond the user's
-    own.
+    own.  ``prefix`` is quoted like a launcher word, so ``$HOME`` expands.
     """
-    prefix_value = prefix if prefix is not None else config.install_prefix
     return f"""#!/bin/sh
 # Install the rootless container runtime under a user-writable prefix.
 set -eu
 
-PREFIX={prefix_value}
+PREFIX={_sh_word(prefix)}
 TARBALL=$PREFIX/udocker-release.tar.gz
 
 mkdir -p "$PREFIX"
-curl -L -o "$TARBALL" {config.udocker_release_url}
+curl -L -o "$TARBALL" {_UDOCKER_RELEASE_URL}
 tar -xzf "$TARBALL" -C "$PREFIX" --strip-components=1
 rm -f "$TARBALL"
 echo "prepend to PATH: $PREFIX"

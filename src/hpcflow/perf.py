@@ -35,8 +35,12 @@ class ModelSpec:
     bytes_per_param: int = 4
 
     def __post_init__(self) -> None:
-        if self.param_count <= 0 or self.batch_per_gpu <= 0 or self.bytes_per_param <= 0:
-            raise ValueError("param_count, batch_per_gpu and bytes_per_param must be positive")
+        # NaN and inf are not integral, so this rejects them too
+        for value in (self.param_count, self.batch_per_gpu, self.bytes_per_param):
+            if not (float(value).is_integer() and value > 0):
+                raise ValueError(
+                    "param_count, batch_per_gpu and bytes_per_param must be positive integers"
+                )
 
     @property
     def payload_bytes(self) -> int:
@@ -75,7 +79,6 @@ class ScalingInputs:
 
 @dataclass(frozen=True)
 class ScalingEstimate:
-    p: int
     predicted_images_per_sec: float
     speedup: float
     comm_seconds_per_step: float
@@ -139,7 +142,6 @@ def predict(inputs: ScalingInputs, p: int) -> ScalingEstimate:
     else:
         speedup = p * comp / (comp + comm)
     return ScalingEstimate(
-        p=p,
         predicted_images_per_sec=predicted,
         speedup=speedup,
         comm_seconds_per_step=comm,
@@ -147,9 +149,7 @@ def predict(inputs: ScalingInputs, p: int) -> ScalingEstimate:
     )
 
 
-def parse_bench_log(
-    text: str, warmup_count: int, label: str = "", gpus: int = 1
-) -> BenchRun:
+def parse_bench_log(text: str, warmup_count: int, gpus: int = 1) -> BenchRun:
     """Parse ``iter <k>: <float> images/sec`` lines, dropping warm-up.
 
     Blank lines are ignored; anything else must match the grammar.
@@ -174,7 +174,7 @@ def parse_bench_log(
             f"warm-up of {warmup_count} consumes all {len(values)} samples"
         )
     return BenchRun(
-        label=label,
+        label="",
         gpus=gpus,
         samples=tuple(values[warmup_count:]),
         warmup_count=warmup_count,

@@ -8,8 +8,9 @@ Both file kinds share one sectioned key=value text format:
 * path pairs are written ``src:dst``
 
 Cluster profiles live in a ``[cluster]`` section, environment specs in an
-``[environment]`` section.  Unknown keys are preserved and reported as
-warnings by :func:`validate_profile`, never rejected.
+``[environment]`` section.  Unknown keys are never rejected: in a profile
+they are kept and reported as warnings by :func:`validate_profile`, in an
+environment spec they are ignored.
 """
 
 from __future__ import annotations
@@ -25,35 +26,28 @@ _SECTION_RE = re.compile(r"^\[([a-z_]+)\]$")
 
 DEFAULT_REGISTRY = "docker.io"
 
+# C0, DEL and C1 controls plus the Unicode line and paragraph separators:
+# every character str.splitlines breaks at, so no value can start a new line
+CONTROL_CHAR_RE = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
 SCHEDULERS = ("slurm", "none")
 STRATEGIES = ("tags", "ngc", "entrypoint")
 
 CLUSTER_SECTION = "cluster"
 ENVIRONMENT_SECTION = "environment"
 
-_MANDATORY_CLUSTER_KEYS = (
+_KNOWN_CLUSTER_KEYS = (
     "name",
     "scheduler",
     "gpus_per_node",
     "gpu_nodes",
     "openmpi_version",
     "container_runtime_path",
-)
-_KNOWN_CLUSTER_KEYS = _MANDATORY_CLUSTER_KEYS + (
     "module_loads",
     "interconnect",
     "partition",
     "account",
     "default_mounts",
-)
-
-_MANDATORY_ENV_KEYS = ("base_image", "strategy", "horovod_version")
-_KNOWN_ENV_KEYS = _MANDATORY_ENV_KEYS + (
-    "openmpi_version",
-    "system_packages",
-    "code_copies",
-    "entrypoint_path",
-    "registry",
 )
 
 
@@ -161,7 +155,6 @@ class EnvironmentSpec:
     code_copies: tuple[tuple[str, str], ...] = ()
     entrypoint_path: str | None = None
     registry: str = DEFAULT_REGISTRY
-    extra: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -244,10 +237,6 @@ def _split_pairs(value: str, key: str, lineno: int) -> tuple[tuple[str, str], ..
     return tuple(pairs)
 
 
-def _extras(entries: dict[str, tuple[str, int]], known: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    return tuple((k, v) for k, (v, _) in entries.items() if k not in known)
-
-
 def parse_cluster_profile(text: str) -> ClusterProfile:
     """Parse a ``[cluster]`` profile file into a :class:`ClusterProfile`.
 
@@ -256,7 +245,8 @@ def parse_cluster_profile(text: str) -> ClusterProfile:
 
     Raises:
         ProfileError: on syntax errors (with line number), missing
-            mandatory keys, unparseable versions, or non-positive counts.
+            mandatory keys, unparseable versions, non-positive counts, or a
+            control character in partition, account or module_loads.
     """
     entries = _read_section(text, CLUSTER_SECTION)
 
@@ -277,6 +267,12 @@ def parse_cluster_profile(text: str) -> ClusterProfile:
     except ProfileError as exc:
         raise ProfileError(str(exc), line=version_line) from None
 
+    for key in ("partition", "account", "module_loads"):
+        value, lineno = entries.get(key, ("", 0))
+        if CONTROL_CHAR_RE.search(value):
+            raise ProfileError(
+                f"{key} must not contain line breaks or control characters", line=lineno
+            )
     mounts_value, mounts_line = entries.get("default_mounts", ("", 0))
 
     return ClusterProfile(
@@ -291,7 +287,7 @@ def parse_cluster_profile(text: str) -> ClusterProfile:
         partition=entries.get("partition", (None, 0))[0] or None,
         account=entries.get("account", (None, 0))[0] or None,
         default_mounts=_split_pairs(mounts_value, "default_mounts", mounts_line),
-        extra=_extras(entries, _KNOWN_CLUSTER_KEYS),
+        extra=tuple((k, v) for k, (v, _) in entries.items() if k not in _KNOWN_CLUSTER_KEYS),
     )
 
 
@@ -436,5 +432,4 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
         code_copies=_split_pairs(copies_value, "code_copies", copies_line),
         entrypoint_path=entrypoint_path,
         registry=entries.get("registry", (DEFAULT_REGISTRY, 0))[0],
-        extra=_extras(entries, _KNOWN_ENV_KEYS),
     )

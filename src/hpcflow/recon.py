@@ -47,6 +47,11 @@ class InstallerConfig:
         " && rm -rf /var/lib/apt/lists/*"
     )
 
+    def version_installs(self, openmpi_version: str, horovod_version: str) -> list[str]:
+        """The OpenMPI and Horovod install commands with their placeholders filled."""
+        versions = {"openmpi_version": openmpi_version, "horovod_version": horovod_version}
+        return [t.format_map(versions) for t in (self.openmpi_install, self.horovod_install)]
+
 
 DEFAULT_INSTALLERS = InstallerConfig()
 
@@ -204,10 +209,6 @@ def is_identifier(name: str) -> bool:
     return _IDENTIFIER_RE.match(name) is not None
 
 
-def _fill(template: str, openmpi: str, horovod: str) -> str:
-    return template.format(openmpi_version=openmpi, horovod_version=horovod)
-
-
 def generate_entrypoint(installers: InstallerConfig = DEFAULT_INSTALLERS) -> str:
     """Generate the POSIX shell entrypoint script.
 
@@ -226,8 +227,9 @@ def generate_entrypoint(installers: InstallerConfig = DEFAULT_INSTALLERS) -> str
 
     The output is a pure function of ``installers``, so it is byte-stable.
     """
-    openmpi_cmd = _fill(installers.openmpi_install, "${OPENMPI_VERSION}", "${HOROVOD_VERSION}")
-    horovod_cmd = _fill(installers.horovod_install, "${OPENMPI_VERSION}", "${HOROVOD_VERSION}")
+    openmpi_cmd, horovod_cmd = installers.version_installs(
+        "${OPENMPI_VERSION}", "${HOROVOD_VERSION}"
+    )
     return f"""#!/bin/sh
 # Install the requested OpenMPI/Horovod pair on first start, then hand
 # control to the user command.

@@ -250,6 +250,28 @@ class TestJobGen:
         assert "shell identifier" in err
         assert not (tmp_path / "job.sh").exists()
 
+    def test_workdir_substitution_is_quoted(self, tmp_path, capsys):
+        marker = tmp_path / "P"
+        code, _, _ = run_cli(
+            self._job_gen(tmp_path, ["--workdir", f"x$(touch {marker}):/w", "--", "true"]),
+            capsys,
+        )
+        assert code == 0
+        job = tmp_path / "job.sh"
+        (launcher,) = [l for l in job.read_text().splitlines() if l.startswith("mpirun ")]
+        assert f"'--volume=x$(touch {marker}):/w'" in launcher
+        assert subprocess.run(["/usr/bin/sh", "-n", str(job)]).returncode == 0
+
+    def test_job_name_with_line_break_exits_one(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            self._job_gen(tmp_path, ["--job-name", "a\nsudo true", "--", "true"]), capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "job name" in err
+        assert not (tmp_path / "job.sh").exists()
+
+
 
 class TestRun:
     def test_dry_run_prints_setup_transcript(self, capsys):
@@ -413,6 +435,32 @@ class TestUsageErrors:
     def test_unknown_noun(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "validate", str(PROFILES / "csic.profile")],
+            ["image", "gen", "--spec", str(SPECS / "ngc.spec"), "--out", "{tmp}/Dockerfile"],
+            ["image", "lint", str(LINT / "10_clean.dockerfile")],
+            ["run", "dry", "--profile", str(PROFILES / "csic.profile"),
+             "--spec", str(SPECS / "entrypoint.spec")],
+            ["perf", "predict", "--params", "1000", "--batch-per-gpu", "32",
+             "--single-gpu-ips", "100"],
+            ["bench", "report", f"1:{LOGS / 'bench_1gpu.log'}"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_command_after_dashes_is_refused_where_unread(self, argv, tmp_path, capsys):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, out, err = run_cli([*argv, "--", "whatever"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert "takes no command after '--'" in err
+        assert list(tmp_path.iterdir()) == []
+        # a bare "--" is still accepted
+        code, _, _ = run_cli([*argv, "--"], capsys)
+        assert code == 0
 
 
 # the hpcflow modules each verb may load, and the standard-library modules

@@ -82,6 +82,38 @@ class TestParse:
         ast = parse_dockerfile("FROM a:1\n# escape=`\n")
         assert ast.instructions[1].kind == "COMMENT"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "RUN <<EOF",
+            "RUN cat <<-EOF > /etc/motd",
+            'COPY <<"EOF" /app/run.sh',
+            "RUN python3 <<'EOF'",
+            "ADD 2<<EOF /x",
+        ],
+    )
+    def test_heredoc_rejected_with_line(self, line):
+        text = f"FROM alpine:3.18\n{line}\napt-get update\nFROM alpine\nEOF\n"
+        kind = line.split()[0]
+        with pytest.raises(DockerfileError, match=f"line 2: {kind} heredocs are not supported"):
+            parse_dockerfile(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'RUN echo "<<EOF"',
+            "RUN echo '<<EOF' a",
+            "RUN cat <<< hi",
+            "RUN echo $((1<<2))",
+            "RUN echo \\<<EOF",
+            'RUN ["sh", "-c", "cat <<EOF"]',
+            "ENV A=<<EOF",
+        ],
+    )
+    def test_quoted_or_non_heredoc_chevrons_parse(self, line):
+        ast = parse_dockerfile(f"FROM alpine:3.18\n{line}\n")
+        assert len(ast.instructions) == 2
+
     def test_multistage_keeps_stage_name_in_args(self):
         ast = parse_dockerfile("FROM golang:1.19 AS builder\n")
         assert ast.instructions[0].args == "golang:1.19 AS builder"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import shlex
 import subprocess
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,111 @@ class TestJobScriptQuoting:
             assert shlex.split(export) == ["export", f"{key}={value}"]
 
 
+def _shell_words(line: str, cwd=None) -> list[str]:
+    """The words the shell passes to the command of ``line``, with USER set."""
+    command, _, rest = line.partition(" ")
+    proc = subprocess.run(
+        ["/usr/bin/sh", "-c", f"{command}() {{ printf '%s\\0' \"$@\"; }}\n{command} {rest}"],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={"PATH": "/usr/bin:/bin", "USER": "alice"},
+        check=True,
+    )
+    return proc.stdout.split("\0")[:-1]
+
+
+class TestLauncherWords:
+    def _launcher(self, cluster, recon_plan, **overrides) -> str:
+        req = make_request(1, 1, **overrides)
+        text = render_job_script(plan_launch(cluster, recon_plan, req), cluster, req).text
+        (launcher,) = [line for line in text.splitlines() if line.startswith("mpirun ")]
+        return launcher
+
+    def test_workdir_substitution_is_not_run(self, tmp_path, csic_profile, csic_plan):
+        marker = tmp_path / "P"
+        source = f"x$(touch {marker})"
+        launcher = self._launcher(csic_profile, csic_plan, workdir_mount=(source, "/w"))
+        words = _shell_words(launcher, tmp_path)
+        assert not marker.exists()
+        assert f"--volume={source}:/w" in words
+
+    def test_words_with_spaces_stay_one_word(self, tmp_path, csic_profile, csic_plan):
+        cluster = replace(
+            csic_profile,
+            container_runtime_path="/opt/my tools/udocker",
+            default_mounts=(("/scratch space", "/scratch"),),
+        )
+        launcher = self._launcher(cluster, csic_plan, workdir_mount=("/my dir", "/workdir"))
+        words = _shell_words(launcher, tmp_path)
+        assert "/opt/my tools/udocker" in words
+        assert "--volume=/my dir:/workdir" in words
+        assert "--volume=/scratch space:/scratch" in words
+
+    def test_plain_words_expand_in_the_job(self, tmp_path, csic_profile, csic_plan):
+        words = _shell_words(self._launcher(csic_profile, csic_plan), tmp_path)
+        assert "--user=alice" in words
+        assert f"--volume={tmp_path}:/workdir" in words
+        assert "^openib" in words
+
+    def test_module_name_is_one_word(self, csic_profile, csic_plan):
+        cluster = replace(csic_profile, module_loads=("x;true",))
+        req = make_request(1, 1)
+        text = render_job_script(plan_launch(cluster, csic_plan, req), cluster, req).text
+        (line,) = [line for line in text.splitlines() if line.startswith("module load ")]
+        assert _shell_words(line) == ["load", "x;true"]
+
+    @pytest.mark.parametrize("name", ["a\nsudo true", "a\rb", "a\x0bb", "a\x85b", "a\u2028b", "a\x00"])
+    def test_job_name_line_break_rejected(self, name, csic_profile, csic_plan):
+        with pytest.raises(LaunchError, match="job name"):
+            plan_launch(csic_profile, csic_plan, make_request(1, 1, job_name=name))
+
+    @pytest.mark.parametrize("field", ["partition", "account"])
+    def test_profile_directive_line_break_rejected(self, field, csic_profile, csic_plan):
+        cluster = replace(csic_profile, **{field: "gpu\nsudo true"})
+        with pytest.raises(LaunchError, match=field):
+            plan_launch(cluster, csic_plan, make_request(1, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=_PRINTABLE,
+        target=_PRINTABLE,
+        job_name=_PRINTABLE,
+        container=st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_.-]*", fullmatch=True),
+    )
+    def test_printable_values_keep_their_words(
+        self, tmp_path_factory, source, target, job_name, container
+    ):
+        from hpcflow.profiles import parse_cluster_profile, parse_env_spec
+
+        cluster = parse_cluster_profile((FIXTURES / "profiles" / "csic.profile").read_text())
+        spec = parse_env_spec((FIXTURES / "specs" / "entrypoint.spec").read_text())
+        req = make_request(
+            1, 1, workdir_mount=(source, target), job_name=job_name, container_name=container
+        )
+        text = render_job_script(plan_launch(cluster, reconcile(spec, cluster), req), cluster, req).text
+        path = tmp_path_factory.mktemp("job") / "job.sh"
+        path.write_text(text, encoding="utf-8")
+        assert subprocess.run(["/usr/bin/sh", "-n", str(path)]).returncode == 0, text
+        assert f"#SBATCH --job-name={job_name}" in text.splitlines()
+        (launcher,) = [line for line in text.splitlines() if line.startswith("mpirun ")]
+        words = shlex.split(launcher)
+        run_at = words.index("run")
+        assert words[run_at - 1 :] == [
+            cluster.container_runtime_path,
+            "run",
+            "--hostauth",
+            "--user=$USER",
+            f"--volume={source}:{target}",
+            "--volume=/scratch:/scratch",
+            container,
+            "4.0.1",
+            "0.21.3",
+            "python",
+            "/workspace/train.py",
+        ]
+
+
 class TestUdockerSetup:
     def test_entrypoint_sequence_has_four_commands(self, csic_plan):
         commands = render_udocker_setup(csic_plan, "tfbench")
@@ -269,6 +375,13 @@ class TestInstallScript:
         path = tmp_path / "install.sh"
         path.write_text(render_install_script())
         assert subprocess.run(["/bin/sh", "-n", str(path)]).returncode == 0
+
+    @pytest.mark.parametrize("prefix", ["/my dir/rt", "/rt;true", "$(true)/rt"])
+    def test_prefix_is_one_word(self, prefix):
+        text = render_install_script(prefix=prefix)
+        (line,) = [line for line in text.splitlines() if line.startswith("PREFIX=")]
+        shell = ["/usr/bin/sh", "-c", f'{line}\nprintf %s "$PREFIX"']
+        assert subprocess.run(shell, capture_output=True, text=True).stdout == prefix
 
 
 class TestNoPrivilegedCommands:

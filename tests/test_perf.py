@@ -177,6 +177,18 @@ class TestPredict:
             make_inputs(**{field: value})
 
 
+class TestModelSpec:
+    @pytest.mark.parametrize("field", ["param_count", "batch_per_gpu", "bytes_per_param"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 0, -4])
+    def test_non_finite_or_non_integral_rejected(self, field, value):
+        values = {"param_count": 1000, "batch_per_gpu": 32, "bytes_per_param": 4, field: value}
+        with pytest.raises(ValueError, match="positive integers"):
+            ModelSpec("m", **values)
+
+    def test_integral_values_accepted(self):
+        assert ModelSpec("m", 1000, 32.0).payload_bytes == 4000
+
+
 class TestParseBenchLog:
     def test_warmup_protocol(self, fixtures):
         text = (fixtures / "logs" / "bench_1gpu.log").read_text()

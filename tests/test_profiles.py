@@ -104,6 +104,18 @@ class TestParseClusterProfile:
         assert any("future_field" in i.message for i in warnings)
 
 
+    @pytest.mark.parametrize("key", ["partition", "account", "module_loads"])
+    @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028", "\t"])
+    def test_control_characters_rejected_with_field_and_line(self, key, char):
+        text = (
+            "[cluster]\nname = x\nscheduler = slurm\ngpus_per_node = 1\n"
+            "gpu_nodes = 1\nopenmpi_version = 4.0\ncontainer_runtime_path = /u\n"
+            f"{key} = a{char}sudo true\n"
+        )
+        with pytest.raises(ProfileError, match=f"line 8: {key} must not contain line breaks"):
+            parse_cluster_profile(text)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["csic.profile", "forhlr2.profile", "local.profile"])
     def test_parse_render_parse_fixed_point(self, fixtures, name):
