@@ -147,9 +147,12 @@ def cmd_image_lint(args: argparse.Namespace) -> int:
 
 def _reconcile_from_args(args: argparse.Namespace):
     from hpcflow import recon
-    from hpcflow.profiles import parse_env_spec
+    from hpcflow.profiles import parse_env_spec, validate_profile
 
     profile = _load_profile(args.profile)
+    errors = [i.message for i in validate_profile(profile) if i.severity == "error"]
+    if errors:
+        raise HpcflowError("; ".join(errors))
     spec = parse_env_spec(Path(args.spec).read_text(encoding="utf-8"))
     tags = _tag_list(args.tags) if args.tags else None
     return profile, recon.reconcile(spec, profile, available_tags=tags)

@@ -5,8 +5,11 @@ layers are append-only: a file deleted in a later layer still occupies
 space in the layer that created it.
 
 Detection is token-pattern based (shell words), not full shell parsing:
-each RUN is tokenized once and split into commands at standalone shell
-operators (``&& || ; |``), and each rule misses what its patterns cannot see.
+each RUN is tokenized once and split into commands at the shell operators
+``&& || ; |``, whether they stand alone or are glued to a word, and each
+rule misses what its patterns cannot see.  Words are read as
+``shlex.split`` reads them, with each run of unquoted ``; & |`` a word of
+its own; text with an unbalanced quote falls back to whitespace words.
 
 - TF1 knows creations by ``wget`` (plain or ``-O``), ``curl -o/-O`` and
   ``tar x ... -C dir``, and a removal must name the created path textually.
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import posixpath
 import re
-import shlex
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -48,6 +50,15 @@ _SHELL_OPERATORS = frozenset({"&&", "||", ";", "|"})
 # the command words whose arguments are paths
 _PATH_WORDS = frozenset({"wget", "curl", "tar", "rm", "unzip"})
 _ASSIGNMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
+# shell words: only space, tab, CR and LF separate words, and a run of
+# unquoted ``; & |`` is a word of its own
+_PLAIN_WORD_RE = re.compile(r"[^ \t\r\n;&|]+|[;&|]+")
+_WORD_RE = re.compile(
+    r"""((?:[^ \t\r\n'"\\;&|]+|'[^']*'|"(?:[^"\\]|\\[\s\S])*"|\\[\s\S])+|[;&|]+)[ \t\r\n]*"""
+)
+# the pieces of one word: plain text, '...', "...", an escaped character
+_PIECE_RE = re.compile(r"""([^'"\\]+)|'([^']*)'|"((?:[^"\\]|\\[\s\S])*)"|\\([\s\S])""")
+_QUOTED_ESCAPE_RE = re.compile(r'\\([\\"])')
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,38 @@ class SmellReport:
     counts: dict[str, int]
 
 
+def _unquote(piece: re.Match[str]) -> str:
+    text = piece[piece.lastindex]
+    # inside double quotes a backslash escapes only ``"`` and itself
+    return _QUOTED_ESCAPE_RE.sub(r"\1", text) if piece.lastindex == 3 else text
+
+
+def _split(text: str) -> list[str]:
+    """``text`` as POSIX shell words, in linear time.
+
+    Raises:
+        ValueError: on an unbalanced quote or a trailing backslash.
+    """
+    if "'" not in text and '"' not in text and "\\" not in text:
+        return _PLAIN_WORD_RE.findall(text)
+    text = text.lstrip(" \t\r\n")
+    words, pos = [], 0
+    while pos < len(text):
+        match = _WORD_RE.match(text, pos)
+        if match is None:
+            raise ValueError("unbalanced quote or trailing backslash")
+        words.append(_PIECE_RE.sub(_unquote, match[1]))
+        pos = match.end()
+    return words
+
+
 def _words(instr: Instruction) -> list[str]:
     """The instruction's shell words, tokenized once."""
     tokens = exec_tokens(instr)
     if tokens is not None:
         return tokens
     try:
-        return shlex.split(instr.args, posix=True)
+        return _split(instr.args)
     except ValueError:  # unbalanced quoting; fall back to whitespace words
         return instr.args.split()
 

@@ -27,6 +27,17 @@ def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
     return code, out, err
 
 
+def _profile_with_error(tmp_path) -> Path:
+    """The csic profile with a module name that ``profile validate`` rejects."""
+    bad = tmp_path / "bad.profile"
+    text = (PROFILES / "csic.profile").read_text()
+    bad.write_text(text.replace("module_loads = openmpi/4.0.1", "module_loads = open mpi"))
+    return bad
+
+
+_MODULE_ERROR = "error: module_loads entry 'open mpi' must not contain whitespace\n"
+
+
 class TestProfileValidate:
     def test_valid_profile_exits_zero(self, capsys):
         code, out, _ = run_cli(["profile", "validate", str(PROFILES / "csic.profile")], capsys)
@@ -271,6 +282,14 @@ class TestJobGen:
         assert "job name" in err
         assert not (tmp_path / "job.sh").exists()
 
+    def test_profile_with_error_issue_exits_one(self, tmp_path, capsys):
+        argv = self._job_gen(tmp_path, ["--", "python", "train.py"])
+        argv[argv.index("--profile") + 1] = str(_profile_with_error(tmp_path))
+        argv[argv.index("--spec") + 1] = str(SPECS / "ngc.spec")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", _MODULE_ERROR)
+        assert not (tmp_path / "job.sh").exists()
+
 
 
 class TestRun:
@@ -303,6 +322,22 @@ class TestRun:
         )
         assert code == 0
         assert out.splitlines()[1] == "udocker create --name=img org/img@sha256:abcd"
+
+    def test_dry_run_profile_with_error_issue_exits_one(self, tmp_path, capsys):
+        bad = _profile_with_error(tmp_path)
+        code, out, err = run_cli(
+            ["run", "dry", "--profile", str(bad), "--spec", str(SPECS / "ngc.spec")], capsys
+        )
+        assert (code, out, err) == (1, "", _MODULE_ERROR)
+
+    def test_dry_run_profile_warnings_stay_silent(self, tmp_path, capsys):
+        profile = tmp_path / "extra.profile"
+        profile.write_text((PROFILES / "csic.profile").read_text() + "site_note = x\n")
+        argv = ["run", "dry", "--profile", str(profile), "--spec", str(SPECS / "ngc.spec")]
+        code, out, err = run_cli(argv, capsys)
+        argv[argv.index("--profile") + 1] = str(PROFILES / "csic.profile")
+        assert (code, out, err) == run_cli(argv, capsys)
+        assert (code, err) == (0, "")
 
     def test_dry_run_has_no_machine_flag(self, capsys):
         code, out, _ = run_cli(
@@ -484,7 +519,7 @@ _VERBS = {
     "image lint": (
         ["image", "lint", "--machine", str(LINT / "12_multiple_smells.dockerfile")],
         {"errors", "profiles", "recon", "dockerfile", "lint"},
-        {"subprocess", "statistics"},
+        {"subprocess", "statistics", "shlex"},
     ),
     "job gen": (
         ["job", "gen", *_RECONCILE_ARGS, "--nodes", "2", "--gpus-per-node", "2",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from hpcflow.errors import LaunchError
 from hpcflow.launch import (
+    PRIVILEGED_TOKENS,
     JobRequest,
     find_privileged_tokens,
     grid_plan,
@@ -412,6 +413,51 @@ class TestNoPrivilegedCommands:
         ]
         for text in texts:
             assert find_privileged_tokens(text) == []
+
+
+# text that puts privileged words next to operators, substitutions and quotes
+_SHELL_TEXT = st.lists(
+    st.sampled_from(
+        [*sorted(PRIVILEGED_TOKENS), " ", ";", "&&", "|", "$(", ")", "`", "'", '"', "\\", "x"]
+    ),
+    max_size=8,
+).map("".join)
+
+
+class TestPrivilegedScanProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        argv=st.lists(_SHELL_TEXT, min_size=1, max_size=4),
+        env_value=_SHELL_TEXT,
+        job_name=_SHELL_TEXT,
+    )
+    def test_scan_finds_every_privileged_command(
+        self, tmp_path_factory, argv, env_value, job_name
+    ):
+        from hpcflow.profiles import parse_cluster_profile, parse_env_spec
+
+        cluster = parse_cluster_profile((FIXTURES / "profiles" / "csic.profile").read_text())
+        spec = parse_env_spec((FIXTURES / "specs" / "entrypoint.spec").read_text())
+        req = make_request(
+            1, 1, extra_env={"V": env_value}, user_command=tuple(argv), job_name=job_name
+        )
+        plan = plan_launch(cluster, reconcile(spec, cluster), req)
+        text = render_job_script(plan, cluster, req).text
+        # run the script with each privileged word a function that names
+        # itself on stderr, and with no PATH, so nothing else can run
+        stubs = "".join(f"{w}() {{ echo {w} >&2; }}\n" for w in sorted(PRIVILEGED_TOKENS))
+        proc = subprocess.run(
+            ["/usr/bin/sh", "-c", f"{stubs}mpirun() {{ :; }}\nmodule() {{ :; }}\n{text}"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path_factory.mktemp("job"),
+            env={"PATH": ""},
+        )
+        assert proc.returncode == 0, (text, proc.stderr)
+        run_by_shell = {line for line in proc.stderr.splitlines() if line in PRIVILEGED_TOKENS}
+        # the container runs the user's argv as a command
+        commands = run_by_shell | ({argv[0]} & PRIVILEGED_TOKENS)
+        assert commands <= set(find_privileged_tokens(text)), text
 
 
 class TestGridPlan:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import shlex
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, corpus_paths
 from hpcflow.dockerfile import Instruction, parse_dockerfile, render_dockerfile
-from hpcflow.lint import RULES, lint, machine_report
+from hpcflow.lint import RULES, _words, lint, machine_report
 
 CORPUS = FIXTURES / "lint_corpus"
 LABELS = json.loads((CORPUS / "labels.json").read_text())
@@ -27,6 +31,47 @@ class TestCorpusAgreement:
 
     def test_corpus_is_large_enough(self):
         assert len(LABELS) >= 10
+
+
+def _shell_words(text: str) -> list[str]:
+    """The oracle: ``shlex`` with each run of ``; & |`` a word of its own."""
+    lexer = shlex.shlex(text, posix=True, punctuation_chars=";&|")
+    lexer.whitespace_split = True
+    lexer.commenters = ""
+    try:
+        return list(lexer)
+    except ValueError:  # lint falls back to whitespace words
+        return text.split()
+
+
+class TestWords:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(st.sampled_from("'\"\\ \t\r\n\x0b\x0c#$()`;&|é")))
+    def test_shell_form_matches_shlex(self, text):
+        assert _words(Instruction("RUN", text)) == _shell_words(text)
+
+    @pytest.mark.parametrize(
+        "text,words",
+        [
+            ("echo 'u;'", ["echo", "u;"]),
+            ("a&&b;c", ["a", "&&", "b", ";", "c"]),
+            ("ls 2>&1|sort", ["ls", "2>", "&", "1", "|", "sort"]),
+            ("a\\;b", ["a;b"]),
+            ("'' a#b", ["", "a#b"]),
+            ('"a\\"b\\$c"', ['a"b\\$c']),
+            ("a 'b", ["a", "'b"]),
+        ],
+    )
+    def test_examples(self, text, words):
+        assert _words(Instruction("RUN", text)) == words
+
+    @pytest.mark.parametrize(
+        "text", ["a" * 200_000 + "'", '"' + "a" * 200_000, "'" * 200_001]
+    )
+    def test_linear_time(self, text):
+        start = time.perf_counter()
+        _words(Instruction("RUN", text))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestTf1:
@@ -72,8 +117,13 @@ class TestTf1:
             ),
             # the -o value is not also taken as a -O URL
             ("RUN curl -o x -O http://h/y.tgz\nRUN rm x y.tgz\n", [(3, "x", 2), (3, "y.tgz", 2)]),
-            # an operator glued to a word does not end the command
-            ("RUN wget http://h/u; echo v\nRUN rm u v\n", [(3, "v", 2)]),
+            # an operator glued to a word ends the command
+            ("RUN wget http://h/u; echo v\nRUN rm u v\n", [(3, "u", 2)]),
+            ("RUN wget -O /a u&&rm /a\n", []),
+            ("RUN curl -o f u|sh\nRUN rm f sh\n", [(3, "f", 2)]),
+            ("RUN curl -O http://h/u|sh\nRUN rm u\n", [(3, "u", 2)]),
+            # a quoted operator is part of its word
+            ("RUN wget 'http://h/u;' v\nRUN rm 'u;' v\n", [(3, "u;", 2), (3, "v", 2)]),
             ('RUN ["wget", "-O", "/tmp/a b", "u"]\nRUN rm "/tmp/a b"\n', [(3, "/tmp/a b", 2)]),
             # unbalanced quoting falls back to whitespace words
             ("RUN wget -O /tmp/f u 'oops\nRUN rm /tmp/f\n", [(3, "/tmp/f", 2)]),
