@@ -151,8 +151,10 @@ def _reconcile_from_args(args: argparse.Namespace):
 
     profile = _load_profile(args.profile)
     errors = [i.message for i in validate_profile(profile) if i.severity == "error"]
-    if errors:
-        raise HpcflowError("; ".join(errors))
+    if errors:  # one ``error:`` line each; ``main`` prints the last
+        for message in errors[:-1]:
+            print(f"error: {message}", file=sys.stderr)
+        raise HpcflowError(errors[-1])
     spec = parse_env_spec(Path(args.spec).read_text(encoding="utf-8"))
     tags = _tag_list(args.tags) if args.tags else None
     return profile, recon.reconcile(spec, profile, available_tags=tags)

@@ -9,7 +9,8 @@ each RUN is tokenized once and split into commands at the shell operators
 ``&& || ; |``, whether they stand alone or are glued to a word, and each
 rule misses what its patterns cannot see.  Words are read as
 ``shlex.split`` reads them, with each run of unquoted ``; & |`` a word of
-its own; text with an unbalanced quote falls back to whitespace words.
+its own (text without quotes or backslashes is split by a regex, the rest
+by ``shlex``); text with an unbalanced quote falls back to whitespace words.
 
 - TF1 knows creations by ``wget`` (plain or ``-O``), ``curl -o/-O`` and
   ``tar x ... -C dir``, and a removal must name the created path textually.
@@ -50,15 +51,9 @@ _SHELL_OPERATORS = frozenset({"&&", "||", ";", "|"})
 # the command words whose arguments are paths
 _PATH_WORDS = frozenset({"wget", "curl", "tar", "rm", "unzip"})
 _ASSIGNMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
-# shell words: only space, tab, CR and LF separate words, and a run of
-# unquoted ``; & |`` is a word of its own
+# shell words without quotes or backslashes: only space, tab, CR and LF
+# separate words, and a run of ``; & |`` is a word of its own
 _PLAIN_WORD_RE = re.compile(r"[^ \t\r\n;&|]+|[;&|]+")
-_WORD_RE = re.compile(
-    r"""((?:[^ \t\r\n'"\\;&|]+|'[^']*'|"(?:[^"\\]|\\[\s\S])*"|\\[\s\S])+|[;&|]+)[ \t\r\n]*"""
-)
-# the pieces of one word: plain text, '...', "...", an escaped character
-_PIECE_RE = re.compile(r"""([^'"\\]+)|'([^']*)'|"((?:[^"\\]|\\[\s\S])*)"|\\([\s\S])""")
-_QUOTED_ESCAPE_RE = re.compile(r'\\([\\"])')
 
 
 @dataclass(frozen=True)
@@ -76,29 +71,20 @@ class SmellReport:
     counts: dict[str, int]
 
 
-def _unquote(piece: re.Match[str]) -> str:
-    text = piece[piece.lastindex]
-    # inside double quotes a backslash escapes only ``"`` and itself
-    return _QUOTED_ESCAPE_RE.sub(r"\1", text) if piece.lastindex == 3 else text
-
-
 def _split(text: str) -> list[str]:
-    """``text`` as POSIX shell words, in linear time.
+    """``text`` as POSIX shell words, each run of unquoted ``; & |`` a word.
 
     Raises:
         ValueError: on an unbalanced quote or a trailing backslash.
     """
     if "'" not in text and '"' not in text and "\\" not in text:
         return _PLAIN_WORD_RE.findall(text)
-    text = text.lstrip(" \t\r\n")
-    words, pos = [], 0
-    while pos < len(text):
-        match = _WORD_RE.match(text, pos)
-        if match is None:
-            raise ValueError("unbalanced quote or trailing backslash")
-        words.append(_PIECE_RE.sub(_unquote, match[1]))
-        pos = match.end()
-    return words
+    import shlex  # only quoted text needs it
+
+    lexer = shlex.shlex(text, posix=True, punctuation_chars=";&|")
+    lexer.whitespace_split = True
+    lexer.commenters = ""
+    return list(lexer)
 
 
 def _words(instr: Instruction) -> list[str]:
@@ -142,10 +128,11 @@ def _command_word_index(command: list[str]) -> int:
 def _run_paths(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     """The paths a RUN creates, removes and extracts, in order of appearance.
 
-    The RUN is split into commands at standalone shell operators.  The
-    command word is the first word of a command after any ``NAME=value``
-    words and an optional ``env`` prefix (with its own ``NAME=value``
-    words); its arguments run to the end of that command.
+    The RUN is split into commands at the operator words ``_words`` emits,
+    glued to a word or not.  The command word is the first word of a
+    command after any ``NAME=value`` words and an optional ``env`` prefix
+    (with its own ``NAME=value`` words); its arguments run to the end of
+    that command.
     """
     commands: list[list[str]] = [[]]
     for word in words:

@@ -330,6 +330,20 @@ class TestRun:
         )
         assert (code, out, err) == (1, "", _MODULE_ERROR)
 
+    def test_dry_run_prints_each_profile_error_as_validate_does(self, tmp_path, capsys):
+        bad = tmp_path / "bad.profile"
+        text = (PROFILES / "csic.profile").read_text()
+        bad.write_text(
+            text.replace("module_loads = openmpi/4.0.1", "module_loads = open mpi, big x")
+        )
+        _, issues, _ = run_cli(["profile", "validate", str(bad)], capsys)
+        code, out, err = run_cli(
+            ["run", "dry", "--profile", str(bad), "--spec", str(SPECS / "ngc.spec")], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == issues
+        assert len(err.splitlines()) == 2
+
     def test_dry_run_profile_warnings_stay_silent(self, tmp_path, capsys):
         profile = tmp_path / "extra.profile"
         profile.write_text((PROFILES / "csic.profile").read_text() + "site_note = x\n")
