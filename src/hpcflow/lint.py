@@ -10,7 +10,8 @@ each RUN is tokenized once and split into commands at the shell operators
 rule misses what its patterns cannot see.  Words are read as
 ``shlex.split`` reads them, with each run of unquoted ``; & |`` a word of
 its own (text without quotes or backslashes is split by a regex, the rest
-by ``shlex``); text with an unbalanced quote falls back to whitespace words.
+by ``shlex``); text with an unbalanced quote or a trailing backslash goes
+to the regex too, its quotes and backslashes read as word characters.
 
 - TF1 knows creations by ``wget`` (plain or ``-O``), ``curl -o/-O`` and
   ``tar x ... -C dir``, and a removal must name the created path textually.
@@ -94,8 +95,8 @@ def _words(instr: Instruction) -> list[str]:
         return tokens
     try:
         return _split(instr.args)
-    except ValueError:  # unbalanced quoting; fall back to whitespace words
-        return instr.args.split()
+    except ValueError:  # unbalanced quoting; split as if the text had no quotes
+        return _PLAIN_WORD_RE.findall(instr.args)
 
 
 def _flag_value(args: list[str], flag: str) -> str | None:

@@ -30,9 +30,9 @@ class RankResult:
     error: str | None = None
 
 
-def env_dump_command(extra_keys: tuple[str, ...] = ()) -> list[str]:
+def env_dump_command() -> list[str]:
     """A rank command that prints its distribution environment as KEY=VALUE."""
-    keys = ("RANK", "SIZE", "LOCAL_RANK", "NODE_INDEX") + extra_keys
+    keys = ("RANK", "SIZE", "LOCAL_RANK", "NODE_INDEX")
     code = (
         "import os\n"
         f"for key in {keys!r}:\n"

@@ -475,6 +475,25 @@ class TestBenchReport:
         )
         assert code == 1
 
+    def test_non_finite_sample_exits_one(self, tmp_path, capsys):
+        log = tmp_path / "inf.log"
+        log.write_text("iter 1: 1e999 images/sec\n")
+        code, out, err = run_cli(["bench", "report", f"1:{log}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1: ")
+        assert "Traceback" not in err
+
+    def test_zero_baseline_exits_one(self, tmp_path, capsys):
+        base = tmp_path / "zero.log"
+        base.write_text("iter 1: 0 images/sec\niter 2: 0 images/sec\n")
+        code, out, err = run_cli(
+            ["bench", "report", f"1:{base}", f"2:{LOGS / 'bench_2gpu.log'}"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the 1-GPU baseline's mean throughput is 0")
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shlex
 import time
 from pathlib import Path
@@ -40,8 +41,8 @@ def _shell_words(text: str) -> list[str]:
     lexer.commenters = ""
     try:
         return list(lexer)
-    except ValueError:  # lint falls back to whitespace words
-        return text.split()
+    except ValueError:  # lint falls back to its unquoted-text regex
+        return re.findall(r"[^ \t\r\n;&|]+|[;&|]+", text)
 
 
 class TestWords:
@@ -124,7 +125,7 @@ class TestTf1:
             # a quoted operator is part of its word
             ("RUN wget 'http://h/u;' v\nRUN rm 'u;' v\n", [(3, "u;", 2), (3, "v", 2)]),
             ('RUN ["wget", "-O", "/tmp/a b", "u"]\nRUN rm "/tmp/a b"\n', [(3, "/tmp/a b", 2)]),
-            # unbalanced quoting falls back to whitespace words
+            # unbalanced quoting falls back to the unquoted-text regex
             ("RUN wget -O /tmp/f u 'oops\nRUN rm /tmp/f\n", [(3, "/tmp/f", 2)]),
             # NAME=value words without env come before the command word too
             ("RUN X=1 Y=2 curl -o f u\nRUN rm f\n", [(3, "f", 2)]),
@@ -134,6 +135,8 @@ class TestTf1:
             # one finding per (path, creating line), however often either repeats
             ("RUN wget -O /a u && wget -O /a u\nRUN rm /a\n", [(3, "/a", 2)]),
             ("RUN wget -O /a u\nRUN rm /a /a\n", [(3, "/a", 2)]),
+            # with unbalanced quoting, a glued operator still ends the command
+            ("RUN wget http://h/u; echo v 'x\nRUN rm u v\n", [(3, "u", 2)]),
         ],
     )
     def test_creation_patterns(self, body, expect):

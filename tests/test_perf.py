@@ -19,6 +19,7 @@ from hpcflow.perf import (
     ModelSpec,
     ScalingInputs,
     _t_quantile,
+    _t_upper_tail,
     allreduce_bytes,
     parse_bench_log,
     predict,
@@ -209,6 +210,11 @@ class TestParseBenchLog:
         with pytest.raises(BenchLogError, match="line 2"):
             parse_bench_log("iter 1: 10.0 images/sec\nnot a log line\n", 0)
 
+    def test_non_finite_value_reports_number(self):
+        # 1e999 matches the grammar but overflows to inf
+        with pytest.raises(BenchLogError, match="line 2: .*not finite"):
+            parse_bench_log("iter 1: 10.0 images/sec\niter 2: 1e999 images/sec\n", 0)
+
 
 class TestSummarize:
     def test_worked_example(self):
@@ -265,6 +271,21 @@ class TestTQuantile:
     def test_median_is_zero(self):
         assert _t_quantile(0.5, 7) == 0.0
 
+    @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 2.0, 4.0, 10.0, 1e3])
+    def test_tail_closed_forms(self, t):
+        assert _t_upper_tail(t, 1) == pytest.approx(0.5 - math.atan(t) / math.pi, rel=1e-14)
+        assert _t_upper_tail(t, 2) == pytest.approx(
+            0.5 * (1.0 - t / math.sqrt(2.0 + t * t)), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("df", range(1, 41))
+    def test_tail_matches_simpson_oracle(self, df):
+        # both sides subtract from 0.5, so each carries ~1e-16 absolute error:
+        # tails far below 1e-7 (t = 10 at large df) agree only to that
+        for t in (0.1, 1.0, 2.0, 4.0, 10.0):
+            expected = 0.5 - oracle_stats._t_cdf_upper_half(t, df)
+            assert _t_upper_tail(t, df) == pytest.approx(expected, rel=1e-9, abs=1e-15), t
+
     @pytest.mark.parametrize("prob, df", [(0.025, 5), (1.0, 5), (math.nan, 5), (0.975, 0)])
     def test_rejects_out_of_range(self, prob, df):
         with pytest.raises(ValueError):
@@ -320,6 +341,11 @@ class TestSpeedupTable:
     def test_missing_baseline(self):
         with pytest.raises(ValueError, match="baseline"):
             speedup_table([BenchRun("r", 2, (10.0,))])
+
+    def test_zero_baseline_is_error(self):
+        runs = [BenchRun("b", 1, (0.0,) * 3), BenchRun("r", 2, (10.0,) * 3)]
+        with pytest.raises(ValueError, match="baseline's mean throughput is 0"):
+            speedup_table(runs)
 
     def test_duplicate_gpu_counts(self):
         runs = [BenchRun("a", 1, (1.0,)), BenchRun("b", 2, (2.0,)), BenchRun("c", 2, (2.0,))]

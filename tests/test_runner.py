@@ -80,7 +80,8 @@ class TestMockRunRanks:
 
     def test_env_exports_with_values_forwarded(self):
         plan = grid_plan(1, 2, env={"FOO": "bar", "PATH": None})
-        results = mock_run_ranks(plan, env_dump_command(extra_keys=("FOO",)))
+        command = [sys.executable, "-I", "-S", "-c", "import os; print('FOO=' + os.environ['FOO'])"]
+        results = mock_run_ranks(plan, command)
         assert all(r.env["FOO"] == "bar" for r in results)
 
     def test_spawn_failure_reported_per_rank(self):
