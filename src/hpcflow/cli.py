@@ -84,10 +84,17 @@ def _default_container_name(image_ref: str) -> str:
     return name or "container"
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise HpcflowError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_profile(path: str) -> ClusterProfile:
     from hpcflow.profiles import parse_cluster_profile
 
-    return parse_cluster_profile(Path(path).read_text(encoding="utf-8"))
+    return parse_cluster_profile(_read_text(path))
 
 
 def cmd_profile_validate(args: argparse.Namespace) -> int:
@@ -106,7 +113,7 @@ def cmd_image_gen(args: argparse.Namespace) -> int:
     from hpcflow import dockerfile, recon
     from hpcflow.profiles import parse_env_spec
 
-    spec = parse_env_spec(Path(args.spec).read_text(encoding="utf-8"))
+    spec = parse_env_spec(_read_text(args.spec))
     ast = dockerfile.generate_dockerfile(spec)
     out = Path(args.out)
     out.write_text(dockerfile.render_dockerfile(ast), encoding="utf-8")
@@ -124,9 +131,7 @@ def cmd_image_gen(args: argparse.Namespace) -> int:
 def cmd_image_lint(args: argparse.Namespace) -> int:
     from hpcflow import dockerfile, lint
 
-    ast = dockerfile.parse_dockerfile(
-        Path(args.path).read_text(encoding="utf-8"), source_name=args.path
-    )
+    ast = dockerfile.parse_dockerfile(_read_text(args.path), source_name=args.path)
     report = lint.lint(ast)
     if args.machine:
         sys.stdout.write(lint.machine_report(report))
@@ -155,7 +160,7 @@ def _reconcile_from_args(args: argparse.Namespace):
         for message in errors[:-1]:
             print(f"error: {message}", file=sys.stderr)
         raise HpcflowError(errors[-1])
-    spec = parse_env_spec(Path(args.spec).read_text(encoding="utf-8"))
+    spec = parse_env_spec(_read_text(args.spec))
     tags = _tag_list(args.tags) if args.tags else None
     return profile, recon.reconcile(spec, profile, available_tags=tags)
 
@@ -256,8 +261,7 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
 
     runs = []
     for gpus, path in args.runs:
-        text = Path(path).read_text(encoding="utf-8")
-        runs.append(perf.parse_bench_log(text, args.warmup, gpus=gpus))
+        runs.append(perf.parse_bench_log(_read_text(path), args.warmup, gpus=gpus))
     try:
         speedups = perf.speedup_table(runs)
     except ValueError as exc:

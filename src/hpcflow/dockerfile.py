@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import posixpath
 import re
-from dataclasses import dataclass, field
 
-from hpcflow.errors import DockerfileError
+from hpcflow.errors import DockerfileError, Record
 from hpcflow.profiles import EnvironmentSpec
 from hpcflow.recon import DEFAULT_INSTALLERS, default_cmd_args
 
@@ -49,8 +48,7 @@ _HEREDOC_WORD_RE = re.compile(r"\d*<<-?[^<]+")
 _WORD_RE = re.compile(r"^\s*(\S+)(?:\s+(.*))?$", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(Record):
     """One Dockerfile instruction (or comment/blank/unknown line).
 
     ``args`` holds the argument text with continuations collapsed; for
@@ -63,13 +61,20 @@ class Instruction:
     kind: str
     args: str
     exec_form: bool = False
-    line_span: tuple[int, int] = field(default=(0, 0), compare=False)
+    line_span: tuple[int, int] = (0, 0)
+    _uncompared = ("line_span",)
+
+    # one per source line, so a plain constructor
+    def __init__(
+        self, kind: str, args: str, exec_form: bool = False, line_span: tuple[int, int] = (0, 0)
+    ) -> None:
+        self.__dict__.update(kind=kind, args=args, exec_form=exec_form, line_span=line_span)
 
 
-@dataclass(frozen=True)
-class DockerfileAst:
+class DockerfileAst(Record):
     instructions: tuple[Instruction, ...]
-    source_name: str | None = field(default=None, compare=False)
+    source_name: str | None = None
+    _uncompared = ("source_name",)
 
 
 def exec_tokens(instr: Instruction) -> list[str] | None:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 import shlex
-from dataclasses import dataclass, field
 
-from hpcflow.errors import LaunchError
+from hpcflow.errors import LaunchError, Record
 from hpcflow.profiles import CONTROL_CHAR_RE, ClusterProfile
 from hpcflow.recon import ReconcilePlan, is_identifier
 
@@ -36,9 +35,11 @@ _UDOCKER_RELEASE_URL = (
 # contain any of these as a shell word
 PRIVILEGED_TOKENS = frozenset({"sudo", "su", "doas", "pkexec", "setcap", "visudo"})
 
+# the mock runtime spawns one local process per rank
+MAX_MOCK_RANKS = 64
 
-@dataclass(frozen=True)
-class JobRequest:
+
+class JobRequest(Record):
     """What the researcher wants to run and where."""
 
     nodes: int
@@ -49,11 +50,13 @@ class JobRequest:
     user_command: tuple[str, ...]
     job_name: str = "hpcflow-job"
     walltime: str = "01:00:00"
-    extra_env: dict[str, str] = field(default_factory=dict)
+    extra_env: dict[str, str] = {}
+
+    def __post_init__(self) -> None:
+        self.__dict__["extra_env"] = dict(self.extra_env)  # never the shared default
 
 
-@dataclass(frozen=True)
-class LaunchPlan:
+class LaunchPlan(Record):
     """Concrete process layout and argument lists for one job.
 
     ``env_exports`` maps variable names to values; a value of ``None``
@@ -69,8 +72,7 @@ class LaunchPlan:
     scheduler_directives: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class JobScript:
+class JobScript(Record):
     text: str
 
 
@@ -108,9 +110,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
     ):
         if CONTROL_CHAR_RE.search(value):
             raise LaunchError(f"{what} {value!r} contains a line break or control character")
-    for key in req.extra_env:
-        if not _ENV_KEY_RE.fullmatch(key):
-            raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
+    _check_env_keys(req.extra_env)
     if not _WALLTIME_RE.match(req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")
     if not req.user_command and recon.strategy_used != "entrypoint":
@@ -181,10 +181,18 @@ def grid_plan(
     ``env_exports``.
 
     Raises:
-        LaunchError: when nodes or gpus_per_node is below 1.
+        LaunchError: when nodes or gpus_per_node is below 1, the grid has
+            more than ``MAX_MOCK_RANKS`` ranks, or an ``env`` key is not a
+            shell identifier.
     """
     if nodes < 1 or gpus_per_node < 1:
         raise LaunchError("nodes and gpus_per_node must be >= 1")
+    if nodes * gpus_per_node > MAX_MOCK_RANKS:
+        raise LaunchError(
+            f"a {nodes} x {gpus_per_node} grid has {nodes * gpus_per_node} ranks; "
+            f"the mock runtime spawns at most {MAX_MOCK_RANKS}"
+        )
+    _check_env_keys(env or {})
     return LaunchPlan(
         total_ranks=nodes * gpus_per_node,
         slots_per_node=gpus_per_node,
@@ -193,6 +201,12 @@ def grid_plan(
         udocker_run_args=(),
         scheduler_directives=(),
     )
+
+
+def _check_env_keys(env: dict) -> None:
+    for key in env:
+        if not _ENV_KEY_RE.fullmatch(key):
+            raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
 
 
 def _sh_word(word: str) -> str:

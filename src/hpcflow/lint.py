@@ -34,9 +34,9 @@ from __future__ import annotations
 import posixpath
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
+from hpcflow.errors import Record
 from hpcflow.profiles import ImageRef
 
 RULES: dict[str, tuple[str, str]] = {
@@ -57,17 +57,21 @@ _ASSIGNMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
 _PLAIN_WORD_RE = re.compile(r"[^ \t\r\n;&|]+|[;&|]+")
 
 
-@dataclass(frozen=True)
-class SmellFinding:
+class SmellFinding(Record):
     rule_id: str
     severity: str
     line: int
     message: str
     suggestion: str
 
+    # over a thousand on a large file, so a plain constructor
+    def __init__(self, rule_id: str, severity: str, line: int, message: str, suggestion: str):
+        self.__dict__.update(
+            rule_id=rule_id, severity=severity, line=line, message=message, suggestion=suggestion
+        )
 
-@dataclass(frozen=True)
-class SmellReport:
+
+class SmellReport(Record):
     findings: tuple[SmellFinding, ...]
     counts: dict[str, int]
 

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from hpcflow.errors import BenchLogError
+from hpcflow.errors import BenchLogError, Record
 
 _LOG_LINE_RE = re.compile(r"^iter\s+(\d+):\s*([0-9]*\.?[0-9]+(?:[eE][+-]?\d+)?)\s+images/sec$")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """Size and batching of one trainable model."""
 
     name: str
@@ -46,8 +44,7 @@ class ModelSpec:
         return self.param_count * self.bytes_per_param
 
 
-@dataclass(frozen=True)
-class ScalingInputs:
+class ScalingInputs(Record):
     """Model plus machine characteristics feeding the prediction.
 
     Bandwidths are bytes/second and may be ``math.inf`` to model the
@@ -76,16 +73,14 @@ class ScalingInputs:
             raise ValueError("intra_node_bandwidth must be >= link_bandwidth")
 
 
-@dataclass(frozen=True)
-class ScalingEstimate:
+class ScalingEstimate(Record):
     predicted_images_per_sec: float
     speedup: float
     comm_seconds_per_step: float
     comp_seconds_per_step: float
 
 
-@dataclass(frozen=True)
-class BenchRun:
+class BenchRun(Record):
     """Measured throughput samples for one GPU configuration."""
 
     label: str
@@ -94,8 +89,7 @@ class BenchRun:
     warmup_count: int = 0
 
 
-@dataclass(frozen=True)
-class BenchSummary:
+class BenchSummary(Record):
     mean: float
     ci95_half_width: float
     n: int

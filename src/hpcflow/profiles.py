@@ -16,9 +16,9 @@ environment spec they are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from functools import total_ordering
 
-from hpcflow.errors import ProfileError
+from hpcflow.errors import ProfileError, Record
 
 _VERSION_RE = re.compile(r"^(\d+)\.(\d+)(?:\.(\d+))?$")
 _KEY_RE = re.compile(r"^[a-z_]+$")
@@ -51,8 +51,8 @@ _KNOWN_CLUSTER_KEYS = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class SemVer:
+@total_ordering
+class SemVer(Record):
     """A MAJOR.MINOR.PATCH version ordered as an integer triple.
 
     ``MAJOR.MINOR`` input is accepted with patch 0; ``patch_specified``
@@ -64,7 +64,13 @@ class SemVer:
     major: int
     minor: int
     patch: int = 0
-    patch_specified: bool = field(default=True, compare=False)
+    patch_specified: bool = True
+    _uncompared = ("patch_specified",)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not SemVer:
+            return NotImplemented
+        return self._key() < other._key()
 
     @classmethod
     def parse(cls, text: str) -> "SemVer":
@@ -88,8 +94,7 @@ class SemVer:
         return f"{self.major}.{self.minor}"
 
 
-@dataclass(frozen=True)
-class ImageRef:
+class ImageRef(Record):
     """A container image reference ``repo[:tag][@digest]``.
 
     ``repo`` keeps any registry host (port included) and path.  Parsing
@@ -125,8 +130,7 @@ class ImageRef:
         return self.digest is not None or self.tag not in (None, "latest")
 
 
-@dataclass(frozen=True)
-class ClusterProfile:
+class ClusterProfile(Record):
     """Declared capabilities and constraints of one HPC cluster."""
 
     name: str
@@ -143,8 +147,7 @@ class ClusterProfile:
     extra: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(Record):
     """The researcher's desired software environment for one image."""
 
     base_image: str
@@ -157,8 +160,7 @@ class EnvironmentSpec:
     registry: str = DEFAULT_REGISTRY
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(Record):
     severity: str  # "error" or "warning"
     message: str
 
@@ -419,7 +421,7 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
             line=base_image_line,
         )
     if base_image.tag is None and base_image.digest is None:
-        base_image = replace(base_image, tag="latest")
+        base_image = base_image.replace(tag="latest")
 
     copies_value, copies_line = entries.get("code_copies", ("", 0))
 

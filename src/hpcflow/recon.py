@@ -8,9 +8,8 @@ installation to an entrypoint script executed at first container start.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 
-from hpcflow.errors import ReconcileError
+from hpcflow.errors import ReconcileError, Record
 from hpcflow.profiles import DEFAULT_REGISTRY, ClusterProfile, EnvironmentSpec, ImageRef, SemVer
 
 _TAG_RE = re.compile(r"^ompi(\d+)\.(\d+)(?:-[A-Za-z0-9._-]+)?$")
@@ -20,8 +19,7 @@ STATE_DIR_ENV = "HPCFLOW_STATE_DIR"
 DEFAULT_STATE_DIR = "/opt/.hpcflow"
 
 
-@dataclass(frozen=True)
-class InstallerConfig:
+class InstallerConfig(Record):
     """Shell command templates used wherever versions get installed.
 
     Templates may use the placeholders ``{openmpi_version}`` and
@@ -56,8 +54,7 @@ class InstallerConfig:
 DEFAULT_INSTALLERS = InstallerConfig()
 
 
-@dataclass(frozen=True)
-class ReconcilePlan:
+class ReconcilePlan(Record):
     """Resolved image reference plus the arguments the run command needs."""
 
     image_ref: str
@@ -120,7 +117,7 @@ def resolve_image_ref(spec: EnvironmentSpec, tag: str | None = None) -> str:
     """Build the full reference to pull, honouring a non-default registry."""
     ref = spec.base_image
     if tag is not None:
-        ref = str(replace(ImageRef.parse(ref), tag=tag))
+        ref = str(ImageRef.parse(ref).replace(tag=tag))
     if spec.registry and spec.registry != DEFAULT_REGISTRY:
         return f"{spec.registry}/{ref}"
     return ref

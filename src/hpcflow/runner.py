@@ -11,8 +11,8 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass
 
+from hpcflow.errors import Record
 from hpcflow.launch import LaunchPlan
 
 
@@ -21,13 +21,17 @@ def dry_run(commands: list[list[str]]) -> list[str]:
     return [shlex.join(command) for command in commands]
 
 
-@dataclass
-class RankResult:
+class RankResult(Record):
     rank: int
     exit_code: int
     env: dict[str, str]
     stdout: str = ""
     error: str | None = None
+
+    # mutable, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 def env_dump_command() -> list[str]:

@@ -386,6 +386,51 @@ class TestRun:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--nodes", "1000", "--gpus-per-node", "1000"], "at most 64"),
+            (["--nodes", "1", "--gpus-per-node", "1", "--env", "=x"], "''"),
+            (["--nodes", "1", "--gpus-per-node", "1", "--env", "1A=x"], "'1A'"),
+        ],
+        ids=["rank-limit", "empty-env-key", "digit-env-key"],
+    )
+    def test_mock_run_refused_before_any_spawn(self, extra, message, monkeypatch, capsys):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a rank was spawned")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        code, out, err = run_cli(["run", "mock", *extra], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+
+
+_NON_UTF8_ARGS = {
+    "profile validate": ["profile", "validate", "{bad}"],
+    "image gen --spec": ["image", "gen", "--spec", "{bad}", "--out", "{tmp}/Dockerfile"],
+    "image lint": ["image", "lint", "{bad}"],
+    "job gen --profile": ["job", "gen", "--profile", "{bad}", "--spec", str(SPECS / "ngc.spec"),
+                          "--nodes", "1", "--gpus-per-node", "1", "--out", "{tmp}/job.sh"],
+    "job gen --spec": ["job", "gen", "--profile", str(PROFILES / "csic.profile"), "--spec",
+                       "{bad}", "--nodes", "1", "--gpus-per-node", "1", "--out", "{tmp}/job.sh"],
+    "run dry --profile": ["run", "dry", "--profile", "{bad}", "--spec", str(SPECS / "ngc.spec")],
+    "run dry --spec": ["run", "dry", "--profile", str(PROFILES / "csic.profile"), "--spec",
+                       "{bad}"],
+    "bench report": ["bench", "report", f"1:{LOGS / 'bench_1gpu.log'}", "2:{bad}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_NON_UTF8_ARGS.values()), ids=list(_NON_UTF8_ARGS))
+def test_non_utf8_input_is_an_error_naming_the_file(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    argv = [a.replace("{bad}", str(bad)).replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [bad]
+
 
 class TestPerfPredict:
     def _argv(self, extra: list[str]) -> list[str]:
@@ -538,43 +583,51 @@ _RECONCILE = {"errors", "profiles", "recon", "launch", "runner"}
 _RECONCILE_ARGS = [
     "--profile", str(PROFILES / "csic.profile"), "--spec", str(SPECS / "entrypoint.spec")
 ]
+# what ``dataclasses`` would load; records derive from ``errors.Record`` instead
+_RECORD_MODULES = {"dataclasses", "inspect"}
 _VERBS = {
     "profile validate": (
         ["profile", "validate", str(PROFILES / "csic.profile")],
         {"errors", "profiles"},
-        {"subprocess", "statistics"},
+        {"subprocess", "statistics", *_RECORD_MODULES},
     ),
     "image gen": (
         ["image", "gen", "--spec", str(SPECS / "entrypoint.spec"), "--out", "{tmp}/Dockerfile"],
         {"errors", "profiles", "recon", "dockerfile"},
-        {"subprocess", "statistics"},
+        {"subprocess", "statistics", *_RECORD_MODULES},
     ),
     "image lint": (
         ["image", "lint", "--machine", str(LINT / "12_multiple_smells.dockerfile")],
         {"errors", "profiles", "recon", "dockerfile", "lint"},
-        {"subprocess", "statistics", "shlex"},
+        {"subprocess", "statistics", "shlex", *_RECORD_MODULES},
     ),
     "job gen": (
         ["job", "gen", *_RECONCILE_ARGS, "--nodes", "2", "--gpus-per-node", "2",
          "--out", "{tmp}/job.sh", "--", "python", "train.py"],
         _RECONCILE,
-        {"subprocess", "statistics"},
+        {"subprocess", "statistics", *_RECORD_MODULES},
     ),
-    "run dry": (["run", "dry", *_RECONCILE_ARGS], _RECONCILE, {"subprocess", "statistics"}),
+    "run dry": (
+        ["run", "dry", *_RECONCILE_ARGS],
+        _RECONCILE,
+        {"subprocess", "statistics", *_RECORD_MODULES},
+    ),
     "run mock": (
-        ["run", "mock", "--nodes", "1", "--gpus-per-node", "2"], _RECONCILE, {"statistics"}
+        ["run", "mock", "--nodes", "1", "--gpus-per-node", "2"],
+        _RECONCILE,
+        {"statistics", *_RECORD_MODULES},
     ),
     "perf predict": (
         ["perf", "predict", "--params", "25636712", "--batch-per-gpu", "256",
          "--single-gpu-ips", "380"],
         {"errors", "perf"},
-        {"subprocess", "statistics"},
+        {"subprocess", "statistics", *_RECORD_MODULES},
     ),
     "bench report": (
         ["bench", "report", "--warmup", "10", f"1:{LOGS / 'bench_1gpu.log'}",
          f"2:{LOGS / 'bench_2gpu.log'}"],
         {"errors", "perf"},
-        {"subprocess"},
+        {"subprocess", *_RECORD_MODULES},
     ),
 }
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import shlex
 import subprocess
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from hpcflow.errors import LaunchError
 from hpcflow.launch import (
+    MAX_MOCK_RANKS,
     PRIVILEGED_TOKENS,
     JobRequest,
     find_privileged_tokens,
@@ -268,8 +268,7 @@ class TestLauncherWords:
         assert f"--volume={source}:/w" in words
 
     def test_words_with_spaces_stay_one_word(self, tmp_path, csic_profile, csic_plan):
-        cluster = replace(
-            csic_profile,
+        cluster = csic_profile.replace(
             container_runtime_path="/opt/my tools/udocker",
             default_mounts=(("/scratch space", "/scratch"),),
         )
@@ -286,7 +285,7 @@ class TestLauncherWords:
         assert "^openib" in words
 
     def test_module_name_is_one_word(self, csic_profile, csic_plan):
-        cluster = replace(csic_profile, module_loads=("x;true",))
+        cluster = csic_profile.replace(module_loads=("x;true",))
         req = make_request(1, 1)
         text = render_job_script(plan_launch(cluster, csic_plan, req), cluster, req).text
         (line,) = [line for line in text.splitlines() if line.startswith("module load ")]
@@ -299,7 +298,7 @@ class TestLauncherWords:
 
     @pytest.mark.parametrize("field", ["partition", "account"])
     def test_profile_directive_line_break_rejected(self, field, csic_profile, csic_plan):
-        cluster = replace(csic_profile, **{field: "gpu\nsudo true"})
+        cluster = csic_profile.replace(**{field: "gpu\nsudo true"})
         with pytest.raises(LaunchError, match=field):
             plan_launch(cluster, csic_plan, make_request(1, 1))
 
@@ -474,3 +473,14 @@ class TestGridPlan:
     def test_rejects_empty_grid(self, nodes, gpus):
         with pytest.raises(LaunchError, match=">= 1"):
             grid_plan(nodes, gpus)
+
+    def test_rank_limit(self):
+        assert grid_plan(8, MAX_MOCK_RANKS // 8).total_ranks == MAX_MOCK_RANKS == 64
+        for nodes, gpus in [(1000, 1000), (MAX_MOCK_RANKS + 1, 1), (1, MAX_MOCK_RANKS + 1)]:
+            with pytest.raises(LaunchError, match="at most 64"):
+                grid_plan(nodes, gpus)
+
+    @pytest.mark.parametrize("key", ["", "1A", "A-B", "A B", "A=B"])
+    def test_rejects_env_key_not_identifier(self, key):
+        with pytest.raises(LaunchError, match="not a shell identifier"):
+            grid_plan(1, 1, {key: "x"})

@@ -1,0 +1,268 @@
+"""What callers see of the record classes: fields, equality, hashing, repr."""
+
+from __future__ import annotations
+
+import pytest
+
+from hpcflow.dockerfile import DockerfileAst, Instruction
+from hpcflow.launch import JobRequest, JobScript, LaunchPlan
+from hpcflow.lint import SmellFinding, SmellReport
+from hpcflow.perf import BenchRun, BenchSummary, ModelSpec, ScalingEstimate, ScalingInputs
+from hpcflow.profiles import ClusterProfile, EnvironmentSpec, ImageRef, SemVer, ValidationIssue
+from hpcflow.recon import DEFAULT_INSTALLERS, InstallerConfig, ReconcilePlan
+from hpcflow.runner import RankResult
+
+MODEL = dict(name="resnet50", param_count=25_636_712, batch_per_gpu=256, bytes_per_param=4)
+SCALING = dict(
+    model=ModelSpec(**MODEL),
+    single_gpu_images_per_sec=380.0,
+    link_bandwidth=1.25e9,
+    link_latency=5e-6,
+    gpus_per_node=2,
+    intra_node_bandwidth=1e10,
+)
+
+# every record class with one value per field, in declaration order
+RECORDS = [
+    (Instruction, dict(kind="RUN", args="echo hi", exec_form=False, line_span=(3, 4))),
+    (DockerfileAst, dict(instructions=(Instruction("FROM", "ubuntu"),), source_name="Dockerfile")),
+    (SemVer, dict(major=4, minor=0, patch=1, patch_specified=True)),
+    (ImageRef, dict(repo="nvidia/cuda", tag="10.1", digest=None)),
+    (
+        ClusterProfile,
+        dict(
+            name="csic",
+            scheduler="slurm",
+            gpus_per_node=2,
+            gpu_nodes=20,
+            openmpi_version=SemVer(4, 0, 1),
+            container_runtime_path="$HOME/udocker/udocker",
+            module_loads=("openmpi/4.0.1",),
+            interconnect="infiniband",
+            partition="gpu",
+            account=None,
+            default_mounts=(("/scratch", "/scratch"),),
+            extra=(("site", "x"),),
+        ),
+    ),
+    (
+        EnvironmentSpec,
+        dict(
+            base_image="nvidia/cuda:latest",
+            strategy="entrypoint",
+            horovod_version="0.19.0",
+            openmpi_version=None,
+            system_packages=("git",),
+            code_copies=(("src", "/workspace"),),
+            entrypoint_path="/opt/entrypoint.sh",
+            registry="docker.io",
+        ),
+    ),
+    (ValidationIssue, dict(severity="warning", message="unknown key")),
+    (
+        JobRequest,
+        dict(
+            nodes=2,
+            gpus_per_node=2,
+            container_name="tfbench",
+            image_ref="nvidia/cuda:latest",
+            workdir_mount=("$PWD", "/workdir"),
+            user_command=("python", "train.py"),
+            job_name="job",
+            walltime="01:00:00",
+            extra_env={"FOO": "bar"},
+        ),
+    ),
+    (
+        LaunchPlan,
+        dict(
+            total_ranks=4,
+            slots_per_node=2,
+            mpirun_args=("-np", "4"),
+            env_exports={"PATH": None},
+            udocker_run_args=("tfbench",),
+            scheduler_directives=(("nodes", "2"),),
+        ),
+    ),
+    (JobScript, dict(text="#!/bin/sh\n")),
+    (
+        SmellFinding,
+        dict(rule_id="P1", severity="warning", line=1, message="m", suggestion="s"),
+    ),
+    (SmellReport, dict(findings=(), counts={"error": 0})),
+    (ModelSpec, MODEL),
+    (ScalingInputs, SCALING),
+    (
+        ScalingEstimate,
+        dict(
+            predicted_images_per_sec=700.0,
+            speedup=1.8,
+            comm_seconds_per_step=0.1,
+            comp_seconds_per_step=0.6,
+        ),
+    ),
+    (BenchRun, dict(label="2 GPUs", gpus=2, samples=(1.0, 2.0), warmup_count=1)),
+    (BenchSummary, dict(mean=1.5, ci95_half_width=0.5, n=2, ci_undefined=False)),
+    (
+        InstallerConfig,
+        dict(openmpi_install="a", horovod_install="b", system_packages_install="c"),
+    ),
+    (
+        ReconcilePlan,
+        dict(image_ref="x:ompi4.0", runtime_args=(), strategy_used="tags", match_note="n"),
+    ),
+    (RankResult, dict(rank=0, exit_code=0, env={"RANK": "0"}, stdout="", error=None)),
+]
+# records with a dict field cannot be hashed; RankResult is mutable
+UNHASHABLE = {JobRequest, LaunchPlan, SmellReport, RankResult}
+MUTABLE = {RankResult}
+# every field has a default
+ALL_DEFAULTED = {InstallerConfig}
+IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=IDS)
+class TestEveryRecord:
+    def test_repr_lists_fields_in_order(self, cls, values):
+        fields = ", ".join(f"{k}={v!r}" for k, v in values.items())
+        assert repr(cls(**values)) == f"{cls.__name__}({fields})"
+
+    def test_positional_and_keyword_construction_agree(self, cls, values):
+        record = cls(*values.values())
+        assert record == cls(**values)
+        for name, value in values.items():
+            assert getattr(record, name) == value
+
+    def test_equality_and_hash(self, cls, values):
+        a, b = cls(**values), cls(**values)
+        assert a == b and not a != b
+        assert a != tuple(values.values())
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+
+    def test_fields_are_frozen(self, cls, values):
+        record = cls(**values)
+        for name, value in values.items():
+            if cls in MUTABLE:
+                setattr(record, name, value)
+                continue
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        if cls not in MUTABLE:
+            with pytest.raises(AttributeError):
+                record.not_a_field = 1
+        assert record == cls(**values)
+
+    def test_wrong_arguments_are_type_errors(self, cls, values):
+        first = next(iter(values))
+        missing = {k: v for k, v in values.items() if k != first}
+        if cls in ALL_DEFAULTED:
+            assert getattr(cls(**missing), first) == getattr(cls(), first)
+        else:
+            with pytest.raises(TypeError):
+                cls(**missing)
+        with pytest.raises(TypeError):
+            cls(**values, not_a_field=1)
+        with pytest.raises(TypeError):
+            cls(*values.values(), 1)
+        with pytest.raises(TypeError):
+            cls(values[first], **values)
+
+
+class TestUncomparedFields:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Instruction("RUN", "x", line_span=(1, 1)), Instruction("RUN", "x", line_span=(5, 9))),
+            (DockerfileAst((), source_name="a"), DockerfileAst((), source_name=None)),
+            (SemVer(4, 0, 0, patch_specified=False), SemVer(4, 0, 0)),
+        ],
+        ids=["line_span", "source_name", "patch_specified"],
+    )
+    def test_ignored_by_equality_and_hash(self, a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_compared_fields_still_count(self):
+        assert Instruction("RUN", "x") != Instruction("RUN", "y")
+        assert Instruction("RUN", "x") != Instruction("RUN", "x", exec_form=True)
+        assert DockerfileAst(()) != DockerfileAst((Instruction("FROM", "a"),))
+        assert SemVer(4, 0, 1) != SemVer(4, 0, 2)
+
+
+class TestDefaults:
+    def test_declared_defaults(self):
+        instr = Instruction("RUN", "x")
+        assert (instr.exec_form, instr.line_span) == (False, (0, 0))
+        assert DockerfileAst(()).source_name is None
+        assert SemVer(1, 2) == SemVer(1, 2, 0)
+        assert ImageRef("ubuntu") == ImageRef("ubuntu", None, None)
+        assert BenchSummary(1.0, 0.0, 1).ci_undefined is False
+        assert RankResult(0, 0, {}).stdout == ""
+        assert InstallerConfig() == DEFAULT_INSTALLERS
+
+    def test_semver_repr(self):
+        assert repr(SemVer(1, 2)) == "SemVer(major=1, minor=2, patch=0, patch_specified=True)"
+
+    def test_job_requests_do_not_share_extra_env(self):
+        base = {k: v for k, v in RECORDS[7][1].items() if k != "extra_env"}
+        a, b = JobRequest(**base), JobRequest(**base)
+        assert a.extra_env == {} and b.extra_env == {}
+        a.extra_env["FOO"] = "bar"
+        assert b.extra_env == {}
+        assert JobRequest(**base).extra_env == {}
+
+
+class TestSemVerOrder:
+    def test_comparisons(self):
+        low, high = SemVer(4, 0, 1), SemVer(4, 1, 0)
+        assert low < high and low <= high and high > low and high >= low
+        assert not high < low and not high <= low and not low > high and not low >= high
+        assert low <= SemVer(4, 0, 1, patch_specified=False) <= low
+
+    def test_min_and_sorted(self):
+        versions = [SemVer(4, 1, 0), SemVer(3, 9, 9), SemVer(4, 0, 10), SemVer(4, 0, 2)]
+        assert min(versions) == SemVer(3, 9, 9)
+        ordered = [SemVer(3, 9, 9), SemVer(4, 0, 2), SemVer(4, 0, 10), SemVer(4, 1, 0)]
+        assert sorted(versions) == ordered
+
+    def test_other_types_do_not_order(self):
+        with pytest.raises(TypeError):
+            SemVer(4, 0) < (4, 1, 0)
+
+
+class TestMutableAndUnhashable:
+    def test_rank_result_is_mutable(self):
+        result = RankResult(0, 0, {})
+        result.exit_code = 1
+        result.error = "boom"
+        assert result == RankResult(0, 1, {}, error="boom")
+        with pytest.raises(TypeError):
+            hash(result)
+
+
+class TestValidation:
+    # tests/test_perf.py covers every other ModelSpec and ScalingInputs check
+    def test_scaling_inputs_rejects_zero_gpus_per_node(self):
+        with pytest.raises(ValueError, match="gpus_per_node"):
+            ScalingInputs(**{**SCALING, "gpus_per_node": 0})
+
+
+class TestReplace:
+    def test_copy_with_changes(self):
+        ref = ImageRef("nvidia/cuda", "10.1")
+        assert ref.replace(tag="latest") == ImageRef("nvidia/cuda", "latest")
+        assert ref == ImageRef("nvidia/cuda", "10.1")
+        with pytest.raises(TypeError):
+            ref.replace(not_a_field=1)
+
+    def test_revalidates(self):
+        with pytest.raises(ValueError):
+            ModelSpec(**MODEL).replace(param_count=0)
