@@ -16,13 +16,9 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-from hpcflow.errors import HpcflowError
 
 # Each command imports the layers it runs, so a cold start loads only those.
-if TYPE_CHECKING:
-    from hpcflow.profiles import ClusterProfile
+from hpcflow.errors import HpcflowError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -81,17 +77,18 @@ def _default_container_name(image_ref: str) -> str:
     from hpcflow.profiles import ImageRef
 
     name = re.sub(r"[^A-Za-z0-9_.-]", "-", ImageRef.parse(image_ref).name)
-    return name or "container"
+    return name.lstrip("._-") or "container"
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # a leading byte-order mark is dropped, as BuildKit does
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise HpcflowError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_profile(path: str) -> ClusterProfile:
+def _load_profile(path: str):
     from hpcflow.profiles import parse_cluster_profile
 
     return parse_cluster_profile(_read_text(path))
@@ -214,6 +211,10 @@ def cmd_run_mock(args: argparse.Namespace) -> int:
         node = result.env.get("NODE_INDEX", "?")
         local = result.env.get("LOCAL_RANK", "?")
         print(f"{result.rank} {node} {local} {result.exit_code}")
+    for result in results:
+        if result.exit_code != 0:
+            reason = result.error or f"exit {result.exit_code}"
+            print(f"error: rank {result.rank}: {reason}", file=sys.stderr)
     return EXIT_OK if runner.all_ranks_succeeded(results) else EXIT_ERROR
 
 

@@ -19,6 +19,8 @@ _WALLTIME_RE = re.compile(r"^\d{1,3}:\d{2}:\d{2}$")
 _ENV_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # where a shell word can end without whitespace: operators and substitutions
 _WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
+# the first word after each ``$(`` or backtick, even inside quotes
+_SUBSTITUTED_WORD_RE = re.compile(r"(?:\$\(|`)\s*[\"']?([^\s;&|`()\"']+)")
 # a launcher word written as it is: shlex's safe characters, ``^``, and
 # $NAME or ${NAME} references, which the batch job expands
 _PLAIN_WORD_RE = re.compile(r"(?:[\w@%+=:,./^-]|\$[A-Za-z_]\w*|\$\{[A-Za-z_]\w*\})+", re.ASCII)
@@ -301,10 +303,15 @@ def find_privileged_tokens(text: str) -> list[str]:
     """Shell words in ``text`` that imply elevated rights (sorted, unique).
 
     Words are also split at ``; & |``, ``$(`` and backticks, so a command
-    glued to an operator or inside a substitution is still seen.
+    glued to an operator or inside a substitution is still seen, and the
+    first word after each ``$(`` or backtick is checked even inside quotes
+    (``echo "$(sudo id)"``).  The scan errs toward reporting: the
+    single-quoted ``'$(sudo id)'``, which ``sh`` does not run, reports
+    ``sudo`` too.
     """
     found = set()
     for line in text.splitlines():
+        found.update(w for w in _SUBSTITUTED_WORD_RE.findall(line) if w in PRIVILEGED_TOKENS)
         try:
             words = shlex.split(line, posix=True)
         except ValueError:

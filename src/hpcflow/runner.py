@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import shlex
-import sys
 import time
 
 from hpcflow.errors import Record
@@ -37,14 +36,10 @@ class RankResult(Record):
 def env_dump_command() -> list[str]:
     """A rank command that prints its distribution environment as KEY=VALUE."""
     keys = ("RANK", "SIZE", "LOCAL_RANK", "NODE_INDEX")
-    code = (
-        "import os\n"
-        f"for key in {keys!r}:\n"
-        "    if key in os.environ:\n"
-        "        print(f'{key}={os.environ[key]}')\n"
-    )
-    # -I -S: the code reads only os.environ, so skip site and its .pth files
-    return [sys.executable, "-I", "-S", "-c", code]
+    # ${KEY+"KEY=$KEY"} is one word when KEY is set and none otherwise;
+    # printf '%s' writes backslashes and % as they are
+    words = " ".join(f'${{{key}+"{key}=${key}"}}' for key in keys)
+    return ["/bin/sh", "-c", f"printf '%s\\n' {words}"]
 
 
 def _parse_env_lines(text: str) -> dict[str, str]:
@@ -81,16 +76,16 @@ def mock_run_ranks(
     deadline = time.monotonic() + timeout
     procs: list[subprocess.Popen | None] = []
     errors: list[str | None] = []
+    shared_env = dict(os.environ)
+    shared_env.update((k, v) for k, v in plan.env_exports.items() if v is not None)
     for rank in range(plan.total_ranks):
-        env = dict(os.environ)
-        env.update({k: v for k, v in plan.env_exports.items() if v is not None})
-        grid_env = {
+        env = {
+            **shared_env,
             "RANK": str(rank),
             "SIZE": str(plan.total_ranks),
             "LOCAL_RANK": str(rank % plan.slots_per_node),
             "NODE_INDEX": str(rank // plan.slots_per_node),
         }
-        env.update(grid_env)
         try:
             procs.append(
                 subprocess.Popen(

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hpcflow
 from conftest import FIXTURES
-from hpcflow.cli import main
+from hpcflow.cli import _default_container_name, main
 
 PROFILES = FIXTURES / "profiles"
 SPECS = FIXTURES / "specs"
@@ -323,6 +326,20 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[1] == "udocker create --name=img org/img@sha256:abcd"
 
+    @pytest.mark.parametrize(
+        "base_image, name", [("example/-img:1", "img"), ("example/\u00dcn\u00ef:1", "n-")]
+    )
+    def test_default_container_name_is_an_identifier(self, base_image, name, tmp_path, capsys):
+        spec = tmp_path / "odd.spec"
+        text = (SPECS / "ngc.spec").read_text()
+        spec.write_text(text.replace("nvcr.io/nvidia/tensorflow:21.02-tf2-py3", base_image))
+        code, out, err = run_cli(
+            ["run", "dry", "--profile", str(PROFILES / "csic.profile"), "--spec", str(spec)],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith(f"udocker create --name={name} ")
+
     def test_dry_run_profile_with_error_issue_exits_one(self, tmp_path, capsys):
         bad = _profile_with_error(tmp_path)
         code, out, err = run_cli(
@@ -380,11 +397,41 @@ class TestRun:
         assert lines[1:] == ["0 0 0 0", "1 0 1 0", "2 1 0 0", "3 1 1 0"]
 
     def test_mock_run_failing_rank_exits_one(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             ["run", "mock", "--nodes", "1", "--gpus-per-node", "2", "--", "sh", "-c", "exit 1"],
             capsys,
         )
         assert code == 1
+        assert err == "error: rank 0: exit 1\nerror: rank 1: exit 1\n"
+
+    def test_mock_run_explains_each_failed_rank(self, capsys):
+        argv = ["run", "mock", "--nodes", "1", "--gpus-per-node", "3", "--", "sh", "-c"]
+        code, out, err = run_cli([*argv, 'echo boom; [ "$RANK" = 1 ] || exit 3'], capsys)
+        assert (code, out) == (1, "rank node local exit\n0 ? ? 3\n1 ? ? 0\n2 ? ? 3\n")
+        assert err == "error: rank 0: exit 3\nerror: rank 2: exit 3\n"
+
+    def test_mock_run_spawn_error_is_explained(self, capsys):
+        argv = ["run", "mock", "--nodes", "1", "--gpus-per-node", "2", "--", "/nonexistent/cmd"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "rank node local exit\n0 ? ? 127\n1 ? ? 127\n")
+        reason = "[Errno 2] No such file or directory: '/nonexistent/cmd'"
+        assert err == f"error: rank 0: {reason}\nerror: rank 1: {reason}\n"
+
+    def test_mock_run_timeout_is_explained(self, monkeypatch, capsys):
+        from hpcflow import runner
+
+        def hung(plan, command):
+            env = {"NODE_INDEX": "0", "LOCAL_RANK": "0"}
+            return [runner.RankResult(0, -9, env, error="timeout")]
+
+        monkeypatch.setattr(runner, "mock_run_ranks", hung)
+        code, out, err = run_cli(["run", "mock", "--nodes", "1", "--gpus-per-node", "1"], capsys)
+        assert (code, out) == (1, "rank node local exit\n0 0 0 -9\n")
+        assert err == "error: rank 0: timeout\n"
+
+    def test_mock_run_success_writes_no_stderr(self, capsys):
+        code, _, err = run_cli(["run", "mock", "--nodes", "2", "--gpus-per-node", "2"], capsys)
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -430,6 +477,44 @@ def test_non_utf8_input_is_an_error_naming_the_file(argv, tmp_path, capsys):
     assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@given(st.text())
+def test_default_container_name_passes_the_identifier_rule(image_ref):
+    from hpcflow.profiles import ImageRef
+    from hpcflow.recon import is_identifier
+
+    name = _default_container_name(image_ref)
+    assert is_identifier(name)
+    # a name that already starts with a letter or digit keeps its text
+    given_name = ImageRef.parse(image_ref).name
+    if re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", given_name):
+        assert name == given_name
+
+
+_BOM_ARGS = {
+    "profile": (PROFILES / "csic.profile", ["profile", "validate", "{path}"]),
+    "spec": (
+        SPECS / "entrypoint.spec",
+        ["run", "dry", "--profile", str(PROFILES / "csic.profile"), "--spec", "{path}"],
+    ),
+    "dockerfile": (
+        LINT / "12_multiple_smells.dockerfile", ["image", "lint", "--machine", "{path}"]
+    ),
+    "bench log": (
+        LOGS / "bench_2gpu.log",
+        ["bench", "report", "--warmup", "10", f"1:{LOGS / 'bench_1gpu.log'}", "2:{path}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("original, argv", list(_BOM_ARGS.values()), ids=list(_BOM_ARGS))
+def test_leading_byte_order_mark_is_dropped(original, argv, tmp_path, capsys):
+    bom = tmp_path / original.name
+    bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    code, out, err = run_cli([a.replace("{path}", str(original)) for a in argv], capsys)
+    assert code in (0, 3) and err == ""
+    assert run_cli([a.replace("{path}", str(bom)) for a in argv], capsys) == (code, out, err)
 
 
 class TestPerfPredict:
@@ -658,6 +743,28 @@ class TestColdStartImports:
         assert modules & forbidden == set()
         loaded = {m.partition(".")[2] for m in modules if m.startswith("hpcflow.")}
         assert loaded - {"cli"} == layers
+
+    @pytest.mark.parametrize("verb", list(_VERBS))
+    def test_verb_loads_no_typing_without_site(self, verb, tmp_path):
+        # where ``site`` imports ``typing`` (as a .pth file can), the test
+        # above cannot see it; so run with -I -S and put src on the path
+        argv, _, _ = _VERBS[verb]
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        src = str(Path(hpcflow.__file__).parents[1])
+        code = (
+            f"import sys\nsys.path.insert(0, {src!r})\nfrom hpcflow.cli import main\n"
+            "main(sys.argv[1:])\nprint(' '.join(sorted(sys.modules)))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        modules = set(child.stdout.splitlines()[-1].split())
+        assert "hpcflow.cli" in modules
+        assert "typing" not in modules
 
     @pytest.mark.parametrize("module", ["hpcflow.cli", "hpcflow.errors"])
     def test_import_loads_no_layer(self, module):

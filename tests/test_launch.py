@@ -390,14 +390,28 @@ class TestNoPrivilegedCommands:
         assert find_privileged_tokens("echo su && su - root\n") == ["su"]
 
     @pytest.mark.parametrize(
-        "text", ["export X=1;sudo true\n", "echo $(sudo id)\n", "echo `sudo id`\n"]
+        "text",
+        [
+            "export X=1;sudo true\n",
+            "echo $(sudo id)\n",
+            "echo `sudo id`\n",
+            'echo "$(sudo id)"',
+            'echo "`sudo id`"',
+            'X="$(doas ls)" true',
+        ],
     )
     def test_scan_splits_at_operators_and_substitutions(self, text):
-        assert find_privileged_tokens(text) == ["sudo"]
+        # each text runs the one privileged command it names
+        assert find_privileged_tokens(text) == [w for w in ("doas", "sudo") if w in text]
 
     def test_scan_ignores_substrings(self):
         assert find_privileged_tokens("udocker run --user=$USER img\n") == []
         assert find_privileged_tokens("udocker setup --nvidia name\n") == []
+
+    def test_scan_of_quoted_text(self):
+        assert find_privileged_tokens('echo "sudo is fine"') == []
+        # sh prints a single-quoted substitution, but the scan errs toward reporting
+        assert find_privileged_tokens("echo '$(sudo id)'") == ["sudo"]
 
     def test_generated_scripts_are_clean(self, csic_profile, csic_plan):
         from hpcflow.recon import generate_entrypoint

@@ -1,20 +1,37 @@
 from __future__ import annotations
 
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpcflow.launch import grid_plan
 from hpcflow.recon import reconcile
 from hpcflow.runner import (
+    _parse_env_lines,
     all_ranks_succeeded,
     dry_run,
     env_dump_command,
     mock_run_ranks,
 )
+
+# the Python rank program that the default ``/bin/sh`` command replaced,
+# kept as the reference for what the rank prints
+_PYTHON_ENV_DUMP = [
+    sys.executable,
+    "-I",
+    "-S",
+    "-c",
+    "import os\n"
+    "for key in ('RANK', 'SIZE', 'LOCAL_RANK', 'NODE_INDEX'):\n"
+    "    if key in os.environ:\n"
+    "        print(f'{key}={os.environ[key]}')\n",
+]
+_GRID_ENV = {"RANK": "3", "SIZE": "8", "LOCAL_RANK": "1", "NODE_INDEX": "1"}
 
 
 def _alive(pid: int, grace: float = 0.5) -> bool:
@@ -122,8 +139,32 @@ class TestMockRunRanks:
         assert result.exit_code == 0
         assert not _alive(int(result.stdout))
 
-    def test_env_dump_skips_site(self):
-        assert env_dump_command()[1:3] == ["-I", "-S"]
+    def test_env_dump_starts_no_python(self):
+        command = env_dump_command()
+        assert command[:2] == ["/bin/sh", "-c"]
+        assert not any(sys.executable in word for word in command)
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            _GRID_ENV,
+            {"RANK": "0", "NODE_INDEX": "2"},
+            {"SIZE": "4", "OTHER": "x"},
+            {},
+            {"RANK": "a b", "SIZE": "k=v=w", "LOCAL_RANK": "C:\\n\\t\\", "NODE_INDEX": "%s %d %%"},
+            {"RANK": "", "LOCAL_RANK": "  two  spaces ", "NODE_INDEX": "*"},
+        ],
+        ids=["all", "some", "one", "none", "odd-values", "empty-and-glob"],
+    )
+    def test_env_dump_matches_the_python_program(self, env):
+        def dump(command):
+            child = subprocess.run(command, env=env, capture_output=True, text=True, timeout=30)
+            assert (child.returncode, child.stderr) == (0, "")
+            return _parse_env_lines(child.stdout)
+
+        expected = dump(_PYTHON_ENV_DUMP)
+        assert expected == {k: v for k, v in env.items() if k in _GRID_ENV}
+        assert dump(env_dump_command()) == expected
 
     @settings(max_examples=8, deadline=None)
     @given(nodes=st.integers(1, 3), gpus=st.integers(1, 3))
