@@ -12,18 +12,20 @@ import re
 import shlex
 
 from hpcflow.errors import LaunchError, Record
-from hpcflow.profiles import CONTROL_CHAR_RE, ClusterProfile
+from hpcflow.profiles import (
+    _ENV_KEY_RE,
+    _PLAIN_WORD_RE,
+    _WALLTIME_RE,
+    CONTROL_CHAR_RE,
+    PRIVILEGED_TOKENS,
+    ClusterProfile,
+)
 from hpcflow.recon import ReconcilePlan, is_identifier
 
-_WALLTIME_RE = re.compile(r"^\d{1,3}:\d{2}:\d{2}$")
-_ENV_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # where a shell word can end without whitespace: operators and substitutions
 _WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
 # the first word after each ``$(`` or backtick, even inside quotes
 _SUBSTITUTED_WORD_RE = re.compile(r"(?:\$\(|`)\s*[\"']?([^\s;&|`()\"']+)")
-# a launcher word written as it is: shlex's safe characters, ``^``, and
-# $NAME or ${NAME} references, which the batch job expands
-_PLAIN_WORD_RE = re.compile(r"(?:[\w@%+=:,./^-]|\$[A-Za-z_]\w*|\$\{[A-Za-z_]\w*\})+", re.ASCII)
 
 # mpirun transport flags: NCCL carries GPU collectives, MPI the rest (the
 # common Horovod launch pattern)
@@ -32,10 +34,6 @@ _USER_MAP_ARGS = ("--hostauth", "--user=$USER")
 _UDOCKER_RELEASE_URL = (
     "https://github.com/indigo-dc/udocker/releases/download/1.3.17/udocker-1.3.17.tar.gz"
 )
-
-# commands that would need elevated rights; generated scripts must never
-# contain any of these as a shell word
-PRIVILEGED_TOKENS = frozenset({"sudo", "su", "doas", "pkexec", "setcap", "visudo"})
 
 # the mock runtime spawns one local process per rank
 MAX_MOCK_RANKS = 64
@@ -113,7 +111,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
         if CONTROL_CHAR_RE.search(value):
             raise LaunchError(f"{what} {value!r} contains a line break or control character")
     _check_env_keys(req.extra_env)
-    if not _WALLTIME_RE.match(req.walltime):
+    if not _WALLTIME_RE.fullmatch(req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")
     if not req.user_command and recon.strategy_used != "entrypoint":
         raise LaunchError(

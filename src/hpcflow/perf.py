@@ -20,7 +20,7 @@ import re
 
 from hpcflow.errors import BenchLogError, Record
 
-_LOG_LINE_RE = re.compile(r"^iter\s+(\d+):\s*([0-9]*\.?[0-9]+(?:[eE][+-]?\d+)?)\s+images/sec$")
+_LOG_LINE_RE = re.compile(r"iter\s+(\d+):\s*([0-9]*\.?[0-9]+(?:[eE][+-]?\d+)?)\s+images/sec")
 
 
 class ModelSpec(Record):
@@ -158,7 +158,7 @@ def parse_bench_log(text: str, warmup_count: int, gpus: int = 1) -> BenchRun:
         line = raw.strip()
         if not line:
             continue
-        m = _LOG_LINE_RE.match(line)
+        m = _LOG_LINE_RE.fullmatch(line)
         if m is None:
             raise BenchLogError(f"malformed log line {line!r}", line=lineno)
         value = float(m.group(2))

@@ -10,45 +10,54 @@ Both file kinds share one sectioned key=value text format:
 Cluster profiles live in a ``[cluster]`` section, environment specs in an
 ``[environment]`` section.  Unknown keys are never rejected: in a profile
 they are kept and reported as warnings by :func:`validate_profile`, in an
-environment spec they are ignored.
+environment spec they are ignored.  Each file kind has one reader table,
+which maps each key to the function that reads and checks its value; a key
+is mandatory when its record field has no default.
 """
 
 from __future__ import annotations
 
+import posixpath
 import re
 from functools import total_ordering
 
-from hpcflow.errors import ProfileError, Record
+from hpcflow.errors import _MISSING, ProfileError, Record
 
-_VERSION_RE = re.compile(r"^(\d+)\.(\d+)(?:\.(\d+))?$")
-_KEY_RE = re.compile(r"^[a-z_]+$")
-_SECTION_RE = re.compile(r"^\[([a-z_]+)\]$")
+_VERSION_RE = re.compile(r"(\d+)\.(\d+)(?:\.(\d+))?")
+_KEY_RE = re.compile(r"[a-z_]+")
+_SECTION_RE = re.compile(r"\[([a-z_]+)\]")
 
 DEFAULT_REGISTRY = "docker.io"
+
+# What text may reach a generated artifact, in one place.  The word classes
+# are used with fullmatch, since ``$`` also matches before a final newline.
 
 # C0, DEL and C1 controls plus the Unicode line and paragraph separators:
 # every character str.splitlines breaks at, so no value can start a new line
 CONTROL_CHAR_RE = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+_IDENTIFIER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")  # a container name
+_ENV_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a shell variable name
+_WALLTIME_RE = re.compile(r"\d{1,3}:\d{2}:\d{2}", re.ASCII)  # Slurm reads ASCII digits only
+# shlex's safe characters and ``^``: no shell or Dockerfile splits or expands them
+_SAFE_CHAR = r"[\w@%+=:,./^-]"
+# a launcher word written as it is: safe characters, and $NAME or ${NAME}
+# references, which the batch job expands
+_PLAIN_WORD_RE = re.compile("(?:" + _SAFE_CHAR + r"|\$[A-Za-z_]\w*|\$\{[A-Za-z_]\w*\})+", re.ASCII)
+# a plain word without $, and no Dockerfile flag; an image's letters may be any letter
+_PATH_RE = re.compile("(?!-)" + _SAFE_CHAR + "+", re.ASCII)
+_IMAGE_RE = re.compile("(?!-)" + _SAFE_CHAR + "+")
+_VERSION_WORD = r"[A-Za-z0-9][A-Za-z0-9.+_-]*"
+_PACKAGE_RE = re.compile(r"[a-z0-9][a-z0-9+.-]*(?:=" + _VERSION_WORD + ")?")  # Debian-style
+
+# commands that would need elevated rights; generated scripts must never
+# contain any of these as a shell word
+PRIVILEGED_TOKENS = frozenset({"sudo", "su", "doas", "pkexec", "setcap", "visudo"})
 
 SCHEDULERS = ("slurm", "none")
 STRATEGIES = ("tags", "ngc", "entrypoint")
 
 CLUSTER_SECTION = "cluster"
 ENVIRONMENT_SECTION = "environment"
-
-_KNOWN_CLUSTER_KEYS = (
-    "name",
-    "scheduler",
-    "gpus_per_node",
-    "gpu_nodes",
-    "openmpi_version",
-    "container_runtime_path",
-    "module_loads",
-    "interconnect",
-    "partition",
-    "account",
-    "default_mounts",
-)
 
 
 @total_ordering
@@ -74,7 +83,7 @@ class SemVer(Record):
 
     @classmethod
     def parse(cls, text: str) -> "SemVer":
-        m = _VERSION_RE.match(text.strip())
+        m = _VERSION_RE.fullmatch(text.strip())
         if m is None:
             raise ProfileError(f"unparseable version {text!r} (expected MAJOR.MINOR[.PATCH])")
         major, minor, patch = m.group(1), m.group(2), m.group(3)
@@ -178,7 +187,7 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _SECTION_RE.match(line)
+        m = _SECTION_RE.fullmatch(line)
         if m is not None:
             if section is not None:
                 raise ProfileError("only one section per file is allowed", line=lineno)
@@ -193,7 +202,7 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not _KEY_RE.match(key):
+        if not _KEY_RE.fullmatch(key):
             raise ProfileError(f"invalid key {key!r} (keys match [a-z_]+)", line=lineno)
         if section is None:
             raise ProfileError(f"key {key!r} appears before any [section] header", line=lineno)
@@ -203,12 +212,6 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
     if section is None:
         raise ProfileError(f"missing [{expected}] section")
     return entries
-
-
-def _require(entries: dict[str, tuple[str, int]], key: str) -> tuple[str, int]:
-    if key not in entries:
-        raise ProfileError(f"missing mandatory key {key!r}")
-    return entries[key]
 
 
 def _positive_int(value: str, key: str, lineno: int) -> int:
@@ -239,11 +242,68 @@ def _split_pairs(value: str, key: str, lineno: int) -> tuple[tuple[str, str], ..
     return tuple(pairs)
 
 
+def _one_of(choices: tuple[str, ...]):
+    def read(value: str, key: str, lineno: int) -> str:
+        if value not in choices:
+            raise ProfileError(
+                f"{key} must be one of {', '.join(choices)}, got {value!r}", line=lineno
+            )
+        return value
+
+    return read
+
+
+def _version(value: str, key: str, lineno: int) -> SemVer:
+    try:
+        return SemVer.parse(value)
+    except ProfileError as exc:
+        raise ProfileError(str(exc), line=lineno) from None
+
+
+def _one_line(value: str, key: str, lineno: int) -> str | None:
+    if CONTROL_CHAR_RE.search(value):
+        raise ProfileError(f"{key} must not contain line breaks or control characters", line=lineno)
+    return value or None
+
+
+def _as_is(value: str, key: str, lineno: int) -> str:
+    return value
+
+
+# key -> reader of its value, in file order; a key without a default in
+# the record is mandatory
+_CLUSTER_READERS = {
+    "name": _as_is,
+    "scheduler": _one_of(SCHEDULERS),
+    "gpus_per_node": _positive_int,
+    "gpu_nodes": _positive_int,
+    "openmpi_version": _version,
+    "container_runtime_path": _as_is,
+    "module_loads": lambda value, key, lineno: _split_list(_one_line(value, key, lineno) or ""),
+    "interconnect": _as_is,
+    "partition": _one_line,
+    "account": _one_line,
+    "default_mounts": _split_pairs,
+}
+
+
+def _read_fields(entries: dict[str, tuple[str, int]], readers: dict, record: type) -> dict:
+    """The record's fields read from ``entries``; absent optional keys are left out."""
+    fields = {}
+    for key, read in readers.items():
+        if key in entries:
+            value, lineno = entries[key]
+            fields[key] = read(value, key, lineno)
+        elif record._defaults[key] is _MISSING:
+            raise ProfileError(f"missing mandatory key {key!r}")
+    return fields
+
+
 def parse_cluster_profile(text: str) -> ClusterProfile:
     """Parse a ``[cluster]`` profile file into a :class:`ClusterProfile`.
 
-    Unspecified optional keys default to empty lists/strings; unknown keys
-    are kept in ``extra`` for :func:`validate_profile` to warn about.
+    Unspecified optional keys take the record's defaults; unknown keys are
+    kept in ``extra`` for :func:`validate_profile` to warn about.
 
     Raises:
         ProfileError: on syntax errors (with line number), missing
@@ -251,70 +311,22 @@ def parse_cluster_profile(text: str) -> ClusterProfile:
             control character in partition, account or module_loads.
     """
     entries = _read_section(text, CLUSTER_SECTION)
-
-    name, _ = _require(entries, "name")
-    scheduler, sched_line = _require(entries, "scheduler")
-    if scheduler not in SCHEDULERS:
-        raise ProfileError(
-            f"scheduler must be one of {', '.join(SCHEDULERS)}, got {scheduler!r}",
-            line=sched_line,
-        )
-    gpn_value, gpn_line = _require(entries, "gpus_per_node")
-    nodes_value, nodes_line = _require(entries, "gpu_nodes")
-    version_value, version_line = _require(entries, "openmpi_version")
-    runtime_path, _ = _require(entries, "container_runtime_path")
-
-    try:
-        openmpi_version = SemVer.parse(version_value)
-    except ProfileError as exc:
-        raise ProfileError(str(exc), line=version_line) from None
-
-    for key in ("partition", "account", "module_loads"):
-        value, lineno = entries.get(key, ("", 0))
-        if CONTROL_CHAR_RE.search(value):
-            raise ProfileError(
-                f"{key} must not contain line breaks or control characters", line=lineno
-            )
-    mounts_value, mounts_line = entries.get("default_mounts", ("", 0))
-
     return ClusterProfile(
-        name=name,
-        scheduler=scheduler,
-        gpus_per_node=_positive_int(gpn_value, "gpus_per_node", gpn_line),
-        gpu_nodes=_positive_int(nodes_value, "gpu_nodes", nodes_line),
-        openmpi_version=openmpi_version,
-        container_runtime_path=runtime_path,
-        module_loads=_split_list(entries.get("module_loads", ("", 0))[0]),
-        interconnect=entries.get("interconnect", ("", 0))[0],
-        partition=entries.get("partition", (None, 0))[0] or None,
-        account=entries.get("account", (None, 0))[0] or None,
-        default_mounts=_split_pairs(mounts_value, "default_mounts", mounts_line),
-        extra=tuple((k, v) for k, (v, _) in entries.items() if k not in _KNOWN_CLUSTER_KEYS),
+        **_read_fields(entries, _CLUSTER_READERS, ClusterProfile),
+        extra=tuple((k, v) for k, (v, _) in entries.items() if k not in _CLUSTER_READERS),
     )
 
 
 def render_cluster_profile(profile: ClusterProfile) -> str:
-    """Render a profile back to the canonical file format."""
+    """Render a profile back to the canonical file format, omitting default values."""
     lines = [f"[{CLUSTER_SECTION}]"]
-    lines.append(f"name = {profile.name}")
-    lines.append(f"scheduler = {profile.scheduler}")
-    lines.append(f"gpus_per_node = {profile.gpus_per_node}")
-    lines.append(f"gpu_nodes = {profile.gpu_nodes}")
-    lines.append(f"openmpi_version = {profile.openmpi_version}")
-    lines.append(f"container_runtime_path = {profile.container_runtime_path}")
-    if profile.module_loads:
-        lines.append(f"module_loads = {', '.join(profile.module_loads)}")
-    if profile.interconnect:
-        lines.append(f"interconnect = {profile.interconnect}")
-    if profile.partition is not None:
-        lines.append(f"partition = {profile.partition}")
-    if profile.account is not None:
-        lines.append(f"account = {profile.account}")
-    if profile.default_mounts:
-        mounts = ", ".join(f"{src}:{dst}" for src, dst in profile.default_mounts)
-        lines.append(f"default_mounts = {mounts}")
-    for key, value in profile.extra:
-        lines.append(f"{key} = {value}")
+    for key in _CLUSTER_READERS:
+        value = getattr(profile, key)
+        if value != ClusterProfile._defaults[key]:
+            if isinstance(value, tuple):  # a list, of words or of src:dst pairs
+                value = ", ".join(v if isinstance(v, str) else ":".join(v) for v in value)
+            lines.append(f"{key} = {value}")
+    lines += [f"{key} = {value}" for key, value in profile.extra]
     return "\n".join(lines) + "\n"
 
 
@@ -359,6 +371,52 @@ def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
     return issues
 
 
+def _word(pattern: re.Pattern, what: str):
+    """A reader of one word of ``pattern`` whose last path component names no
+    privileged command."""
+
+    def read(value: str, key: str, lineno: int) -> str:
+        if not pattern.fullmatch(value):
+            raise ProfileError(f"{key} {value!r} is not {what}", line=lineno)
+        if posixpath.basename(value) in PRIVILEGED_TOKENS:
+            raise ProfileError(f"{key} {value!r} names a privileged command", line=lineno)
+        return value
+
+    return read
+
+
+_CHARS = "letters, digits and @%+=:,./^_-, not starting with -"
+_path = _word(_PATH_RE, f"a path of {_CHARS}")
+_package = _word(_PACKAGE_RE, "a package name ([a-z0-9][a-z0-9+.-]*, optionally =version)")
+
+
+def _script_path(value: str, key: str, lineno: int) -> str | None:
+    if not value:
+        return None
+    # the script is copied in under its file name
+    name = posixpath.basename(value)
+    if name in ("", ".", "..") or name.startswith("-"):
+        raise ProfileError(f"{key} {value!r} does not end in a file name", line=lineno)
+    return _path(value, key, lineno)
+
+
+_SPEC_READERS = {
+    "base_image": _word(_IMAGE_RE, f"an image reference of {_CHARS}"),
+    "strategy": _one_of(STRATEGIES),
+    "horovod_version": _word(re.compile(_VERSION_WORD), f"one version word ({_VERSION_WORD})"),
+    "openmpi_version": _version,
+    "system_packages": lambda value, key, lineno: tuple(
+        _package(p, key, lineno) for p in _split_list(value) if p
+    ),
+    "code_copies": lambda value, key, lineno: tuple(
+        (_path(src, key, lineno), _path(dst, key, lineno))
+        for src, dst in _split_pairs(value, key, lineno)
+    ),
+    "entrypoint_path": _script_path,
+    "registry": lambda value, key, lineno: value and _path(value, key, lineno),
+}
+
+
 def parse_env_spec(text: str) -> EnvironmentSpec:
     """Parse an ``[environment]`` spec file into an :class:`EnvironmentSpec`.
 
@@ -370,29 +428,14 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
     base image, since it picks the tag per cluster.
 
     Raises:
-        ProfileError: on syntax errors, missing mandatory keys, or
+        ProfileError: on syntax errors, missing mandatory keys, a value
+            that is not one word of its key's class (see the readers), or
             strategy/field inconsistencies.
     """
     entries = _read_section(text, ENVIRONMENT_SECTION)
-
-    base_image_raw, base_image_line = _require(entries, "base_image")
-    strategy, strategy_line = _require(entries, "strategy")
-    horovod_version, _ = _require(entries, "horovod_version")
-    if strategy not in STRATEGIES:
-        raise ProfileError(
-            f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}",
-            line=strategy_line,
-        )
-
-    openmpi_version: SemVer | None = None
-    if "openmpi_version" in entries:
-        value, lineno = entries["openmpi_version"]
-        try:
-            openmpi_version = SemVer.parse(value)
-        except ProfileError as exc:
-            raise ProfileError(str(exc), line=lineno) from None
-
-    entrypoint_path = entries.get("entrypoint_path", (None, 0))[0] or None
+    fields = _read_fields(entries, _SPEC_READERS, EnvironmentSpec)
+    strategy, strategy_line = fields["strategy"], entries["strategy"][1]
+    openmpi_version = fields.get("openmpi_version")
 
     if strategy == "tags" and openmpi_version is not None:
         raise ProfileError(
@@ -406,32 +449,20 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
             "openmpi_version is required so it can be checked against the cluster",
             line=strategy_line,
         )
-    if strategy == "entrypoint" and entrypoint_path is None:
+    if strategy == "entrypoint" and fields.get("entrypoint_path") is None:
         raise ProfileError(
             "strategy 'entrypoint' installs versions at first container start; "
             "entrypoint_path is required",
             line=strategy_line,
         )
 
-    base_image = ImageRef.parse(base_image_raw)
+    base_image = ImageRef.parse(fields["base_image"])
     if base_image.digest is not None and strategy == "tags":
         raise ProfileError(
             "strategy 'tags' picks the image tag per cluster; "
             "base_image must not be digest-pinned",
-            line=base_image_line,
+            line=entries["base_image"][1],
         )
     if base_image.tag is None and base_image.digest is None:
         base_image = base_image.replace(tag="latest")
-
-    copies_value, copies_line = entries.get("code_copies", ("", 0))
-
-    return EnvironmentSpec(
-        base_image=str(base_image),
-        strategy=strategy,
-        horovod_version=horovod_version,
-        openmpi_version=openmpi_version,
-        system_packages=tuple(p for p in _split_list(entries.get("system_packages", ("", 0))[0]) if p),
-        code_copies=_split_pairs(copies_value, "code_copies", copies_line),
-        entrypoint_path=entrypoint_path,
-        registry=entries.get("registry", (DEFAULT_REGISTRY, 0))[0],
-    )
+    return EnvironmentSpec(**{**fields, "base_image": str(base_image)})

@@ -10,10 +10,16 @@ from __future__ import annotations
 import re
 
 from hpcflow.errors import ReconcileError, Record
-from hpcflow.profiles import DEFAULT_REGISTRY, ClusterProfile, EnvironmentSpec, ImageRef, SemVer
+from hpcflow.profiles import (
+    _IDENTIFIER_RE,
+    DEFAULT_REGISTRY,
+    ClusterProfile,
+    EnvironmentSpec,
+    ImageRef,
+    SemVer,
+)
 
-_TAG_RE = re.compile(r"^ompi(\d+)\.(\d+)(?:-[A-Za-z0-9._-]+)?$")
-_IDENTIFIER_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_TAG_RE = re.compile(r"ompi(\d+)\.(\d+)(?:-[A-Za-z0-9._-]+)?")
 
 STATE_DIR_ENV = "HPCFLOW_STATE_DIR"
 DEFAULT_STATE_DIR = "/opt/.hpcflow"
@@ -79,7 +85,7 @@ def versions_match(image_version: SemVer, cluster_version: SemVer) -> bool:
 
 def encoded_tag_version(tag: str) -> tuple[int, int] | None:
     """Extract the (major, minor) encoded in an ``ompiM.m[-variant]`` tag."""
-    m = _TAG_RE.match(tag)
+    m = _TAG_RE.fullmatch(tag)
     if m is None:
         return None
     return (int(m.group(1)), int(m.group(2)))
@@ -203,7 +209,7 @@ def default_cmd_args(spec: EnvironmentSpec) -> tuple[str, str]:
 
 def is_identifier(name: str) -> bool:
     """True for names safe to use as container identifiers (no whitespace)."""
-    return _IDENTIFIER_RE.match(name) is not None
+    return _IDENTIFIER_RE.fullmatch(name) is not None
 
 
 def generate_entrypoint(installers: InstallerConfig = DEFAULT_INSTALLERS) -> str:

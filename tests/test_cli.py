@@ -106,6 +106,29 @@ class TestImageGen:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize(
+        "spec_name, key, value, line",
+        [
+            ("entrypoint", "system_packages", "vim; sudo rm -rf /x, $(doas id)", 7),
+            ("tags", "horovod_version", "0.21.3 && sudo id", 5),
+            ("entrypoint", "code_copies", "a b:/c", 8),
+            ("entrypoint", "entrypoint_path", "/opt/my entry.sh", 9),
+        ],
+    )
+    def test_spec_value_that_is_not_one_word_exits_one(
+        self, spec_name, key, value, line, tmp_path, capsys
+    ):
+        spec = tmp_path / "bad.spec"
+        text = (SPECS / f"{spec_name}.spec").read_text()
+        spec.write_text(re.sub(f"(?m)^{key} = .*$", lambda _: f"{key} = {value}", text))
+        out = tmp_path / "Dockerfile"
+        argv = ["image", "gen", "--spec", str(spec), "--out", str(out)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: line {line}: {key} ")
+        assert not out.exists()
+
+
 class TestImageLint:
     def test_smelly_fixture_exits_three(self, capsys):
         code, out, _ = run_cli(
@@ -285,6 +308,12 @@ class TestJobGen:
         assert "job name" in err
         assert not (tmp_path / "job.sh").exists()
 
+    def test_walltime_with_trailing_newline_exits_one(self, tmp_path, capsys):
+        argv = self._job_gen(tmp_path, ["--walltime", "01:00:00\n", "--", "true"])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", "error: walltime '01:00:00\\n' is not HH:MM:SS\n")
+        assert not (tmp_path / "job.sh").exists()
+
     def test_profile_with_error_issue_exits_one(self, tmp_path, capsys):
         argv = self._job_gen(tmp_path, ["--", "python", "train.py"])
         argv[argv.index("--profile") + 1] = str(_profile_with_error(tmp_path))
@@ -339,6 +368,22 @@ class TestRun:
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[1].startswith(f"udocker create --name={name} ")
+
+    def test_container_name_with_trailing_newline_exits_one(self, capsys):
+        code, out, err = run_cli(
+            [
+                "run",
+                "dry",
+                "--profile",
+                str(PROFILES / "csic.profile"),
+                "--spec",
+                str(SPECS / "entrypoint.spec"),
+                "--container-name",
+                "abc\n",
+            ],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", "error: container name 'abc\\n' is not an identifier\n")
 
     def test_dry_run_profile_with_error_issue_exits_one(self, tmp_path, capsys):
         bad = _profile_with_error(tmp_path)

@@ -4,11 +4,11 @@ import shlex
 import subprocess
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from hpcflow.errors import LaunchError
+from hpcflow.errors import LaunchError, ProfileError
 from hpcflow.launch import (
     MAX_MOCK_RANKS,
     PRIVILEGED_TOKENS,
@@ -130,9 +130,26 @@ class TestPlanLaunch:
         with pytest.raises(LaunchError, match="shell identifier"):
             plan_launch(csic_profile, csic_plan, make_request(1, 1, extra_env={key: "1"}))
 
-    def test_walltime_format(self, csic_profile, csic_plan):
+    @pytest.mark.parametrize("walltime", ["2h", "\u0660\u0661:\u0660\u0660:\u0660\u0660"])
+    def test_walltime_format(self, walltime, csic_profile, csic_plan):
         with pytest.raises(LaunchError, match="HH:MM:SS"):
-            plan_launch(csic_profile, csic_plan, make_request(1, 1, walltime="2h"))
+            plan_launch(csic_profile, csic_plan, make_request(1, 1, walltime=walltime))
+
+    @settings(max_examples=60)
+    @given(
+        field=st.sampled_from(["walltime", "container_name"]),
+        at=st.integers(0, 8),
+        brk=st.sampled_from(["\n", "\r", "\x0b", "\x85", "\u2028"]),
+    )
+    def test_line_break_in_walltime_or_container_name_refused(self, field, at, brk):
+        from hpcflow.profiles import parse_cluster_profile, parse_env_spec
+
+        cluster = parse_cluster_profile((FIXTURES / "profiles" / "csic.profile").read_text())
+        spec = parse_env_spec((FIXTURES / "specs" / "entrypoint.spec").read_text())
+        value = {"walltime": "01:00:00", "container_name": "tfbench"}[field]
+        request = make_request(1, 1, **{field: value[:at] + brk + value[at:]})
+        with pytest.raises(LaunchError, match="HH:MM:SS|identifier"):
+            plan_launch(cluster, reconcile(spec, cluster), request)
 
     def test_empty_command_needs_entrypoint(self, csic_profile, ngc_spec, csic_plan):
         ngc_plan = reconcile(ngc_spec, csic_profile)
@@ -471,6 +488,74 @@ class TestPrivilegedScanProperty:
         # the container runs the user's argv as a command
         commands = run_by_shell | ({argv[0]} & PRIVILEGED_TOKENS)
         assert commands <= set(find_privileged_tokens(text)), text
+
+
+def _joined(head, tail):
+    return st.tuples(head, st.lists(tail, max_size=4)).map(lambda t: t[0] + "".join(t[1]))
+
+
+# words of the characters each spec key accepts, with privileged words as pieces
+_PATH_CHAR = st.sampled_from([*"aZ0_@%+=.,/^-:", "sudo", "su"])
+_PATH_WORD = _joined(_PATH_CHAR, _PATH_CHAR)
+_COPY_WORD = _PATH_WORD.map(lambda w: w.replace(",", "").replace(":", "") or "a")
+_VERSION = _joined(st.sampled_from(["0", "21", "rc", "Z"]), st.sampled_from([*".+_-", "3"]))
+_PACKAGE = st.tuples(
+    _joined(st.sampled_from(["vim", "g", "0", "su", "doas"]), st.sampled_from([*"+.-", "x"])),
+    st.none() | _VERSION,
+).map(lambda t: t[0] if t[1] is None else f"{t[0]}={t[1]}")
+# characters the spec refuses; one value of a text may get one
+_HOSTILE = st.sampled_from([" ", "$", "\\", "'", ";", "`", "$(doas id)", "\u00a0"])
+
+
+@st.composite
+def _spec_text(draw) -> str:
+    """``[environment]`` text with hostile-looking values; most of it parses."""
+    strategy = draw(st.sampled_from(["tags", "ngc", "entrypoint"]))
+    values = {
+        "base_image": draw(_joined(_PATH_CHAR, _PATH_CHAR | st.just("\u00dc"))),
+        "strategy": strategy,
+        "horovod_version": draw(_VERSION),
+        "system_packages": ", ".join(draw(st.lists(_PACKAGE, max_size=3))),
+        "code_copies": ", ".join(
+            f"{src}:{dst}"
+            for src, dst in draw(st.lists(st.tuples(_COPY_WORD, _PATH_WORD), max_size=3))
+        ),
+        "registry": draw(st.just("") | _PATH_WORD),
+    }
+    if strategy != "tags":
+        values["openmpi_version"] = "4.0.1"
+    if strategy == "entrypoint" or draw(st.booleans()):
+        values["entrypoint_path"] = draw(_PATH_WORD)
+    spoiled = draw(st.sampled_from([None, None, None, *values]))
+    if spoiled is not None:
+        at = draw(st.integers(0, len(values[spoiled])))
+        values[spoiled] = values[spoiled][:at] + draw(_HOSTILE) + values[spoiled][at:]
+    lines = draw(st.permutations([f"{key} = {value}" for key, value in values.items()]))
+    return "\n".join(["[environment]", *lines]) + "\n"
+
+
+class TestGeneratedDockerfileProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_spec_text())
+    def test_every_accepted_spec_gives_a_clean_dockerfile(self, text):
+        from hpcflow.dockerfile import generate_dockerfile, parse_dockerfile, render_dockerfile
+        from hpcflow.lint import _words, lint
+        from hpcflow.profiles import parse_env_spec
+
+        try:
+            spec = parse_env_spec(text)
+        except ProfileError:
+            assume(False)
+        ast = generate_dockerfile(spec)
+        dockerfile = render_dockerfile(ast)
+        assert find_privileged_tokens(dockerfile) == [], dockerfile
+        for instr in ast.instructions:
+            if instr.kind in ("FROM", "COPY"):  # no flags, and two paths to COPY
+                words = _words(instr)
+                assert len(words) == (2 if instr.kind == "COPY" else 1), dockerfile
+                assert not any(word.startswith("-") for word in words), dockerfile
+        assert parse_dockerfile(dockerfile) == ast
+        assert lint(ast).counts["error"] == 0, dockerfile
 
 
 class TestGridPlan:

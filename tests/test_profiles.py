@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hpcflow.errors import ProfileError
 from hpcflow.profiles import (
+    SCHEDULERS,
     ClusterProfile,
     ImageRef,
     SemVer,
@@ -134,9 +137,93 @@ class TestRoundTrip:
         assert second.openmpi_version.patch_specified is False
         assert first == second
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            (
+                "csic.profile",
+                "[cluster]\nname = csic-dl\nscheduler = slurm\ngpus_per_node = 2\n"
+                "gpu_nodes = 20\nopenmpi_version = 4.0.1\n"
+                "container_runtime_path = /home/researcher/.local/udocker/udocker\n"
+                "module_loads = openmpi/4.0.1\ninterconnect = InfiniBand EDR ConnectX-5\n"
+                "partition = gpu\ndefault_mounts = /scratch:/scratch\n",
+            ),
+            (
+                "forhlr2.profile",
+                "[cluster]\nname = forhlr2\nscheduler = slurm\ngpus_per_node = 4\n"
+                "gpu_nodes = 21\nopenmpi_version = 4.0.2\n"
+                "container_runtime_path = /home/researcher/.local/udocker/udocker\n"
+                "module_loads = compiler/gnu/8.3, mpi/openmpi/4.0\n"
+                "interconnect = InfiniBand 4X EDR\npartition = accelerated\n"
+                "account = hk-project\ndefault_mounts = /lustre:/lustre\n",
+            ),
+            (
+                "local.profile",
+                "[cluster]\nname = workstation\nscheduler = none\ngpus_per_node = 2\n"
+                "gpu_nodes = 2\nopenmpi_version = 4.0.1\n"
+                "container_runtime_path = /home/researcher/.local/udocker/udocker\n",
+            ),
+        ],
+    )
+    def test_render_text_is_pinned(self, fixtures, name, text):
+        profile = parse_cluster_profile((fixtures / "profiles" / name).read_text())
+        assert render_cluster_profile(profile) == text
+
     def test_parsed_profiles_have_no_syntax_issues(self, csic_profile, forhlr2_profile):
         for profile in (csic_profile, forhlr2_profile):
             assert validate_profile(profile) == []
+
+
+# one line of free text: any characters but the line break
+_LINE = st.text(st.characters(blacklist_characters="\n"), max_size=8)
+# one line without control characters, as partition, account and module_loads need
+_CLEAN_LINE = st.text(
+    st.characters(blacklist_categories=("Cc",), blacklist_characters="\u2028\u2029"), max_size=8
+)
+_MOUNT_WORD = st.text(st.sampled_from("ab/._- "), max_size=4)
+_COUNT = st.integers(1, 10**6).map(str) | st.sampled_from(["+3", "007", "1_000", "\u0663"])
+
+
+@st.composite
+def _profile_text(draw) -> str:
+    """``[cluster]`` text, each optional key present or not, in any order."""
+    part = st.integers(0, 20)
+    version = draw(st.tuples(part, part, st.none() | part))
+    values = {
+        "name": draw(_LINE),
+        "scheduler": draw(st.sampled_from(SCHEDULERS)),
+        "gpus_per_node": draw(_COUNT),
+        "gpu_nodes": draw(_COUNT),
+        "openmpi_version": ".".join(str(n) for n in version if n is not None),
+        "container_runtime_path": draw(_LINE),
+    }
+    optional = {
+        "module_loads": _CLEAN_LINE,
+        "interconnect": _LINE,
+        "partition": _CLEAN_LINE,
+        "account": _CLEAN_LINE,
+        "default_mounts": st.lists(st.tuples(_MOUNT_WORD, _MOUNT_WORD), max_size=3).map(
+            lambda pairs: ", ".join(f"{src}:{dst}" for src, dst in pairs)
+        ),
+        "site": _LINE,
+        "future_key": _LINE,
+    }
+    for key, values_of in optional.items():
+        if draw(st.booleans()):
+            values[key] = draw(values_of)
+    lines = draw(st.permutations([f"{key} = {value}" for key, value in values.items()]))
+    return "\n".join(["[cluster]", *lines]) + "\n"
+
+
+@given(_profile_text())
+def test_render_is_a_fixed_point_of_parse(text):
+    try:
+        profile = parse_cluster_profile(text)
+    except ProfileError:  # an empty mount word
+        assume(False)
+    rendered = render_cluster_profile(profile)
+    assert parse_cluster_profile(rendered) == profile
+    assert render_cluster_profile(parse_cluster_profile(rendered)) == rendered
 
 
 class TestValidateProfile:
@@ -225,6 +312,69 @@ class TestParseEnvSpec:
     def test_missing_mandatory_key(self):
         with pytest.raises(ProfileError, match="missing mandatory key 'horovod_version'"):
             parse_env_spec("[environment]\nbase_image = a/b:1\nstrategy = ngc\n")
+
+
+def _entrypoint_spec(**values: str) -> tuple[str, int]:
+    """An entrypoint spec text with ``values`` set, and the line of the last one."""
+    lines = {
+        "base_image": "a/b:1",
+        "strategy": "entrypoint",
+        "openmpi_version": "4.0.1",
+        "horovod_version": "0.21.3",
+        "entrypoint_path": "/e.sh",
+        **values,
+    }
+    text = "[environment]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
+    return text, 1 + list(lines).index(list(values)[-1]) + 1
+
+
+class TestSpecWords:
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("system_packages", "wget, vim; sudo rm -rf /x", "'vim; sudo rm -rf /x' is not"),
+            ("system_packages", "$(doas id)", "is not a package name"),
+            ("system_packages", "Vim", "is not a package name"),
+            ("system_packages", "-o", "is not a package name"),
+            ("system_packages", "vim=", "is not a package name"),
+            ("system_packages", "git, sudo", "'sudo' names a privileged command"),
+            ("horovod_version", "0.21.3 && sudo id", "is not one version word"),
+            ("horovod_version", "", "is not one version word"),
+            ("code_copies", "a b:/c", "'a b' is not a path"),
+            ("code_copies", "a:/c, b:$HOME/c", "'$HOME/c' is not a path"),
+            ("code_copies", "x:/bin/su", "names a privileged command"),
+            ("entrypoint_path", "/opt/my entry.sh", "is not a path"),
+            ("entrypoint_path", "/opt/", "does not end in a file name"),
+            ("entrypoint_path", "/opt/..", "does not end in a file name"),
+            ("entrypoint_path", "/opt/doas", "names a privileged command"),
+            ("entrypoint_path", "/opt/-x", "does not end in a file name"),
+            ("code_copies", "--from=img:/y", "'--from=img' is not a path"),
+            ("base_image", "--platform=x", "is not an image reference"),
+            ("registry", "reg istry", "is not a path"),
+            ("registry", "r$x", "is not a path"),
+            ("base_image", "a:\\", "is not an image reference"),
+            ("base_image", "sudo x", "is not an image reference"),
+        ],
+    )
+    def test_refused_with_key_and_line(self, key, value, message):
+        text, line = _entrypoint_spec(**{key: value})
+        with pytest.raises(ProfileError, match=rf"^line {line}: {key} .*{re.escape(message)}"):
+            parse_env_spec(text)
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("system_packages", "libc6=2.31-0u9, g++, , x", ("libc6=2.31-0u9", "g++", "x")),
+            ("horovod_version", "0.28.1+cu117", "0.28.1+cu117"),
+            ("code_copies", "src/:/w/, a=b:c:d", (("src/", "/w/"), ("a=b", "c:d"))),
+            ("entrypoint_path", "entry.sh", "entry.sh"),
+            ("registry", "", ""),
+            ("registry", "reg.example.com:5000", "reg.example.com:5000"),
+            ("base_image", "example/\u00dcn\u00ef:1", "example/\u00dcn\u00ef:1"),
+        ],
+    )
+    def test_accepted(self, key, value, field):
+        assert getattr(parse_env_spec(_entrypoint_spec(**{key: value})[0]), key) == field
 
 
 class TestNormalizeImageRef:

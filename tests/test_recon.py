@@ -13,6 +13,7 @@ from hpcflow.recon import (
     InstallerConfig,
     default_cmd_args,
     generate_entrypoint,
+    is_identifier,
     reconcile,
     select_tag,
 )
@@ -32,6 +33,17 @@ class TestSelectTag:
 
     def test_unconventional_tags_ignored(self):
         assert select_tag(["latest", "v2", "ompi4.0"], SemVer(4, 0, 1)) == "ompi4.0"
+
+    def test_tag_with_trailing_newline_is_unconventional(self):
+        with pytest.raises(ReconcileError):
+            select_tag(["ompi4.0\n"], SemVer(4, 0))
+
+
+@pytest.mark.parametrize(
+    "name, ok", [("abc", True), ("a.b-c_1", True), ("abc\n", False), ("-a", False)]
+)
+def test_is_identifier(name, ok):
+    assert is_identifier(name) is ok
 
 
 class TestReconcile:
