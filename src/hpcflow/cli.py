@@ -113,14 +113,18 @@ def cmd_image_gen(args: argparse.Namespace) -> int:
     spec = parse_env_spec(_read_text(args.spec))
     ast = dockerfile.generate_dockerfile(spec)
     out = Path(args.out)
-    out.write_text(dockerfile.render_dockerfile(ast), encoding="utf-8")
-    written = [out]
+    texts = {out: dockerfile.render_dockerfile(ast)}
     if spec.strategy == "entrypoint":
         assert spec.entrypoint_path is not None
         script_path = out.parent / Path(spec.entrypoint_path).name
-        script_path.write_text(recon.generate_entrypoint(), encoding="utf-8")
-        written.append(script_path)
-    for path in written:
+        if script_path == out:
+            raise HpcflowError(
+                f"--out {out} is also the path of the entrypoint script; choose another name"
+            )
+        texts[script_path] = recon.generate_entrypoint()
+    for path, text in texts.items():
+        path.write_text(text, encoding="utf-8")
+    for path in texts:
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -245,11 +249,11 @@ def cmd_perf_predict(args: argparse.Namespace) -> int:
             gpus_per_node=args.gpus_per_node,
             intra_node_bandwidth=intra_bandwidth,
         )
+        estimates = [perf.predict(inputs, p) for p in range(1, args.p_max + 1)]
     except ValueError as exc:
         raise HpcflowError(str(exc)) from None
     print("gpus,images_per_sec,speedup,comm_seconds,comp_seconds")
-    for p in range(1, args.p_max + 1):
-        est = perf.predict(inputs, p)
+    for p, est in enumerate(estimates, start=1):
         print(
             f"{p},{est.predicted_images_per_sec:.6g},{est.speedup:.6g},"
             f"{est.comm_seconds_per_step:.6g},{est.comp_seconds_per_step:.6g}"
@@ -265,11 +269,11 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
         runs.append(perf.parse_bench_log(_read_text(path), args.warmup, gpus=gpus))
     try:
         speedups = perf.speedup_table(runs)
+        summaries = [perf.summarize(run) for run in sorted(runs, key=lambda r: r.gpus)]
     except ValueError as exc:
         raise HpcflowError(str(exc)) from None
     print("gpus,mean,ci95,speedup")
-    for run, (gpus, speedup) in zip(sorted(runs, key=lambda r: r.gpus), speedups):
-        summary = perf.summarize(run)
+    for summary, (gpus, speedup) in zip(summaries, speedups):
         ci95 = "" if summary.ci_undefined else f"{summary.ci95_half_width:.6g}"
         print(f"{gpus},{summary.mean:.6g},{ci95},{speedup:.6g}")
     return EXIT_OK

@@ -10,7 +10,7 @@ beyond that.
 Confidence intervals use the Student t quantile, computed with the
 standard library alone: for integer df the upper tail P(T > t) is a finite
 series in sin and cos of atan(t / sqrt(df)) (Abramowitz & Stegun 26.7.3
-and 26.7.4), inverted by Newton's method from a Cornish-Fisher start.
+and 26.7.4), inverted by Newton's method started at t = 0.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ def predict(inputs: ScalingInputs, p: int) -> ScalingEstimate:
     transfer plus latency; throughput = p * batch / (comp + comm).
     Speedup is normalized so speedup(1) = 1 exactly, and a zero
     communication cost gives speedup = p exactly (the ideal line).
+
+    Raises:
+        ValueError: when p < 1 or a predicted value is not finite.
     """
     if p < 1:
         raise ValueError(f"worker count must be >= 1, got {p}")
@@ -134,6 +137,13 @@ def predict(inputs: ScalingInputs, p: int) -> ScalingEstimate:
         speedup = float(p)
     else:
         speedup = p * comp / (comp + comm)
+    _require_finite(
+        f"the {p}-GPU prediction",
+        images_per_sec=predicted,
+        speedup=speedup,
+        comm_seconds=comm,
+        comp_seconds=comp,
+    )
     return ScalingEstimate(
         predicted_images_per_sec=predicted,
         speedup=speedup,
@@ -210,37 +220,46 @@ def _t_density(t: float, df: int) -> float:
 def _t_quantile(prob: float, df: int) -> float:
     """The ``prob`` quantile of Student's t with ``df`` degrees of freedom, prob >= 0.5.
 
-    Newton's method on the upper tail, started from the Cornish-Fisher
-    expansion around the normal quantile.  The tail is convex and
-    decreasing for t > 0, so from any start at or below the root the
-    iterates rise monotonically to it, and from a start above the root one
-    step lands below it (clamped at 0).
+    Newton's method on the upper tail, started at t = 0.  The tail is
+    convex and decreasing for t > 0, so from any start at or below the
+    root, as 0 is for prob >= 0.5, the iterates rise monotonically to it.
 
     The tail is formed as 1 - P(|T| <= t), which cancels far out: against
     scipy the relative error is about 1e-12 at prob = 1 - 1e-5, 1e-10 at
-    1 - 1e-7 and 1e-8 at 1 - 1e-9, and near 1 - 1e-13 Newton may not
-    converge (ArithmeticError).  The one caller, ``summarize``, passes 0.975.
+    1 - 1e-7 and 1e-8 at 1 - 1e-9.  From 1 - 1e-9 on Newton may not
+    converge (ArithmeticError): at 1 - 1e-9 it fails for df = 2, near
+    1 - 1e-13 for about half of df.  The one caller, ``summarize``, passes 0.975.
     """
     if not 0.5 <= prob < 1.0 or df < 1:
         raise ValueError(f"need 0.5 <= prob < 1 and df >= 1, got prob={prob}, df={df}")
-    # statistics pulls in fractions and decimal; `perf predict` never needs it
-    import statistics
-
     tail = 1.0 - prob
-    z = statistics.NormalDist().inv_cdf(prob)
-    t = (
-        z
-        + (z**3 + z) / (4 * df)
-        + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * df**2)
-    )
+    t = 0.0
     for _ in range(100):
         step = (_t_upper_tail(t, df) - tail) / _t_density(t, df)
-        t = max(t + step, 0.0)
+        t += step
         # convergence is quadratic: after a step below 1e-8 * t the relative
         # error left is of order 1e-16, under the rounding noise of the tail
         if abs(step) <= 1e-8 * t:
             return t
     raise ArithmeticError(f"t quantile did not converge (prob={prob}, df={df})")
+
+
+def _require_finite(what: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} of {what} is not finite ({value})")
+
+
+def _mean(run: BenchRun) -> float:
+    """``fsum / n``, the float that ``statistics.fmean`` returns."""
+    if not run.samples:
+        raise ValueError("run has no samples")
+    try:
+        mean = math.fsum(run.samples) / len(run.samples)
+    except OverflowError:  # the exact sum is beyond the float range
+        mean = math.inf
+    _require_finite(f"the {run.gpus}-GPU run", mean=mean)
+    return mean
 
 
 def summarize(run: BenchRun) -> BenchSummary:
@@ -249,26 +268,21 @@ def summarize(run: BenchRun) -> BenchSummary:
     Uses the n-1 sample standard deviation and the t quantile with n-1
     degrees of freedom.  A single-sample run has no defined interval; it
     is reported as 0 with ``ci_undefined`` set.
-    """
-    import statistics
 
+    Raises:
+        ValueError: on a run with no samples, or when the mean or the
+            half-width is not finite.
+    """
     n = len(run.samples)
-    if n == 0:
-        raise ValueError("run has no samples")
-    mean = statistics.fmean(run.samples)
-    if n == 1:
-        ci = 0.0
-        undefined = True
-    else:
-        s = statistics.stdev(run.samples)
-        ci = _t_quantile(0.975, n - 1) * s / math.sqrt(n)
-        undefined = False
-    return BenchSummary(
-        mean=mean,
-        ci95_half_width=ci,
-        n=n,
-        ci_undefined=undefined,
-    )
+    mean = _mean(run)
+    ci = 0.0
+    # equal samples give exactly 0, though fsum / n may round the mean off them
+    if min(run.samples) < max(run.samples):
+        # hypot scales internally, so no square of a deviation overflows
+        sd = math.hypot(*[x - mean for x in run.samples]) / math.sqrt(n - 1)
+        ci = _t_quantile(0.975, n - 1) * sd / math.sqrt(n)
+        _require_finite(f"the {run.gpus}-GPU run", ci95=ci)
+    return BenchSummary(mean=mean, ci95_half_width=ci, n=n, ci_undefined=n == 1)
 
 
 def speedup_table(runs: list[BenchRun]) -> list[tuple[int, float]]:
@@ -276,10 +290,9 @@ def speedup_table(runs: list[BenchRun]) -> list[tuple[int, float]]:
 
     Raises:
         ValueError: without exactly one 1-GPU run, on duplicate GPU
-            counts, or when the baseline's mean throughput is 0.
+            counts, when the baseline's mean throughput is 0, or when a
+            mean or a speedup is not finite.
     """
-    import statistics
-
     baselines = [r for r in runs if r.gpus == 1]
     if len(baselines) != 1:
         raise ValueError(
@@ -288,10 +301,12 @@ def speedup_table(runs: list[BenchRun]) -> list[tuple[int, float]]:
     counts = [r.gpus for r in runs]
     if len(set(counts)) != len(counts):
         raise ValueError("duplicate GPU counts in runs")
-    base_mean = statistics.fmean(baselines[0].samples)
+    base_mean = _mean(baselines[0])
     if base_mean == 0.0:
         raise ValueError("the 1-GPU baseline's mean throughput is 0, so no speedup is defined")
-    return [
-        (run.gpus, statistics.fmean(run.samples) / base_mean)
-        for run in sorted(runs, key=lambda r: r.gpus)
-    ]
+    rows = []
+    for run in sorted(runs, key=lambda r: r.gpus):
+        speedup = _mean(run) / base_mean
+        _require_finite(f"the {run.gpus}-GPU run", speedup=speedup)
+        rows.append((run.gpus, speedup))
+    return rows

@@ -3,7 +3,7 @@
 Both file kinds share one sectioned key=value text format:
 
 * lines are ``# comment``, ``[section]``, or ``key = value``
-* keys match ``[a-z_]+``
+* keys match ``[a-z_]+``; no value holds a control character
 * list values are comma-separated
 * path pairs are written ``src:dst``
 
@@ -179,7 +179,8 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
 
     Raises:
         ProfileError: on malformed lines, a wrong or missing section
-            header, or duplicate keys; the failing line is reported.
+            header, duplicate keys, or a value with a control character;
+            the failing line is reported.
     """
     entries: dict[str, tuple[str, int]] = {}
     section: str | None = None
@@ -208,6 +209,10 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
             raise ProfileError(f"key {key!r} appears before any [section] header", line=lineno)
         if key in entries:
             raise ProfileError(f"duplicate key {key!r}", line=lineno)
+        if CONTROL_CHAR_RE.search(value):
+            raise ProfileError(
+                f"{key} must not contain line breaks or control characters", line=lineno
+            )
         entries[key] = (value, lineno)
     if section is None:
         raise ProfileError(f"missing [{expected}] section")
@@ -261,8 +266,6 @@ def _version(value: str, key: str, lineno: int) -> SemVer:
 
 
 def _one_line(value: str, key: str, lineno: int) -> str | None:
-    if CONTROL_CHAR_RE.search(value):
-        raise ProfileError(f"{key} must not contain line breaks or control characters", line=lineno)
     return value or None
 
 
@@ -279,7 +282,7 @@ _CLUSTER_READERS = {
     "gpu_nodes": _positive_int,
     "openmpi_version": _version,
     "container_runtime_path": _as_is,
-    "module_loads": lambda value, key, lineno: _split_list(_one_line(value, key, lineno) or ""),
+    "module_loads": lambda value, key, lineno: _split_list(value),
     "interconnect": _as_is,
     "partition": _one_line,
     "account": _one_line,
@@ -308,7 +311,7 @@ def parse_cluster_profile(text: str) -> ClusterProfile:
     Raises:
         ProfileError: on syntax errors (with line number), missing
             mandatory keys, unparseable versions, non-positive counts, or a
-            control character in partition, account or module_loads.
+            control character in any value.
     """
     entries = _read_section(text, CLUSTER_SECTION)
     return ClusterProfile(

@@ -47,6 +47,15 @@ class TestParse:
         assert run.args == "echo one  && echo two"
         assert run.line_span == (2, 4)
 
+    def test_continuation_at_end_of_file_keeps_its_span(self):
+        # only blank and comment lines follow the backslash
+        run = parse_dockerfile("FROM a:1\nRUN echo \\\n\n# c\n").instructions[1]
+        assert (run.kind, run.args, run.line_span) == ("RUN", "echo", (2, 4))
+
+    def test_bracket_that_is_not_json_stays_shell_form(self):
+        run = parse_dockerfile("FROM a:1\nRUN [not json\n").instructions[1]
+        assert (run.args, run.exec_form) == ("[not json", False)
+
     def test_every_line_attributed_to_one_instruction(self):
         for path in corpus_paths():
             text = path.read_text()
@@ -137,6 +146,9 @@ class TestRender:
 
     def test_empty_ast_renders_empty_string(self):
         assert render_dockerfile(DockerfileAst(())) == ""
+
+    def test_instruction_without_arguments_renders_keyword_alone(self):
+        assert render_dockerfile(parse_dockerfile("FROM a:1\nEXPOSE\n")) == "FROM a:1\nEXPOSE\n"
 
     def test_unknown_rendered_verbatim(self):
         ast = parse_dockerfile("FROM a:1\nMAINTAINER x\n")

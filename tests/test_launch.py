@@ -121,6 +121,11 @@ class TestPlanLaunch:
         with pytest.raises(LaunchError, match="GPUs per node"):
             plan_launch(csic_profile, csic_plan, make_request(2, 3))
 
+    @pytest.mark.parametrize("nodes, gpus", [(0, 1), (1, 0)])
+    def test_empty_grid_rejected(self, nodes, gpus, csic_profile, csic_plan):
+        with pytest.raises(LaunchError, match="nodes and gpus_per_node must be >= 1"):
+            plan_launch(csic_profile, csic_plan, make_request(nodes, gpus))
+
     def test_container_name_must_be_identifier(self, csic_profile, csic_plan):
         with pytest.raises(LaunchError, match="identifier"):
             plan_launch(csic_profile, csic_plan, make_request(1, 1, container_name="a b"))

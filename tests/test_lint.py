@@ -253,6 +253,7 @@ class TestP1:
             ("FROM ubuntu:22.04 AS Base\nFROM base AS test\nFROM test\n", []),
             ("FROM base\nFROM ubuntu:22.04 AS base\n", ["base image base has no tag"]),
             ("FROM scratch\n", []),
+            ("FROM --platform=x\n", []),
         ],
     )
     def test_from_patterns(self, text, expect):

@@ -81,6 +81,10 @@ class TestAllreduceBytes:
         with pytest.raises(ValueError, match=">= 1"):
             allreduce_bytes(0, 100)
 
+    def test_negative_payload_rejected(self):
+        with pytest.raises(ValueError, match="payload must be non-negative"):
+            allreduce_bytes(2, -1)
+
 
 class TestPredict:
     def test_single_worker_exact(self):
@@ -155,6 +159,24 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(make_inputs(), 0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"link_bandwidth": 1e-320, "intra_node_bandwidth": 1e-320},
+                "comm_seconds of the 2-GPU prediction",
+            ),
+            ({"single_gpu_ips": 1e308, **IDEAL}, "images_per_sec of the 2-GPU prediction"),
+        ],
+    )
+    def test_non_finite_prediction_rejected(self, overrides, message):
+        inputs = make_inputs(
+            **{"param_count": 1, "batch_per_gpu": 1, "single_gpu_ips": 1.0, **overrides}
+        )
+        assert predict(inputs, 1).speedup == 1.0
+        with pytest.raises(ValueError, match=f"^{message} is not finite"):
+            predict(inputs, 2)
+
     def test_inputs_validation(self):
         with pytest.raises(ValueError, match="intra_node_bandwidth"):
             make_inputs(intra_node_bandwidth=1.0)
@@ -210,6 +232,10 @@ class TestParseBenchLog:
         with pytest.raises(BenchLogError, match="line 2"):
             parse_bench_log("iter 1: 10.0 images/sec\nnot a log line\n", 0)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(BenchLogError, match="warmup_count must be non-negative"):
+            parse_bench_log("iter 1: 10.0 images/sec\n", -1)
+
     def test_non_finite_value_reports_number(self):
         # 1e999 matches the grammar but overflows to inf
         with pytest.raises(BenchLogError, match="line 2: .*not finite"):
@@ -234,6 +260,52 @@ class TestSummarize:
         summary = summarize(BenchRun("x", 1, (42.0,)))
         assert summary.ci95_half_width == 0.0
         assert summary.ci_undefined
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="run has no samples"):
+            summarize(BenchRun("x", 1, ()))
+
+    def test_matches_statistics_module(self):
+        # the standard library's statistics as the reference; perf uses math alone
+        import statistics
+
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.choice([2, 3, 10, 32, 100, 316, 1000])
+            centre = 10 ** rng.uniform(-3, 6)
+            spread = centre * rng.uniform(0.001, 1.0)
+            samples = tuple(rng.uniform(centre, centre + spread) for _ in range(n))
+            summary = summarize(BenchRun("x", 1, samples))
+            assert summary.mean == statistics.fmean(samples)
+            expected = _t_quantile(0.975, n - 1) * statistics.stdev(samples) / math.sqrt(n)
+            assert summary.ci95_half_width == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.1, 1e-300, 7.3, 1e300])
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_equal_samples_give_exactly_zero(self, value, n):
+        # fsum / n rounds three samples of 0.1 to 0.10000000000000002
+        summary = summarize(BenchRun("x", 1, (value,) * n))
+        assert summary.ci95_half_width == 0.0
+        assert not summary.ci_undefined
+
+    def test_deviations_beyond_the_square_range(self):
+        # a square of 1e200 overflows; the half-width does not
+        summary = summarize(BenchRun("x", 1, (1e200, 3e200)))
+        assert (f"{summary.mean:.6g}", f"{summary.ci95_half_width:.6g}") == (
+            "2e+200",
+            "1.27062e+201",
+        )
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ((1.7e308, 1.7e308), "mean of the 1-GPU run"),
+            ((1e308, 1e-308), "ci95 of the 1-GPU run"),
+        ],
+    )
+    def test_non_finite_result_rejected(self, samples, message):
+        with pytest.raises(ValueError, match=f"^{message} is not finite"):
+            summarize(BenchRun("x", 1, samples))
 
     def test_agrees_with_brute_force_oracle(self):
         rng = random.Random(7)
@@ -345,6 +417,16 @@ class TestSpeedupTable:
     def test_zero_baseline_is_error(self):
         runs = [BenchRun("b", 1, (0.0,) * 3), BenchRun("r", 2, (10.0,) * 3)]
         with pytest.raises(ValueError, match="baseline's mean throughput is 0"):
+            speedup_table(runs)
+
+    def test_non_finite_speedup_rejected(self):
+        runs = [BenchRun("b", 1, (1e-200,)), BenchRun("r", 2, (1e200, 3e200))]
+        with pytest.raises(ValueError, match="^speedup of the 2-GPU run is not finite"):
+            speedup_table(runs)
+
+    def test_mean_overflow_rejected(self):
+        runs = [BenchRun("b", 1, (1.0,)), BenchRun("r", 2, (1.7e308, 1.7e308))]
+        with pytest.raises(ValueError, match="^mean of the 2-GPU run is not finite"):
             speedup_table(runs)
 
     def test_duplicate_gpu_counts(self):

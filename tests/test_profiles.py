@@ -107,15 +107,28 @@ class TestParseClusterProfile:
         assert any("future_field" in i.message for i in warnings)
 
 
-    @pytest.mark.parametrize("key", ["partition", "account", "module_loads"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "partition",
+            "account",
+            "module_loads",
+            "name",
+            "container_runtime_path",
+            "interconnect",
+            "default_mounts",
+            "future_key",
+        ],
+    )
     @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028", "\t"])
     def test_control_characters_rejected_with_field_and_line(self, key, char):
-        text = (
+        mandatory = (
             "[cluster]\nname = x\nscheduler = slurm\ngpus_per_node = 1\n"
             "gpu_nodes = 1\nopenmpi_version = 4.0\ncontainer_runtime_path = /u\n"
-            f"{key} = a{char}sudo true\n"
         )
-        with pytest.raises(ProfileError, match=f"line 8: {key} must not contain line breaks"):
+        text = re.sub(f"(?m)^{key} = .*\n", "", mandatory) + f"{key} = a{char}sudo true\n"
+        line = text.count("\n")
+        with pytest.raises(ProfileError, match=f"line {line}: {key} must not contain line breaks"):
             parse_cluster_profile(text)
 
 
@@ -174,9 +187,7 @@ class TestRoundTrip:
             assert validate_profile(profile) == []
 
 
-# one line of free text: any characters but the line break
-_LINE = st.text(st.characters(blacklist_characters="\n"), max_size=8)
-# one line without control characters, as partition, account and module_loads need
+# one line without control characters, as every value needs
 _CLEAN_LINE = st.text(
     st.characters(blacklist_categories=("Cc",), blacklist_characters="\u2028\u2029"), max_size=8
 )
@@ -190,23 +201,23 @@ def _profile_text(draw) -> str:
     part = st.integers(0, 20)
     version = draw(st.tuples(part, part, st.none() | part))
     values = {
-        "name": draw(_LINE),
+        "name": draw(_CLEAN_LINE),
         "scheduler": draw(st.sampled_from(SCHEDULERS)),
         "gpus_per_node": draw(_COUNT),
         "gpu_nodes": draw(_COUNT),
         "openmpi_version": ".".join(str(n) for n in version if n is not None),
-        "container_runtime_path": draw(_LINE),
+        "container_runtime_path": draw(_CLEAN_LINE),
     }
     optional = {
         "module_loads": _CLEAN_LINE,
-        "interconnect": _LINE,
+        "interconnect": _CLEAN_LINE,
         "partition": _CLEAN_LINE,
         "account": _CLEAN_LINE,
         "default_mounts": st.lists(st.tuples(_MOUNT_WORD, _MOUNT_WORD), max_size=3).map(
             lambda pairs: ", ".join(f"{src}:{dst}" for src, dst in pairs)
         ),
-        "site": _LINE,
-        "future_key": _LINE,
+        "site": _CLEAN_LINE,
+        "future_key": _CLEAN_LINE,
     }
     for key, values_of in optional.items():
         if draw(st.booleans()):
@@ -253,6 +264,21 @@ class TestValidateProfile:
     def test_whitespace_module_entry_is_error(self):
         issues = validate_profile(self._base(module_loads=("open mpi",)))
         assert [i.severity for i in issues] == ["error"]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"name": ""}, "name must be non-empty"),
+            ({"scheduler": "pbs"}, "scheduler must be one of slurm, none, got 'pbs'"),
+            ({"container_runtime_path": ""}, "container_runtime_path must be non-empty"),
+            ({"default_mounts": (("/a", ""),)}, "default_mounts entries must have non-empty"),
+            ({"default_mounts": (("", "/a"),)}, "default_mounts entries must have non-empty"),
+        ],
+    )
+    def test_record_built_in_code_is_checked(self, overrides, message):
+        issues = validate_profile(self._base(**overrides))
+        assert [i.severity for i in issues] == ["error"]
+        assert issues[0].message.startswith(message)
 
     def test_nonpositive_counts_are_errors(self):
         issues = validate_profile(self._base(gpus_per_node=0, gpu_nodes=0))
@@ -306,6 +332,13 @@ class TestParseEnvSpec:
         assert info.value.line == 3
         assert str(info.value).startswith("line 3: ")
 
+    def test_empty_entrypoint_path_is_none(self):
+        text = (
+            "[environment]\nbase_image = a/b:1\nstrategy = ngc\n"
+            "horovod_version = 0.21.3\nopenmpi_version = 4.0.1\nentrypoint_path =\n"
+        )
+        assert parse_env_spec(text).entrypoint_path is None
+
     def test_registry_default(self, entrypoint_spec):
         assert entrypoint_spec.registry == "docker.io"
 
@@ -354,6 +387,8 @@ class TestSpecWords:
             ("registry", "r$x", "is not a path"),
             ("base_image", "a:\\", "is not an image reference"),
             ("base_image", "sudo x", "is not an image reference"),
+            ("horovod_version", "0.21\x0b3", "must not contain line breaks or control characters"),
+            ("registry", "r\x85x", "must not contain line breaks or control characters"),
         ],
     )
     def test_refused_with_key_and_line(self, key, value, message):
