@@ -225,12 +225,6 @@ def cmd_run_mock(args: argparse.Namespace) -> int:
 def cmd_perf_predict(args: argparse.Namespace) -> int:
     from hpcflow import perf
 
-    model = perf.ModelSpec(
-        name="model",
-        param_count=args.params,
-        batch_per_gpu=args.batch_per_gpu,
-        bytes_per_param=args.bytes_per_param,
-    )
     if args.ideal:
         link_bandwidth = intra_bandwidth = math.inf
         link_latency = 0.0
@@ -241,6 +235,12 @@ def cmd_perf_predict(args: argparse.Namespace) -> int:
             intra_bandwidth = link_bandwidth
         link_latency = args.link_latency
     try:
+        model = perf.ModelSpec(
+            name="model",
+            param_count=args.params,
+            batch_per_gpu=args.batch_per_gpu,
+            bytes_per_param=args.bytes_per_param,
+        )
         inputs = perf.ScalingInputs(
             model=model,
             single_gpu_images_per_sec=args.single_gpu_ips,

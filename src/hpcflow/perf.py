@@ -32,12 +32,21 @@ class ModelSpec(Record):
     bytes_per_param: int = 4
 
     def __post_init__(self) -> None:
-        # NaN and inf are not integral, so this rejects them too
-        for value in (self.param_count, self.batch_per_gpu, self.bytes_per_param):
-            if not (float(value).is_integer() and value > 0):
-                raise ValueError(
-                    "param_count, batch_per_gpu and bytes_per_param must be positive integers"
-                )
+        try:
+            # NaN and inf are not integral, so this rejects them too
+            for value in (self.param_count, self.batch_per_gpu, self.bytes_per_param):
+                if not (float(value).is_integer() and value > 0):
+                    raise ValueError(
+                        "param_count, batch_per_gpu and bytes_per_param must be positive integers"
+                    )
+            payload = float(self.payload_bytes)
+        except OverflowError:  # an int beyond the float range
+            payload = math.inf
+        if payload == math.inf:
+            raise ValueError(
+                "param_count, batch_per_gpu, bytes_per_param and the payload "
+                "param_count * bytes_per_param must be within the float range"
+            )
 
     @property
     def payload_bytes(self) -> int:
@@ -132,7 +141,8 @@ def predict(inputs: ScalingInputs, p: int) -> ScalingEstimate:
         raise ValueError(f"worker count must be >= 1, got {p}")
     comp = inputs.model.batch_per_gpu / inputs.single_gpu_images_per_sec
     comm = _comm_seconds(inputs, p)
-    predicted = p * inputs.model.batch_per_gpu / (comp + comm)
+    # a float product overflows to inf, which is reported below, not raised
+    predicted = p * float(inputs.model.batch_per_gpu) / (comp + comm)
     if comm == 0.0:
         speedup = float(p)
     else:
@@ -279,7 +289,15 @@ def summarize(run: BenchRun) -> BenchSummary:
     # equal samples give exactly 0, though fsum / n may round the mean off them
     if min(run.samples) < max(run.samples):
         # hypot scales internally, so no square of a deviation overflows
-        sd = math.hypot(*[x - mean for x in run.samples]) / math.sqrt(n - 1)
+        deviations = [x - mean for x in run.samples]
+        h = math.hypot(*deviations)
+        # fsum / n may round the mean off samples a few ulps apart; about the
+        # deviations' own mean the sum of squares is h^2 - a^2 = (h - a)(h + a)
+        try:
+            a = abs(math.fsum(deviations)) / math.sqrt(n)
+        except OverflowError:  # deviations near the float range; their sum is negligible
+            a = 0.0
+        sd = math.sqrt(max(h - a, 0.0)) * math.sqrt(h + a) / math.sqrt(n - 1)
         ci = _t_quantile(0.975, n - 1) * sd / math.sqrt(n)
         _require_finite(f"the {run.gpus}-GPU run", ci95=ci)
     return BenchSummary(mean=mean, ci95_half_width=ci, n=n, ci_undefined=n == 1)

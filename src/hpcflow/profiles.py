@@ -10,9 +10,16 @@ Both file kinds share one sectioned key=value text format:
 Cluster profiles live in a ``[cluster]`` section, environment specs in an
 ``[environment]`` section.  Unknown keys are never rejected: in a profile
 they are kept and reported as warnings by :func:`validate_profile`, in an
-environment spec they are ignored.  Each file kind has one reader table,
-which maps each key to the function that reads and checks its value; a key
-is mandatory when its record field has no default.
+environment spec they are ignored.
+
+Each file kind has one reader table, which maps each key to its reader; a
+key is mandatory when its record field has no default.  A reader takes the
+value text and returns the field value, or raises ``ValueError`` with the
+reason.  ``_read_fields`` turns the reason into a :class:`ProfileError`
+that starts with the key and carries the line; ``SemVer.parse`` raises a
+``ProfileError`` that names the version, which gets the line only.  An
+:class:`EnvironmentSpec` built in code is checked by the same readers: each
+field must read back as itself from its text.
 """
 
 from __future__ import annotations
@@ -168,6 +175,20 @@ class EnvironmentSpec(Record):
     entrypoint_path: str | None = None
     registry: str = DEFAULT_REGISTRY
 
+    def __post_init__(self) -> None:
+        # a spec built in code is checked like a parsed one: each field is
+        # read from its own text, and must read back as itself
+        for key, read in _SPEC_READERS.items():
+            value = getattr(self, key)
+            if value is None:
+                continue
+            try:
+                read_back = read(_text(value))
+            except (ProfileError, ValueError) as exc:
+                raise ProfileError(f"{key} {exc}") from None
+            if read_back != value:
+                raise ProfileError(f"{key} {value!r} reads back as {read_back!r}")
+
 
 class ValidationIssue(Record):
     severity: str  # "error" or "warning"
@@ -219,14 +240,21 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _positive_int(value: str, key: str, lineno: int) -> int:
+def _positive_int(value: str) -> int:
     try:
         n = int(value)
     except ValueError:
-        raise ProfileError(f"{key} must be an integer, got {value!r}", line=lineno) from None
+        raise ValueError(f"must be an integer, got {value!r}") from None
     if n < 1:
-        raise ProfileError(f"{key} must be >= 1, got {n}", line=lineno)
+        raise ValueError(f"must be >= 1, got {n}")
     return n
+
+
+def _text(value: object) -> str:
+    """A field value written as the file text that reads back to it."""
+    if isinstance(value, tuple):  # a list, of words or of src:dst pairs
+        return ", ".join(v if isinstance(v, str) else ":".join(v) for v in value)
+    return str(value)
 
 
 def _split_list(value: str) -> tuple[str, ...]:
@@ -235,57 +263,40 @@ def _split_list(value: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in value.split(","))
 
 
-def _split_pairs(value: str, key: str, lineno: int) -> tuple[tuple[str, str], ...]:
+def _split_pairs(value: str) -> tuple[tuple[str, str], ...]:
     pairs = []
     for item in _split_list(value):
         if not item:
             continue
         src, sep, dst = item.partition(":")
         if not sep or not src.strip() or not dst.strip():
-            raise ProfileError(f"{key} entries must be 'src:dst', got {item!r}", line=lineno)
+            raise ValueError(f"entries must be 'src:dst', got {item!r}")
         pairs.append((src.strip(), dst.strip()))
     return tuple(pairs)
 
 
 def _one_of(choices: tuple[str, ...]):
-    def read(value: str, key: str, lineno: int) -> str:
+    def read(value: str) -> str:
         if value not in choices:
-            raise ProfileError(
-                f"{key} must be one of {', '.join(choices)}, got {value!r}", line=lineno
-            )
+            raise ValueError(f"must be one of {', '.join(choices)}, got {value!r}")
         return value
 
     return read
 
 
-def _version(value: str, key: str, lineno: int) -> SemVer:
-    try:
-        return SemVer.parse(value)
-    except ProfileError as exc:
-        raise ProfileError(str(exc), line=lineno) from None
-
-
-def _one_line(value: str, key: str, lineno: int) -> str | None:
-    return value or None
-
-
-def _as_is(value: str, key: str, lineno: int) -> str:
-    return value
-
-
 # key -> reader of its value, in file order; a key without a default in
 # the record is mandatory
 _CLUSTER_READERS = {
-    "name": _as_is,
+    "name": str,
     "scheduler": _one_of(SCHEDULERS),
     "gpus_per_node": _positive_int,
     "gpu_nodes": _positive_int,
-    "openmpi_version": _version,
-    "container_runtime_path": _as_is,
-    "module_loads": lambda value, key, lineno: _split_list(value),
-    "interconnect": _as_is,
-    "partition": _one_line,
-    "account": _one_line,
+    "openmpi_version": SemVer.parse,
+    "container_runtime_path": str,
+    "module_loads": _split_list,
+    "interconnect": str,
+    "partition": lambda value: value or None,
+    "account": lambda value: value or None,
     "default_mounts": _split_pairs,
 }
 
@@ -296,7 +307,12 @@ def _read_fields(entries: dict[str, tuple[str, int]], readers: dict, record: typ
     for key, read in readers.items():
         if key in entries:
             value, lineno = entries[key]
-            fields[key] = read(value, key, lineno)
+            try:
+                fields[key] = read(value)
+            except ProfileError as exc:  # SemVer.parse names the version itself
+                raise ProfileError(str(exc), line=lineno) from None
+            except ValueError as exc:
+                raise ProfileError(f"{key} {exc}", line=lineno) from None
         elif record._defaults[key] is _MISSING:
             raise ProfileError(f"missing mandatory key {key!r}")
     return fields
@@ -326,9 +342,7 @@ def render_cluster_profile(profile: ClusterProfile) -> str:
     for key in _CLUSTER_READERS:
         value = getattr(profile, key)
         if value != ClusterProfile._defaults[key]:
-            if isinstance(value, tuple):  # a list, of words or of src:dst pairs
-                value = ", ".join(v if isinstance(v, str) else ":".join(v) for v in value)
-            lines.append(f"{key} = {value}")
+            lines.append(f"{key} = {_text(value)}")
     lines += [f"{key} = {value}" for key, value in profile.extra]
     return "\n".join(lines) + "\n"
 
@@ -378,11 +392,11 @@ def _word(pattern: re.Pattern, what: str):
     """A reader of one word of ``pattern`` whose last path component names no
     privileged command."""
 
-    def read(value: str, key: str, lineno: int) -> str:
+    def read(value: str) -> str:
         if not pattern.fullmatch(value):
-            raise ProfileError(f"{key} {value!r} is not {what}", line=lineno)
+            raise ValueError(f"{value!r} is not {what}")
         if posixpath.basename(value) in PRIVILEGED_TOKENS:
-            raise ProfileError(f"{key} {value!r} names a privileged command", line=lineno)
+            raise ValueError(f"{value!r} names a privileged command")
         return value
 
     return read
@@ -393,30 +407,27 @@ _path = _word(_PATH_RE, f"a path of {_CHARS}")
 _package = _word(_PACKAGE_RE, "a package name ([a-z0-9][a-z0-9+.-]*, optionally =version)")
 
 
-def _script_path(value: str, key: str, lineno: int) -> str | None:
+def _script_path(value: str) -> str | None:
     if not value:
         return None
     # the script is copied in under its file name
     name = posixpath.basename(value)
     if name in ("", ".", "..") or name.startswith("-"):
-        raise ProfileError(f"{key} {value!r} does not end in a file name", line=lineno)
-    return _path(value, key, lineno)
+        raise ValueError(f"{value!r} does not end in a file name")
+    return _path(value)
 
 
 _SPEC_READERS = {
     "base_image": _word(_IMAGE_RE, f"an image reference of {_CHARS}"),
     "strategy": _one_of(STRATEGIES),
     "horovod_version": _word(re.compile(_VERSION_WORD), f"one version word ({_VERSION_WORD})"),
-    "openmpi_version": _version,
-    "system_packages": lambda value, key, lineno: tuple(
-        _package(p, key, lineno) for p in _split_list(value) if p
-    ),
-    "code_copies": lambda value, key, lineno: tuple(
-        (_path(src, key, lineno), _path(dst, key, lineno))
-        for src, dst in _split_pairs(value, key, lineno)
+    "openmpi_version": SemVer.parse,
+    "system_packages": lambda value: tuple(_package(p) for p in _split_list(value) if p),
+    "code_copies": lambda value: tuple(
+        (_path(src), _path(dst)) for src, dst in _split_pairs(value)
     ),
     "entrypoint_path": _script_path,
-    "registry": lambda value, key, lineno: value and _path(value, key, lineno),
+    "registry": lambda value: value and _path(value),
 }
 
 

@@ -669,6 +669,7 @@ class TestPerfPredict:
         [
             (["--link-bandwidth", "1e-320"], "comm_seconds of the 2-GPU prediction"),
             (["--single-gpu-ips", "1e308", "--ideal"], "images_per_sec of the 2-GPU prediction"),
+            (["--batch-per-gpu", "1" + "0" * 308], "images_per_sec of the 2-GPU prediction"),
         ],
     )
     def test_non_finite_prediction_exits_one(self, extra, message, capsys):
@@ -677,6 +678,26 @@ class TestPerfPredict:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {message} is not finite (inf)\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--params", "1" + "0" * 400],
+            ["--batch-per-gpu", "1" + "0" * 400],
+            ["--bytes-per-param", "1" + "0" * 400],
+            ["--params", "1" + "0" * 300, "--bytes-per-param", "10000000000"],
+        ],
+        ids=["params", "batch-per-gpu", "bytes-per-param", "payload"],
+    )
+    def test_integer_beyond_float_range_exits_one(self, extra, capsys):
+        argv = ["perf", "predict", "--params", "1", "--batch-per-gpu", "1",
+                "--single-gpu-ips", "1", *extra, "--p-max", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: param_count, batch_per_gpu, bytes_per_param and the payload "
+            "param_count * bytes_per_param must be within the float range\n"
+        )
 
 
 class TestBenchReport:
@@ -709,6 +730,15 @@ class TestBenchReport:
         code, out, _ = run_cli(["bench", "report", f"1:{log}"], capsys)
         assert code == 0
         assert out == "gpus,mean,ci95,speedup\n1,42,,1\n"
+
+    def test_samples_an_ulp_apart(self, tmp_path, capsys):
+        log = tmp_path / "ulp.log"
+        log.write_text(
+            "iter 1: 1 images/sec\niter 2: 1.0000000000000002 images/sec\n"
+            "iter 3: 1 images/sec\n"
+        )
+        code, out, _ = run_cli(["bench", "report", f"1:{log}"], capsys)
+        assert (code, out) == (0, "gpus,mean,ci95,speedup\n1,1,3.1846e-16,1\n")
 
     def test_missing_baseline_exits_one(self, capsys):
         code, _, err = run_cli(
@@ -953,3 +983,28 @@ class TestColdStartImports:
         assert hpcflow.ClusterProfile is profiles.ClusterProfile
         with pytest.raises(AttributeError):
             hpcflow.not_a_name
+
+
+class TestNoRuntimeDependencies:
+    def test_every_import_is_stdlib_or_hpcflow(self):
+        import ast
+
+        foreign = []
+        for path in sorted(Path(hpcflow.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.partition(".")[0]
+                    if top != "hpcflow" and top not in sys.stdlib_module_names:
+                        foreign.append(f"{path.name}:{node.lineno}: {name}")
+        assert foreign == []
+
+    def test_pyproject_lists_no_dependencies(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        assert tomllib.loads(pyproject.read_text())["project"].get("dependencies", []) == []

@@ -563,6 +563,62 @@ class TestGeneratedDockerfileProperty:
         assert lint(ast).counts["error"] == 0, dockerfile
 
 
+def _spoiled(draw, value):
+    """``value`` with one hostile piece put into one of its words."""
+    if isinstance(value, tuple):
+        if not value:
+            return (draw(_HOSTILE),)
+        at = draw(st.integers(0, len(value) - 1))
+        return value[:at] + (_spoiled(draw, value[at]),) + value[at + 1 :]
+    at = draw(st.integers(0, len(value)))
+    return value[:at] + draw(_HOSTILE) + value[at:]
+
+
+@st.composite
+def _spec_fields(draw) -> dict:
+    """``EnvironmentSpec`` fields as code might pass them; one may hold hostile text.
+
+    Copy words may hold ``:`` and ``,``, which no spec text can put in one word.
+    """
+    from hpcflow.profiles import SemVer
+
+    strategy = draw(st.sampled_from(["tags", "ngc", "entrypoint"]))
+    fields = {
+        "base_image": draw(_joined(_PATH_CHAR, _PATH_CHAR | st.just("\u00dc"))),
+        "strategy": strategy,
+        "horovod_version": draw(_VERSION),
+        "openmpi_version": None if strategy == "tags" else SemVer(4, 0, 1),
+        "system_packages": tuple(draw(st.lists(_PACKAGE, max_size=3))),
+        "code_copies": tuple(draw(st.lists(st.tuples(_PATH_WORD, _PATH_WORD), max_size=3))),
+        "entrypoint_path": draw(_PATH_WORD if strategy == "entrypoint" else st.none()),
+        "registry": draw(st.just("") | _PATH_WORD),
+    }
+    spoiled = draw(st.sampled_from([None, None, None, *fields]))
+    if spoiled not in (None, "strategy", "openmpi_version") and fields[spoiled] is not None:
+        fields[spoiled] = _spoiled(draw, fields[spoiled])
+    return fields
+
+
+class TestBuiltSpecDockerfileProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_spec_fields())
+    def test_every_built_spec_gives_a_clean_dockerfile(self, fields):
+        from hpcflow.dockerfile import generate_dockerfile, render_dockerfile
+        from hpcflow.lint import _words
+        from hpcflow.profiles import EnvironmentSpec
+
+        try:
+            spec = EnvironmentSpec(**fields)
+        except ProfileError:
+            assume(False)
+        ast = generate_dockerfile(spec)
+        dockerfile = render_dockerfile(ast)
+        assert find_privileged_tokens(dockerfile) == [], dockerfile
+        for instr in ast.instructions:
+            if instr.kind == "COPY":
+                assert len(_words(instr)) == 2, dockerfile
+
+
 class TestGridPlan:
     def test_layout_without_launcher_fields(self):
         plan = grid_plan(2, 3, {"FOO": "bar", "PATH": None})

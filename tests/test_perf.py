@@ -270,11 +270,16 @@ class TestSummarize:
         import statistics
 
         rng = random.Random(11)
-        for _ in range(300):
+        for i in range(600):
             n = rng.choice([2, 3, 10, 32, 100, 316, 1000])
             centre = 10 ** rng.uniform(-3, 6)
-            spread = centre * rng.uniform(0.001, 1.0)
-            samples = tuple(rng.uniform(centre, centre + spread) for _ in range(n))
+            if i % 2:  # a few ulps apart, where fsum / n is rounded off the samples
+                ulp = math.ulp(centre)
+                samples = tuple(centre + rng.randint(-3, 3) * ulp for _ in range(n - 1))
+                samples += (centre + ulp,)
+            else:
+                spread = centre * rng.uniform(0.001, 1.0)
+                samples = tuple(rng.uniform(centre, centre + spread) for _ in range(n))
             summary = summarize(BenchRun("x", 1, samples))
             assert summary.mean == statistics.fmean(samples)
             expected = _t_quantile(0.975, n - 1) * statistics.stdev(samples) / math.sqrt(n)
@@ -294,6 +299,18 @@ class TestSummarize:
         assert (f"{summary.mean:.6g}", f"{summary.ci95_half_width:.6g}") == (
             "2e+200",
             "1.27062e+201",
+        )
+
+    def test_deviations_whose_sum_overflows(self):
+        # the deviations' partial sums pass the float range, their hypot does not
+        samples = (1.66e307, -2.78e306, -5.71e307, 2.93e307, 3.65e307, 1.56e307, 3.44e307,
+                   -3.21e306, 1.25e307, -3.85e307, -2.59e307, -7.77e307, 6.32e307, -8.62e307,
+                   -8e307)
+        mean = math.fsum(samples) / 15
+        sd = math.hypot(*[x - mean for x in samples]) / math.sqrt(14)
+        expected = _t_quantile(0.975, 14) * sd / math.sqrt(15)
+        assert summarize(BenchRun("x", 1, samples)).ci95_half_width == pytest.approx(
+            expected, rel=1e-12
         )
 
     @pytest.mark.parametrize(

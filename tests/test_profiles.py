@@ -10,6 +10,7 @@ from hpcflow.errors import ProfileError
 from hpcflow.profiles import (
     SCHEDULERS,
     ClusterProfile,
+    EnvironmentSpec,
     ImageRef,
     SemVer,
     parse_cluster_profile,
@@ -410,6 +411,181 @@ class TestSpecWords:
     )
     def test_accepted(self, key, value, field):
         assert getattr(parse_env_spec(_entrypoint_spec(**{key: value})[0]), key) == field
+
+
+_PATH_CHARS = "letters, digits and @%+=:,./^_-, not starting with -"
+
+
+class TestReaderErrorLines:
+    """The whole message of one failing value per fallible reader, pinned."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("scheduler", "pbs", "line 3: scheduler must be one of slurm, none, got 'pbs'"),
+            ("gpus_per_node", "two", "line 4: gpus_per_node must be an integer, got 'two'"),
+            ("gpu_nodes", "0", "line 5: gpu_nodes must be >= 1, got 0"),
+            (
+                "openmpi_version",
+                "four",
+                "line 6: unparseable version 'four' (expected MAJOR.MINOR[.PATCH])",
+            ),
+            (
+                "default_mounts",
+                "/a:/b, /c",
+                "line 8: default_mounts entries must be 'src:dst', got '/c'",
+            ),
+        ],
+    )
+    def test_cluster(self, key, value, message):
+        lines = {
+            "name": "x",
+            "scheduler": "slurm",
+            "gpus_per_node": "1",
+            "gpu_nodes": "1",
+            "openmpi_version": "4.0",
+            "container_runtime_path": "/u",
+            key: value,
+        }
+        text = "[cluster]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
+        with pytest.raises(ProfileError) as info:
+            parse_cluster_profile(text)
+        assert str(info.value) == message
+
+    def test_version_too_long_for_int_names_key_and_line(self):
+        # int() refuses more than 4300 digits with ValueError, not ProfileError
+        text = (
+            "[cluster]\nname = x\nscheduler = slurm\ngpus_per_node = 1\ngpu_nodes = 1\n"
+            f"openmpi_version = {'1' * 5000}.1\ncontainer_runtime_path = /u\n"
+        )
+        with pytest.raises(ProfileError, match="^line 6: openmpi_version "):
+            parse_cluster_profile(text)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (
+                "base_image",
+                "--platform=x",
+                f"line 2: base_image '--platform=x' is not an image reference of {_PATH_CHARS}",
+            ),
+            ("base_image", "sudo", "line 2: base_image 'sudo' names a privileged command"),
+            (
+                "strategy",
+                "docker",
+                "line 3: strategy must be one of tags, ngc, entrypoint, got 'docker'",
+            ),
+            (
+                "horovod_version",
+                "1 2",
+                "line 5: horovod_version '1 2' is not one version word "
+                "([A-Za-z0-9][A-Za-z0-9.+_-]*)",
+            ),
+            (
+                "openmpi_version",
+                "4",
+                "line 4: unparseable version '4' (expected MAJOR.MINOR[.PATCH])",
+            ),
+            (
+                "system_packages",
+                "Vim",
+                "line 7: system_packages 'Vim' is not a package name "
+                "([a-z0-9][a-z0-9+.-]*, optionally =version)",
+            ),
+            (
+                "system_packages",
+                "git, sudo",
+                "line 7: system_packages 'sudo' names a privileged command",
+            ),
+            ("code_copies", "a", "line 7: code_copies entries must be 'src:dst', got 'a'"),
+            ("code_copies", "a b:/c", f"line 7: code_copies 'a b' is not a path of {_PATH_CHARS}"),
+            (
+                "entrypoint_path",
+                "/opt/",
+                "line 6: entrypoint_path '/opt/' does not end in a file name",
+            ),
+            (
+                "entrypoint_path",
+                "/opt/my entry.sh",
+                f"line 6: entrypoint_path '/opt/my entry.sh' is not a path of {_PATH_CHARS}",
+            ),
+            ("registry", "r$x", f"line 7: registry 'r$x' is not a path of {_PATH_CHARS}"),
+            ("registry", "/bin/su", "line 7: registry '/bin/su' names a privileged command"),
+        ],
+    )
+    def test_spec(self, key, value, message):
+        with pytest.raises(ProfileError) as info:
+            parse_env_spec(_entrypoint_spec(**{key: value})[0])
+        assert str(info.value) == message
+
+
+class TestSpecBuiltInCode:
+    """An ``EnvironmentSpec`` built in code is checked like a parsed one."""
+
+    _NGC = dict(base_image="a:1", strategy="ngc", horovod_version="1")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"system_packages": ("vim; sudo id",)},
+                "system_packages 'vim; sudo id' is not a package name "
+                "([a-z0-9][a-z0-9+.-]*, optionally =version)",
+            ),
+            (
+                {"code_copies": (("a b", "/c"),)},
+                f"code_copies 'a b' is not a path of {_PATH_CHARS}",
+            ),
+            (
+                {"code_copies": (("a:b", "/c"),)},
+                "code_copies (('a:b', '/c'),) reads back as (('a', 'b:/c'),)",
+            ),
+            (
+                {"strategy": "tags", "horovod_version": "0.21.3 && sudo id"},
+                "horovod_version '0.21.3 && sudo id' is not one version word "
+                "([A-Za-z0-9][A-Za-z0-9.+_-]*)",
+            ),
+            (
+                {"strategy": "entrypoint", "entrypoint_path": "/opt/my entry.sh"},
+                f"entrypoint_path '/opt/my entry.sh' is not a path of {_PATH_CHARS}",
+            ),
+            (
+                {"system_packages": ("git,vim",)},
+                "system_packages ('git,vim',) reads back as ('git', 'vim')",
+            ),
+            (
+                {"openmpi_version": "4.0.1"},
+                "openmpi_version '4.0.1' reads back as "
+                "SemVer(major=4, minor=0, patch=1, patch_specified=True)",
+            ),
+            (
+                {"openmpi_version": SemVer(-1, 0)},
+                "openmpi_version unparseable version '-1.0.0' (expected MAJOR.MINOR[.PATCH])",
+            ),
+        ],
+        ids=[
+            "package",
+            "copy-space",
+            "copy-colon",
+            "horovod",
+            "entrypoint",
+            "package-comma",
+            "version-text",
+            "version-negative",
+        ],
+    )
+    def test_refused_naming_the_key(self, fields, message):
+        with pytest.raises(ProfileError) as info:
+            EnvironmentSpec(**{**self._NGC, **fields})
+        assert (str(info.value), info.value.line) == (message, None)
+
+    def test_replace_is_checked(self, entrypoint_spec):
+        with pytest.raises(ProfileError, match="^registry 'a b' is not a path"):
+            entrypoint_spec.replace(registry="a b")
+
+    def test_parsed_fixtures_build_again(self, entrypoint_spec, ngc_spec, tags_spec):
+        for spec in (entrypoint_spec, ngc_spec, tags_spec):
+            assert spec.replace() == spec
 
 
 class TestNormalizeImageRef:
