@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 # Each command imports the layers it runs, so a cold start loads only those.
-from hpcflow.errors import HpcflowError
+from hpcflow.errors import HpcflowError, ImageRef
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -74,8 +74,6 @@ def _tag_list(text: str) -> list[str]:
 
 
 def _default_container_name(image_ref: str) -> str:
-    from hpcflow.profiles import ImageRef
-
     name = re.sub(r"[^A-Za-z0-9_.-]", "-", ImageRef.parse(image_ref).name)
     return name.lstrip("._-") or "container"
 

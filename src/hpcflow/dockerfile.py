@@ -5,17 +5,25 @@ backslash continuations (plus blank or comment lines inside them) join
 their instruction, unrecognized directives become lossless ``UNKNOWN``
 nodes, and comments and blank lines are kept as ``COMMENT`` nodes so rule
 reports can point at real line numbers.
+
+A JSON list of strings after RUN, CMD, ENTRYPOINT, COPY or ADD is kept in
+exec form, as canonical JSON; so the ``["src", ..., "dest"]`` form of COPY
+and ADD reaches lint as words, like the shell form.  Only the functions that
+read or write such a list import ``json``, so a Dockerfile without one is
+parsed and linted without loading it.
 """
 
 from __future__ import annotations
 
-import json
 import posixpath
 import re
+from collections.abc import Iterator
 
 from hpcflow.errors import DockerfileError, Record
-from hpcflow.profiles import EnvironmentSpec
-from hpcflow.recon import DEFAULT_INSTALLERS, default_cmd_args
+
+# The annotation ``EnvironmentSpec`` is ``hpcflow.profiles.EnvironmentSpec``,
+# not imported so that parsing and linting do not load the profile layer;
+# ``generate_dockerfile`` imports ``recon`` when called, for the same reason.
 
 KNOWN_KINDS = frozenset(
     {
@@ -34,8 +42,8 @@ KNOWN_KINDS = frozenset(
         "VOLUME",
     }
 )
-# instructions whose arguments may be a bracketed token list
-_EXEC_KINDS = frozenset({"RUN", "CMD", "ENTRYPOINT"})
+# instructions whose arguments may be a JSON list of strings
+_EXEC_KINDS = frozenset({"RUN", "CMD", "ENTRYPOINT", "COPY", "ADD"})
 # tolerated before the first FROM
 _PREAMBLE_KINDS = frozenset({"ARG", "COMMENT", "UNKNOWN"})
 
@@ -45,7 +53,6 @@ _ESCAPE_DIRECTIVE_RE = re.compile(r"^#\s*escape\s*=", re.IGNORECASE)
 _HEREDOC_KINDS = frozenset({"RUN", "COPY", "ADD"})
 _RAW_WORD_RE = re.compile(r"""(?:[^\s'"\\]+|'[^']*'|"(?:[^"\\]|\\.)*"|\\.|['"\\])+""", re.DOTALL)
 _HEREDOC_WORD_RE = re.compile(r"\d*<<-?[^<]+")
-_WORD_RE = re.compile(r"^\s*(\S+)(?:\s+(.*))?$", re.DOTALL)
 
 
 class Instruction(Record):
@@ -53,9 +60,12 @@ class Instruction(Record):
 
     ``args`` holds the argument text with continuations collapsed; for
     exec-form instructions it is normalized to a canonical bracketed,
-    double-quoted token list.  ``COMMENT`` and ``UNKNOWN`` keep their raw
-    line verbatim in ``args``.  ``line_span`` records source lines and is
-    excluded from equality, since rendering collapses continuations.
+    double-quoted token list.  Exec form is a JSON list of strings after
+    RUN, CMD or ENTRYPOINT, and also after COPY or ADD, whose sources and
+    destination ``exec_tokens`` then gives as words.  ``COMMENT`` and
+    ``UNKNOWN`` keep their raw line verbatim in ``args``.  ``line_span``
+    records source lines and is excluded from equality, since rendering
+    collapses continuations.
     """
 
     kind: str
@@ -81,12 +91,54 @@ def exec_tokens(instr: Instruction) -> list[str] | None:
     """Return the token list of an exec-form instruction, else None."""
     if not instr.exec_form:
         return None
+    import json
+
     return json.loads(instr.args)
 
 
 def make_exec(kind: str, tokens: list[str], line: int = 0) -> Instruction:
     """Build an exec-form instruction with canonical argument text."""
+    import json
+
     return Instruction(kind, json.dumps(tokens), exec_form=True, line_span=(line, line))
+
+
+def _canonical_exec(text: str) -> str | None:
+    """``text`` rewritten as canonical JSON if it is a JSON list of strings, else None."""
+    import json
+
+    try:
+        tokens = json.loads(text)
+    except ValueError:
+        return None
+    if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
+        return json.dumps(tokens)
+    return None
+
+
+def _join_continuation(
+    line: str, numbered: Iterator[tuple[int, str]], end: int
+) -> tuple[str, int]:
+    """Join the instruction that starts with ``line``, number ``end``, ending in ``\\``.
+
+    Reads the lines it joins from ``numbered``; blank and comment lines
+    among them add no text.  Returns the joined text and the number of its
+    last line.
+    """
+    parts = []
+    while True:
+        body = line.rstrip()
+        if not body.endswith("\\"):
+            parts.append(line)
+            break
+        parts.append(body[:-1])
+        for end, line in numbered:
+            s = line.strip()
+            if s and s[0] != "#":
+                break
+        else:
+            break
+    return "".join(parts), end
 
 
 def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst:
@@ -98,86 +150,66 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
 
     Raises:
         DockerfileError: when a recognized non-ARG instruction appears
-            before any FROM, an escape directive is declared, or a RUN,
-            COPY or ADD opens a heredoc.
+            before any FROM, an escape directive is declared, a RUN, COPY
+            or ADD opens a heredoc, or a continuation holds no instruction.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
 
     instructions: list[Instruction] = []
+    append = instructions.append
     seen_from = False
     directive_zone = True  # parser directives may only precede everything else
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
+    numbered = enumerate(lines, 1)
+    for start, raw in numbered:
         stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            if stripped and directive_zone and _ESCAPE_DIRECTIVE_RE.match(stripped):
+        if not stripped or stripped[0] == "#":
+            if directive_zone and stripped and _ESCAPE_DIRECTIVE_RE.match(stripped):
                 raise DockerfileError(
                     "escape directives are not supported (backslash continuation only)",
-                    line=i + 1,
+                    line=start,
                 )
-            instructions.append(Instruction("COMMENT", raw, line_span=(i + 1, i + 1)))
-            i += 1
+            append(Instruction("COMMENT", raw, False, (start, start)))
             continue
 
         directive_zone = False
-        start = i
-        buf = lines[i]
-        i += 1
-        while buf.rstrip().endswith("\\"):
-            buf = buf.rstrip()[:-1]
-            # blank and comment lines inside a continuation are consumed
-            # without contributing text
-            appended = False
-            while i < len(lines):
-                nxt = lines[i]
-                s = nxt.strip()
-                i += 1
-                if s == "" or s.startswith("#"):
-                    continue
-                buf += nxt
-                appended = True
-                break
-            if not appended:
-                break
-
-        span = (start + 1, i)
-        m = _WORD_RE.match(buf)
-        assert m is not None  # buf contains at least one non-space char
-        keyword = m.group(1).upper()
-        if keyword in KNOWN_KINDS:
-            kind = keyword
-            args = (m.group(2) or "").strip()
-        else:
-            kind = "UNKNOWN"
-            args = buf
+        end = start
+        if stripped[-1] == "\\":
+            raw, end = _join_continuation(raw, numbered, end)
+            stripped = raw.strip()
+            if not stripped:
+                raise DockerfileError("line continuation without an instruction", line=start)
+        kind, _, args = stripped.partition(" ")
+        if kind in KNOWN_KINDS:
+            args = args.lstrip()
+        else:  # another separator or case, or no instruction
+            # split() and strip() break at str.isspace characters, as \s does
+            words = stripped.split(None, 1)
+            kind = words[0].upper()
+            if kind in KNOWN_KINDS:
+                args = words[1] if len(words) > 1 else ""
+            else:
+                kind, args = "UNKNOWN", raw
 
         if (
-            kind in _HEREDOC_KINDS
-            and "<<" in args
+            "<<" in args
+            and kind in _HEREDOC_KINDS
             and any(_HEREDOC_WORD_RE.fullmatch(w) for w in _RAW_WORD_RE.findall(args))
         ):
-            raise DockerfileError(f"{kind} heredocs are not supported", line=start + 1)
+            raise DockerfileError(f"{kind} heredocs are not supported", line=start)
         if kind == "FROM":
             seen_from = True
-        elif kind not in _PREAMBLE_KINDS and not seen_from:
-            raise DockerfileError(
-                f"{kind} instruction before any FROM", line=start + 1
-            )
+        elif not seen_from and kind not in _PREAMBLE_KINDS:
+            raise DockerfileError(f"{kind} instruction before any FROM", line=start)
 
         exec_form = False
-        if kind in _EXEC_KINDS and args.startswith("["):
-            try:
-                tokens = json.loads(args)
-            except ValueError:
-                tokens = None
-            if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
-                args = json.dumps(tokens)
-                exec_form = True
+        if args[:1] == "[" and kind in _EXEC_KINDS:
+            canonical = _canonical_exec(args)
+            if canonical is not None:
+                args, exec_form = canonical, True
 
-        instructions.append(Instruction(kind, args, exec_form, span))
+        append(Instruction(kind, args, exec_form, (start, end)))
 
     return DockerfileAst(tuple(instructions), source_name=source_name)
 
@@ -219,6 +251,8 @@ def generate_dockerfile(spec: EnvironmentSpec) -> DockerfileAst:
         DockerfileError: entrypoint strategy without entrypoint_path
             (normally impossible for parsed specs).
     """
+    from hpcflow.recon import DEFAULT_INSTALLERS, default_cmd_args
+
     instructions: list[Instruction] = []
 
     def shell(kind: str, args: str) -> None:

@@ -1,4 +1,9 @@
-"""Exception types, and the ``Record`` base of the data classes, shared across the toolkit."""
+"""Exception types, the ``Record`` base of the data classes, and ``ImageRef``.
+
+Every verb loads this module.  ``ImageRef`` lives here, not in ``profiles``
+(which re-exports it), so that ``image lint`` reads image references
+without loading the profile layer.
+"""
 
 from __future__ import annotations
 
@@ -67,6 +72,42 @@ class Record:
     def replace(self, **changes: object) -> Record:
         """A copy with ``changes`` applied, built and validated like a new record."""
         return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+
+class ImageRef(Record):
+    """A container image reference ``repo[:tag][@digest]``.
+
+    ``repo`` keeps any registry host (port included) and path.  Parsing
+    never fails and loses nothing: ``str(ImageRef.parse(s)) == s``.
+    """
+
+    repo: str
+    tag: str | None = None
+    digest: str | None = None
+
+    @classmethod
+    def parse(cls, ref: str) -> "ImageRef":
+        rest, at, digest = ref.partition("@")
+        head, slash, last = rest.rpartition("/")
+        name, colon, tag = last.rpartition(":")
+        if not colon:
+            name, tag = last, None
+        return cls(f"{head}{slash}{name}", tag, digest if at else None)
+
+    def __str__(self) -> str:
+        tag = "" if self.tag is None else f":{self.tag}"
+        digest = "" if self.digest is None else f"@{self.digest}"
+        return f"{self.repo}{tag}{digest}"
+
+    @property
+    def name(self) -> str:
+        """The last path component of the repository."""
+        return self.repo.rpartition("/")[2]
+
+    @property
+    def pinned(self) -> bool:
+        """True for a digest or an explicit tag other than ``latest``."""
+        return self.digest is not None or self.tag not in (None, "latest")
 
 
 class HpcflowError(Exception):

@@ -28,7 +28,7 @@ import posixpath
 import re
 from functools import total_ordering
 
-from hpcflow.errors import _MISSING, ProfileError, Record
+from hpcflow.errors import _MISSING, ImageRef, ProfileError, Record
 
 _VERSION_RE = re.compile(r"(\d+)\.(\d+)(?:\.(\d+))?")
 _KEY_RE = re.compile(r"[a-z_]+")
@@ -108,42 +108,6 @@ class SemVer(Record):
         if self.patch_specified:
             return f"{self.major}.{self.minor}.{self.patch}"
         return f"{self.major}.{self.minor}"
-
-
-class ImageRef(Record):
-    """A container image reference ``repo[:tag][@digest]``.
-
-    ``repo`` keeps any registry host (port included) and path.  Parsing
-    never fails and loses nothing: ``str(ImageRef.parse(s)) == s``.
-    """
-
-    repo: str
-    tag: str | None = None
-    digest: str | None = None
-
-    @classmethod
-    def parse(cls, ref: str) -> "ImageRef":
-        rest, at, digest = ref.partition("@")
-        head, slash, last = rest.rpartition("/")
-        name, colon, tag = last.rpartition(":")
-        if not colon:
-            name, tag = last, None
-        return cls(f"{head}{slash}{name}", tag, digest if at else None)
-
-    def __str__(self) -> str:
-        tag = "" if self.tag is None else f":{self.tag}"
-        digest = "" if self.digest is None else f"@{self.digest}"
-        return f"{self.repo}{tag}{digest}"
-
-    @property
-    def name(self) -> str:
-        """The last path component of the repository."""
-        return self.repo.rpartition("/")[2]
-
-    @property
-    def pinned(self) -> bool:
-        """True for a digest or an explicit tag other than ``latest``."""
-        return self.digest is not None or self.tag not in (None, "latest")
 
 
 class ClusterProfile(Record):

@@ -52,6 +52,11 @@ class TestParse:
         run = parse_dockerfile("FROM a:1\nRUN echo \\\n\n# c\n").instructions[1]
         assert (run.kind, run.args, run.line_span) == ("RUN", "echo", (2, 4))
 
+    @pytest.mark.parametrize("text", ["FROM a:1\n\\\n", "FROM a:1\n  \\\n# c\n\n"])
+    def test_continuation_without_instruction_rejected(self, text):
+        with pytest.raises(DockerfileError, match="line 2: line continuation without an instr"):
+            parse_dockerfile(text)
+
     def test_bracket_that_is_not_json_stays_shell_form(self):
         run = parse_dockerfile("FROM a:1\nRUN [not json\n").instructions[1]
         assert (run.args, run.exec_form) == ("[not json", False)
@@ -137,6 +142,130 @@ class TestParse:
         assert ast.instructions[1].args == ""
 
 
+class TestWhitespace:
+    # (kind, args, exec_form, line_span) pinned from the regex-based parser:
+    # every str.isspace character separates the keyword from its arguments
+    # and is stripped, while JSON reads only its own four whitespace characters
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+        pytest.param(
+            'FROM\ta:1\nRUN\techo\thi\t\n\tCMD\t["a",\t"b"]\nONBUILD\tx\t\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo\thi", False, (2, 2)),
+                ('CMD', '["a", "b"]', True, (3, 3)),
+                ("UNKNOWN", "ONBUILD\tx\t", False, (4, 4)),
+            ],
+            id="tab",
+        ),
+        pytest.param(
+            'FROM\x0ba:1\nRUN\x0becho\x0bhi\x0b\n\x0bCMD\x0b["a",\x0b"b"]\nONBUILD\x0bx\x0b\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo\x0bhi", False, (2, 2)),
+                ('CMD', '["a",\x0b"b"]', False, (3, 3)),
+                ("UNKNOWN", "ONBUILD\x0bx\x0b", False, (4, 4)),
+            ],
+            id="vt",
+        ),
+        pytest.param(
+            'FROM\x0ca:1\nRUN\x0cecho\x0chi\x0c\n\x0cCMD\x0c["a",\x0c"b"]\nONBUILD\x0cx\x0c\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo\x0chi", False, (2, 2)),
+                ('CMD', '["a",\x0c"b"]', False, (3, 3)),
+                ("UNKNOWN", "ONBUILD\x0cx\x0c", False, (4, 4)),
+            ],
+            id="ff",
+        ),
+        pytest.param(
+            'FROM\x1ca:1\nRUN\x1cecho\x1chi\x1c\n\x1cCMD\x1c["a",\x1c"b"]\nONBUILD\x1cx\x1c\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo\x1chi", False, (2, 2)),
+                ('CMD', '["a",\x1c"b"]', False, (3, 3)),
+                ("UNKNOWN", "ONBUILD\x1cx\x1c", False, (4, 4)),
+            ],
+            id="fs",
+        ),
+        pytest.param(
+            'FROM\x85a:1\nRUN\x85echo\x85hi\x85\n\x85CMD\x85["a",\x85"b"]\nONBUILD\x85x\x85\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo\x85hi", False, (2, 2)),
+                ('CMD', '["a",\x85"b"]', False, (3, 3)),
+                ("UNKNOWN", "ONBUILD\x85x\x85", False, (4, 4)),
+            ],
+            id="nel",
+        ),
+        pytest.param(
+            'FROM\xa0a:1\nRUN\xa0echo\xa0hi\xa0\n\xa0CMD\xa0["a",\xa0"b"]\nONBUILD\xa0x\xa0\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo\xa0hi", False, (2, 2)),
+                ('CMD', '["a",\xa0"b"]', False, (3, 3)),
+                ("UNKNOWN", "ONBUILD\xa0x\xa0", False, (4, 4)),
+            ],
+            id="nbsp",
+        ),
+        pytest.param(
+            'FROM a:1\nRUN echo hi \n CMD ["a", "b"]\nONBUILD x \n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo hi", False, (2, 2)),
+                ('CMD', '["a", "b"]', True, (3, 3)),
+                ("UNKNOWN", "ONBUILD x ", False, (4, 4)),
+            ],
+            id="line-sep",
+        ),
+        pytest.param(
+            'FROM\u3000a:1\nRUN\u3000echo\u3000hi\u3000\n'
+            '\u3000CMD\u3000["a",\u3000"b"]\nONBUILD\u3000x\u3000\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo\u3000hi", False, (2, 2)),
+                ('CMD', '["a",\u3000"b"]', False, (3, 3)),
+                ("UNKNOWN", "ONBUILD\u3000x\u3000", False, (4, 4)),
+            ],
+            id="ideographic",
+        ),
+        pytest.param(
+            'from a:1 as build\nrun echo hi\nCopy a b\nentrypoint ["x"]\n',
+            [
+                ("FROM", "a:1 as build", False, (1, 1)),
+                ("RUN", "echo hi", False, (2, 2)),
+                ("COPY", "a b", False, (3, 3)),
+                ('ENTRYPOINT', '["x"]', True, (4, 4)),
+            ],
+            id="lower-case",
+        ),
+        pytest.param(
+            'FROM a:1\r\nRUN echo hi\r\nMAINTAINER x\r\n\r\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo hi", False, (2, 2)),
+                ("UNKNOWN", "MAINTAINER x\r", False, (3, 3)),
+                ("COMMENT", "\r", False, (4, 4)),
+            ],
+            id="crlf",
+        ),
+        pytest.param(
+            'FROM a:1\nRUN echo one \\\n  # note\n\n  && echo two\\\n  && echo three\nLABEL a=b\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", "echo one   && echo two  && echo three", False, (2, 6)),
+                ("LABEL", "a=b", False, (7, 7)),
+            ],
+            id="continuation-over-comment",
+        ),
+        ],
+    )
+    def test_pinned_instructions(self, text, expected):
+        ast = parse_dockerfile(text)
+        assert [(i.kind, i.args, i.exec_form, i.line_span) for i in ast.instructions] == expected
+
+
 class TestRender:
     def test_fig2_round_trip_text(self):
         ast = parse_dockerfile(FIG2_TEXT)
@@ -153,6 +282,20 @@ class TestRender:
     def test_unknown_rendered_verbatim(self):
         ast = parse_dockerfile("FROM a:1\nMAINTAINER x\n")
         assert "MAINTAINER x" in render_dockerfile(ast).split("\n")
+
+    @pytest.mark.parametrize(
+        "line,tokens",
+        [
+            ('COPY ["src.tar", "/opt/"]', ["src.tar", "/opt/"]),
+            ('ADD  [ "a b",\t"c" ,"/d/" ]', ["a b", "c", "/d/"]),
+            ('copy ["x\\u00e9", "/y"]', ["x\u00e9", "/y"]),
+        ],
+    )
+    def test_json_copy_and_add_round_trip(self, line, tokens):
+        ast = parse_dockerfile(f"FROM a:1\n{line}\n")
+        copy = ast.instructions[1]
+        assert copy.exec_form and exec_tokens(copy) == tokens
+        assert parse_dockerfile(render_dockerfile(ast)) == ast
 
     def test_corpus_fixed_point(self):
         for path in corpus_paths():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import re
 import shlex
 import time
@@ -198,6 +200,13 @@ class TestTf2:
             for copy_line, path, run_line in expect
         ], body
 
+    def test_json_form_copy_then_extract(self):
+        text = 'FROM a:1\nCOPY ["src.tar", "/opt/"]\nRUN tar xf /opt/src.tar\n'
+        assert machine_report(lint(parse_dockerfile(text))) == (
+            "TF2:warning:2:archive /opt/src.tar is copied here and extracted on line 3, "
+            "leaving the archive in its own layer\n"
+        )
+
     def test_copy_archive_then_extract(self):
         report = _findings(CORPUS / "04_copy_archive_extract.dockerfile")
         (finding,) = report.findings
@@ -254,12 +263,29 @@ class TestP1:
             ("FROM base\nFROM ubuntu:22.04 AS base\n", ["base image base has no tag"]),
             ("FROM scratch\n", []),
             ("FROM --platform=x\n", []),
+            # $NAME and ${NAME} take the defaults of the ARGs before the first FROM
+            ("ARG BASE=ubuntu\nFROM $BASE AS build\n", ["base image ubuntu has no tag"]),
+            ("ARG base=ubuntu:20.04\nFROM ${base}\n", []),
+            (
+                'ARG a=1 b="ubuntu:latest"\nFROM ${b}\n',
+                ["base image ubuntu:latest uses the floating tag 'latest'"],
+            ),
+            ("ARG s=build\nFROM u:1 AS build\nFROM ${s}\n", []),
+            # a reference without such a default is checked as written
+            ("ARG B\nFROM ${B}\n", ["base image ${B} has no tag"]),
+            ("FROM a:1\nARG c=ubuntu\nFROM $c\n", ["base image $c has no tag"]),
+            ("ARG t=1\nFROM ubuntu:${t}-$u\n", []),
         ],
     )
     def test_from_patterns(self, text, expect):
         report = lint(parse_dockerfile(text))
         got = [f.message.split(";")[0] for f in report.findings if f.rule_id == "P1"]
         assert got == expect, text
+
+
+    def test_arg_before_from_resolves_fixture(self):
+        text = (FIXTURES / "dockerfiles" / "p04_comments_blanks.dockerfile").read_text()
+        assert lint(parse_dockerfile(text)).findings == ()
 
 
 class TestStructure:
@@ -319,3 +345,140 @@ class TestMachineReport:
             assert severity == finding.severity
             assert int(lineno) == finding.line
             assert message == finding.message
+
+
+def _large_dockerfile(seed: int, instructions: int) -> str:
+    """A seeded multi-stage Dockerfile that mixes every rule's shapes.
+
+    Besides the smells it holds quoted and unbalanced text, exec-form RUNs,
+    ``NAME=value`` and ``env`` prefixes, operators glued to words,
+    continuations with comment lines inside, lower-case keywords and FROM
+    flags.  Its FROMs hold no ``$`` and its COPYs and ADDs no JSON list.
+    """
+    rng = random.Random(seed)
+    lines: list[str] = []
+    count = 0
+    stage = 0
+    later: list[str] = []  # removals and extractions written a few lines on
+
+    def add(*physical: str) -> None:
+        nonlocal count
+        lines.extend(physical)
+        count += 1
+
+    def new_stage() -> None:
+        nonlocal stage
+        base = rng.choice([
+            "ubuntu", "ubuntu:latest", "ubuntu:22.04", "python:3.11-slim",
+            "reg.io:5000/team/img", "img@sha256:abcd", "--platform=linux/amd64 alpine",
+            "--platform=linux/arm64 debian:12", "scratch",
+        ] + ([f"s{stage - 1}", f"S{stage - 1}"] if stage else []))
+        add(f"{rng.choice(['FROM', 'from', 'From'])} {base} AS s{stage}")
+        stage += 1
+
+    new_stage()
+    while count < instructions:
+        k = count
+        roll = rng.randrange(40)
+        if roll == 0:
+            if rng.random() < 0.25:  # a stage of about 160 instructions
+                new_stage()
+        elif roll == 1:
+            add(f"RUN wget http://example.com/a{k}.tgz")
+            later.append(f"RUN rm a{k}.tgz")
+        elif roll == 2:
+            add(f"RUN curl -o /tmp/t{k}.tgz http://example.com/t{k}.tgz")
+            later.append(f"RUN rm -rf /tmp/t{k}.tgz/")
+        elif roll == 3:
+            add(f"RUN curl -sSL -O http://example.com/d/c{k}.zip -o /tmp/o{k}")
+            later.append(f"RUN rm c{k}.zip /tmp/o{k} && unzip c{k}.zip")
+        elif roll == 4:
+            add(f"RUN A{k}=1 env B=2 wget -O /opt/p{k}.tgz http://e/p{k}.tgz"
+                f" && tar -xzf /opt/p{k}.tgz -C /srv/t{k}")
+            later.append(f"RUN X=1 rm -rf /srv/t{k} /opt/p{k}.tgz")
+        elif roll == 5:
+            add(f"COPY bundle{k}.tar.gz lib{k}.zip /srv/")
+            later.append(f"RUN tar xzf /srv/bundle{k}.tar.gz;unzip /srv/lib{k}.zip")
+        elif roll == 6:
+            add(f"COPY --chown=app src{k}.tgz /data/in{k}.tgz")
+            later.append(f"RUN tar -x -f /data/in{k}.tgz -C /tmp")
+        elif roll == 7:
+            add(f"ADD pkg{k}.tar.gz /opt/")
+            later.append(f"RUN tar xzf /opt/pkg{k}.tar.gz")
+        elif roll == 8:
+            add(f"RUN apt-get update && apt-get install -y p{k}")
+        elif roll == 9:
+            add(f"RUN apt-get install -y q{k} && rm -rf /var/lib/apt/lists/*")
+        elif roll == 10:
+            add(f"RUN yum install -y r{k}" + rng.choice(["", " && yum clean all"]))
+        elif roll == 11:
+            add(f"RUN apk add {rng.choice(['', '--no-cache '])}s{k}")
+        elif roll == 12:
+            add(f"RUN {rng.choice(['pip', 'pip3'])} install m{k}"
+                + rng.choice(["", " --no-cache-dir", " && pip cache purge"]))
+        elif roll == 13:
+            add(f"RUN echo 'apt-get install && rm -rf /srv/t{k}' > /tmp/q{k}")
+        elif roll == 14:
+            add(f'RUN echo "unbalanced {k} && rm -rf /srv/t{k}')
+        elif roll == 15:
+            add(f"RUN echo 'open {k} ; wget http://e/u{k}.tgz")
+        elif roll == 16:
+            add(f'RUN ["rm", "-rf", "/srv/t{k}"]')
+        elif roll == 17:
+            add(f'RUN ["sh", "-c", "wget http://e/x{k}.tgz"]')
+        elif roll == 18:
+            add(f"RUN wget http://e/g{k}.tgz&&rm g{k}.tgz||true")
+        elif roll == 19:
+            add(f"RUN wget http://e/h{k}.tgz \\", "# got", "", f"  && tar xzf h{k}.tgz -C /s/{k}")
+            later.append(f"RUN rm -rf /s/{k}/")
+        elif roll == 20:
+            add(f'ENTRYPOINT ["/bin/run{k}"]')
+        elif roll == 21:
+            add(rng.choice([f"CMD run{k}", f'CMD ["--flag{k}"]']))
+        elif roll == 22:
+            add(f"ENTRYPOINT /bin/sh -c run{k}")
+        elif roll == 23:
+            add(f"run rm a{k - 1}.tgz x\\ y{k} 'q z{k}'")
+        elif roll == 24:
+            add(f"copy a{k}.tar /srv/a{k}.tar")
+            later.append(f"RUN cd /srv && tar xf /srv/a{k}.tar")
+        elif roll == 25 and later:
+            add(later.pop(rng.randrange(len(later))))
+        elif roll == 26:
+            add(f"# comment {k}")
+        elif roll == 27:
+            add("")
+        elif roll == 28:
+            add(f"ARG v{k}=1")
+        elif roll == 29:
+            add(f"MAINTAINER someone{k}")
+        elif roll == 30:
+            add(f"RUN env rm -f /tmp/t{k - 1}.tgz | cat ; true")
+        else:
+            add(rng.choice([
+                f"RUN echo step{k} > /srv/log/{k}.txt",
+                f"ENV STEP_{k}=v{k}",
+                f"WORKDIR /srv/w{k}",
+                f"COPY s{k}.py /app/",
+                f"LABEL l{k}=v",
+                f"RUN mkdir -p /srv/d{k} && chmod 755 /srv/d{k}",
+            ]))
+        if later and rng.random() < 0.3:
+            add(later.pop(0))
+    lines.extend(later)
+    return "\n".join(lines) + "\n"
+
+
+# lines, findings and the sha256 of the machine report of _large_dockerfile(15, 3000)
+_LARGE_REPORT = (3163, 739, "f9b7fee389e9f79444dd83c996151ea4d28eff07c4507d8456037fcd6312a369")
+
+
+class TestLargeFile:
+    def test_report_is_pinned(self):
+        # the report as the rules read it when the walk was rewritten; a
+        # change here is a change of findings, to be made on purpose
+        text = _large_dockerfile(15, 3000)
+        report = lint(parse_dockerfile(text))
+        assert {f.rule_id for f in report.findings} == set(RULES)
+        digest = hashlib.sha256(machine_report(report).encode()).hexdigest()
+        assert (len(text.splitlines()), len(report.findings), digest) == _LARGE_REPORT
