@@ -36,7 +36,6 @@ COPY or ADD are its list.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 
 from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
 from hpcflow.errors import ImageRef, Record
@@ -238,14 +237,14 @@ def _check_run(
     created: dict[str, dict[int, None]],
     archives: dict[str, list[int]],
     flagged: set[int],
-    add: Callable[[SmellFinding], None],
+    findings: list[SmellFinding],
 ) -> None:
     """TF1, TF2 and TF3 for the words of the RUN on ``line``, given its stage's state so far."""
     if not _PATH_WORDS.isdisjoint(words):
         made, removed, extracted = _run_paths(words)
         for path in dict.fromkeys(removed):
             for creating_line in created.get(path, ()):
-                add(_finding(
+                findings.append(_finding(
                     "TF1",
                     line,
                     f"{path} was created on line {creating_line} and removed "
@@ -260,7 +259,7 @@ def _check_run(
             for copy_line in archives.get(path, ()):
                 if copy_line not in flagged:
                     flagged.add(copy_line)
-                    add(_finding(
+                    findings.append(_finding(
                         "TF2",
                         copy_line,
                         f"archive {path} is copied here and extracted on "
@@ -272,7 +271,7 @@ def _check_run(
         word_set, text = set(words), " ".join(words)
         for manager, (installs, cleans, fix) in _CACHE_CLEANERS.items():
             if manager in word_set and installs(word_set, text) and not cleans(word_set, text):
-                add(_finding(
+                findings.append(_finding(
                     "TF3",
                     line,
                     f"{manager} runs without a cache cleanup in the same RUN",
@@ -343,7 +342,6 @@ def lint(ast: DockerfileAst) -> SmellReport:
     E1 look only within a stage.
     """
     findings: list[SmellFinding] = []
-    add = findings.append
     stage_names = {"scratch"}
     arg_defaults: dict[str, str] = {}  # of the ARGs before the first FROM
     has_from = False
@@ -360,7 +358,7 @@ def lint(ast: DockerfileAst) -> SmellReport:
         if kind == "RUN":
             words = _words(instr)
             if not _RULE_WORDS.isdisjoint(words):
-                _check_run(words, instr.line_span[0], created, archives, flagged, add)
+                _check_run(words, instr.line_span[0], created, archives, flagged, findings)
         elif kind == "COPY":
             words = _words(instr)
             for src in words[:-1]:
@@ -376,7 +374,7 @@ def lint(ast: DockerfileAst) -> SmellReport:
             has_from = True
             finding = _p1(instr, stage_names, arg_defaults)
             if finding is not None:
-                add(finding)
+                findings.append(finding)
         elif kind == "ARG" and not has_from:
             arg_defaults.update(_arg_defaults(instr.args))
         elif kind == "ENTRYPOINT":

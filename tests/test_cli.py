@@ -975,13 +975,15 @@ class TestColdStartImports:
         assert {f"hpcflow.{layer}" for layer in _LAYERS} & modules == set()
 
     def test_every_public_name_resolves(self):
-        from hpcflow import profiles
+        from hpcflow import errors, profiles
 
         namespace: dict = {}
         exec("from hpcflow import *", namespace)
         for name in hpcflow.__all__:
             assert namespace[name] is getattr(hpcflow, name)
         assert hpcflow.ClusterProfile is profiles.ClusterProfile
+        # ImageRef lives in errors, so that image lint does not load profiles
+        assert hpcflow.ImageRef is profiles.ImageRef is errors.ImageRef
         with pytest.raises(AttributeError):
             hpcflow.not_a_name
 
