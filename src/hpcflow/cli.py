@@ -113,7 +113,6 @@ def cmd_image_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
     texts = {out: dockerfile.render_dockerfile(ast)}
     if spec.strategy == "entrypoint":
-        assert spec.entrypoint_path is not None
         script_path = out.parent / Path(spec.entrypoint_path).name
         if script_path == out:
             raise HpcflowError(

@@ -234,6 +234,12 @@ def render_dockerfile(ast: DockerfileAst) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SYSTEM_PACKAGES_INSTALL = (
+    "apt-get update && apt-get install -y --no-install-recommends {packages}"
+    " && rm -rf /var/lib/apt/lists/*"
+)
+
+
 def generate_dockerfile(spec: EnvironmentSpec) -> DockerfileAst:
     """Generate a workflow-conformant Dockerfile from an environment spec.
 
@@ -248,8 +254,6 @@ def generate_dockerfile(spec: EnvironmentSpec) -> DockerfileAst:
     Raises:
         ReconcileError: entrypoint strategy without a default
             openmpi_version for CMD.
-        DockerfileError: entrypoint strategy without entrypoint_path
-            (normally impossible for parsed specs).
     """
     from hpcflow.recon import DEFAULT_INSTALLERS, default_cmd_args
 
@@ -266,13 +270,11 @@ def generate_dockerfile(spec: EnvironmentSpec) -> DockerfileAst:
         shell("ARG", "openmpi_version")
     if spec.system_packages:
         packages = " ".join(spec.system_packages)
-        shell("RUN", DEFAULT_INSTALLERS.system_packages_install.format(packages=packages))
+        shell("RUN", _SYSTEM_PACKAGES_INSTALL.format(packages=packages))
     for src, dst in spec.code_copies:
         shell("COPY", f"{src} {dst}")
 
     if spec.strategy == "entrypoint":
-        if spec.entrypoint_path is None:
-            raise DockerfileError("entrypoint strategy requires entrypoint_path")
         script_src = posixpath.basename(spec.entrypoint_path)
         shell("COPY", f"{script_src} {spec.entrypoint_path}")
         shell("RUN", f"chmod +x {spec.entrypoint_path}")

@@ -82,11 +82,10 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
     Raises:
         LaunchError: when the request exceeds the cluster's capacity, the
             container name is not an identifier, an ``extra_env`` key is
-            not a shell identifier, the job name, partition or account
-            holds a line break or control character, the walltime is not
-            HH:MM:SS, or the
-            user command is empty for a strategy whose image has no
-            entrypoint to fall back on.
+            not a shell identifier, the job name holds a line break or
+            control character, the walltime is not HH:MM:SS, or the user
+            command is empty for a strategy whose image has no entrypoint
+            to fall back on.  The cluster profile was checked when built.
     """
     if req.nodes < 1 or req.gpus_per_node < 1:
         raise LaunchError("nodes and gpus_per_node must be >= 1")
@@ -102,14 +101,9 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
         )
     if not is_identifier(req.container_name):
         raise LaunchError(f"container name {req.container_name!r} is not an identifier")
-    # each directive is one script line; a profile file is checked when parsed
-    for what, value in (
-        ("job name", req.job_name),
-        ("partition", cluster.partition or ""),
-        ("account", cluster.account or ""),
-    ):
-        if CONTROL_CHAR_RE.search(value):
-            raise LaunchError(f"{what} {value!r} contains a line break or control character")
+    # each directive is one script line
+    if CONTROL_CHAR_RE.search(req.job_name):
+        raise LaunchError(f"job name {req.job_name!r} contains a line break or control character")
     _check_env_keys(req.extra_env)
     if not _WALLTIME_RE.fullmatch(req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")

@@ -17,9 +17,9 @@ key is mandatory when its record field has no default.  A reader takes the
 value text and returns the field value, or raises ``ValueError`` with the
 reason.  ``_read_fields`` turns the reason into a :class:`ProfileError`
 that starts with the key and carries the line; ``SemVer.parse`` raises a
-``ProfileError`` that names the version, which gets the line only.  An
-:class:`EnvironmentSpec` built in code is checked by the same readers: each
-field must read back as itself from its text.
+``ProfileError`` that names the version, which gets the line only.  Each
+profile and spec, parsed or built in code, is checked once, when built: each
+field must read back as itself from its text.  No other module checks them.
 """
 
 from __future__ import annotations
@@ -126,6 +126,19 @@ class ClusterProfile(Record):
     default_mounts: tuple[tuple[str, str], ...] = ()
     extra: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        for key, read in _CLUSTER_READERS.items():
+            _check_value(key, getattr(self, key), read, self._defaults[key])
+        # unknown keys, as a file holds them: distinct, and no field's key
+        keys = set(_CLUSTER_READERS)
+        for key, value in self.extra:
+            if not _KEY_RE.fullmatch(key):
+                raise ProfileError(f"invalid key {key!r} (keys match [a-z_]+)")
+            if key in keys:
+                raise ProfileError(f"duplicate key {key!r}")
+            keys.add(key)
+            _check_value(key, value, str)
+
 
 class EnvironmentSpec(Record):
     """The researcher's desired software environment for one image."""
@@ -140,18 +153,11 @@ class EnvironmentSpec(Record):
     registry: str = DEFAULT_REGISTRY
 
     def __post_init__(self) -> None:
-        # a spec built in code is checked like a parsed one: each field is
-        # read from its own text, and must read back as itself
         for key, read in _SPEC_READERS.items():
-            value = getattr(self, key)
-            if value is None:
-                continue
-            try:
-                read_back = read(_text(value))
-            except (ProfileError, ValueError) as exc:
-                raise ProfileError(f"{key} {exc}") from None
-            if read_back != value:
-                raise ProfileError(f"{key} {value!r} reads back as {read_back!r}")
+            _check_value(key, getattr(self, key), read, self._defaults[key])
+        fault = _strategy_fault(vars(self))
+        if fault is not None:
+            raise ProfileError(fault[1])
 
 
 class ValidationIssue(Record):
@@ -219,6 +225,21 @@ def _text(value: object) -> str:
     if isinstance(value, tuple):  # a list, of words or of src:dst pairs
         return ", ".join(v if isinstance(v, str) else ":".join(v) for v in value)
     return str(value)
+
+
+def _check_value(key: str, value: object, read, default: object = _MISSING) -> None:
+    """Check that ``value`` is what a line ``key = <its text>`` reads as; no line is known."""
+    if value == default:  # a default is never written, so never read
+        return
+    text = _text(value)
+    if CONTROL_CHAR_RE.search(text):
+        raise ProfileError(f"{key} must not contain line breaks or control characters")
+    try:
+        read_back = read(text.strip())
+    except (ProfileError, ValueError) as exc:
+        raise ProfileError(f"{key} {exc}") from None
+    if read_back != value:
+        raise ProfileError(f"{key} {value!r} reads back as {read_back!r}")
 
 
 def _split_list(value: str) -> tuple[str, ...]:
@@ -312,10 +333,11 @@ def render_cluster_profile(profile: ClusterProfile) -> str:
 
 
 def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
-    """Check a profile against its invariants.
+    """The checks a built profile may still fail, which no reader makes.
 
-    Issues are data, not failures: the list is empty iff every invariant
-    holds and the container runtime path looks usable.
+    Issues are data, not failures: the list is empty iff the name is
+    non-empty, each module name is one word, the container runtime path is
+    absolute, and no key is unknown.
     """
     issues: list[ValidationIssue] = []
 
@@ -327,12 +349,6 @@ def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
 
     if not profile.name:
         error("name must be non-empty")
-    if profile.scheduler not in SCHEDULERS:
-        error(f"scheduler must be one of {', '.join(SCHEDULERS)}, got {profile.scheduler!r}")
-    if profile.gpus_per_node < 1:
-        error("gpus_per_node must be >= 1")
-    if profile.gpu_nodes < 1:
-        error("gpu_nodes must be >= 1")
     for entry in profile.module_loads:
         if not entry:
             error("module_loads entries must be non-empty")
@@ -344,9 +360,6 @@ def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
         warning(
             f"container_runtime_path {profile.container_runtime_path!r} is not absolute"
         )
-    for src, dst in profile.default_mounts:
-        if not src or not dst:
-            error("default_mounts entries must have non-empty src and dst")
     for key, _ in profile.extra:
         warning(f"unknown key {key!r} ignored")
     return issues
@@ -395,15 +408,39 @@ _SPEC_READERS = {
 }
 
 
+def _strategy_fault(fields: dict) -> tuple[str, str] | None:
+    """The key and the reason of the first strategy rule ``fields`` break, or
+    None; an absent optional key may be missing from ``fields``."""
+    strategy = fields["strategy"]
+    if strategy == "tags" and fields.get("openmpi_version") is not None:
+        return "strategy", (
+            "strategy 'tags' defers the OpenMPI version to the target cluster's "
+            "matching image tag; remove openmpi_version"
+        )
+    if strategy == "ngc" and fields.get("openmpi_version") is None:
+        return "strategy", (
+            "strategy 'ngc' uses a prebuilt image with a fixed OpenMPI; "
+            "openmpi_version is required so it can be checked against the cluster"
+        )
+    if strategy == "entrypoint" and fields.get("entrypoint_path") is None:
+        return "strategy", (
+            "strategy 'entrypoint' installs versions at first container start; "
+            "entrypoint_path is required"
+        )
+    if strategy == "tags" and ImageRef.parse(fields["base_image"]).digest is not None:
+        return "base_image", (
+            "strategy 'tags' picks the image tag per cluster; "
+            "base_image must not be digest-pinned"
+        )
+    return None
+
+
 def parse_env_spec(text: str) -> EnvironmentSpec:
     """Parse an ``[environment]`` spec file into an :class:`EnvironmentSpec`.
 
-    Enforces strategy consistency: ``tags`` defers the OpenMPI choice to
-    the target cluster so must not pin one; ``ngc`` images ship a fixed
-    OpenMPI so must state it; ``entrypoint`` needs the in-image script
-    path.  An untagged base image is normalized to ``:latest`` (the
-    linter's P1 rule will surface it); ``tags`` rejects a digest-pinned
-    base image, since it picks the tag per cluster.
+    A broken strategy rule is reported on the line of ``strategy``, or of
+    ``base_image`` for a digest pin.  An untagged base image is normalized
+    to ``:latest`` (the linter's P1 rule will surface it).
 
     Raises:
         ProfileError: on syntax errors, missing mandatory keys, a value
@@ -412,35 +449,11 @@ def parse_env_spec(text: str) -> EnvironmentSpec:
     """
     entries = _read_section(text, ENVIRONMENT_SECTION)
     fields = _read_fields(entries, _SPEC_READERS, EnvironmentSpec)
-    strategy, strategy_line = fields["strategy"], entries["strategy"][1]
-    openmpi_version = fields.get("openmpi_version")
-
-    if strategy == "tags" and openmpi_version is not None:
-        raise ProfileError(
-            "strategy 'tags' defers the OpenMPI version to the target cluster's "
-            "matching image tag; remove openmpi_version",
-            line=strategy_line,
-        )
-    if strategy == "ngc" and openmpi_version is None:
-        raise ProfileError(
-            "strategy 'ngc' uses a prebuilt image with a fixed OpenMPI; "
-            "openmpi_version is required so it can be checked against the cluster",
-            line=strategy_line,
-        )
-    if strategy == "entrypoint" and fields.get("entrypoint_path") is None:
-        raise ProfileError(
-            "strategy 'entrypoint' installs versions at first container start; "
-            "entrypoint_path is required",
-            line=strategy_line,
-        )
-
+    fault = _strategy_fault(fields)
+    if fault is not None:
+        key, reason = fault
+        raise ProfileError(reason, line=entries[key][1])
     base_image = ImageRef.parse(fields["base_image"])
-    if base_image.digest is not None and strategy == "tags":
-        raise ProfileError(
-            "strategy 'tags' picks the image tag per cluster; "
-            "base_image must not be digest-pinned",
-            line=entries["base_image"][1],
-        )
     if base_image.tag is None and base_image.digest is None:
-        base_image = base_image.replace(tag="latest")
-    return EnvironmentSpec(**{**fields, "base_image": str(base_image)})
+        fields["base_image"] = str(base_image.replace(tag="latest"))
+    return EnvironmentSpec(**fields)

@@ -46,10 +46,6 @@ class InstallerConfig(Record):
     horovod_install: str = (
         "HOROVOD_WITH_MPI=1 pip install --no-cache-dir horovod=={horovod_version}"
     )
-    system_packages_install: str = (
-        "apt-get update && apt-get install -y --no-install-recommends {packages}"
-        " && rm -rf /var/lib/apt/lists/*"
-    )
 
     def version_installs(self, openmpi_version: str, horovod_version: str) -> list[str]:
         """The OpenMPI and Horovod install commands with their placeholders filled."""
@@ -162,7 +158,6 @@ def reconcile(
             ),
         )
     if spec.strategy == "ngc":
-        assert spec.openmpi_version is not None  # enforced at parse time
         if not versions_match(spec.openmpi_version, cluster.openmpi_version):
             raise ReconcileError(
                 f"image OpenMPI {spec.openmpi_version} does not match cluster "

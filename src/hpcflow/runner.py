@@ -27,11 +27,6 @@ class RankResult(Record):
     stdout: str = ""
     error: str | None = None
 
-    # mutable, so unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
 
 def env_dump_command() -> list[str]:
     """A rank command that prints its distribution environment as KEY=VALUE."""

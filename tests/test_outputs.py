@@ -1,9 +1,9 @@
 """Every CLI output pinned: the exit code and the sha256 of stdout, of stderr
 and of each written file, for a fixed list of in-process ``cli.main`` runs.
 
-Each run gets a fresh temporary directory holding its input files; the
-directory's path is replaced by ``<tmp>`` before hashing, in arguments and
-outputs alike.  The runs cover every verb but ``run mock`` (which spawns
+Each run starts in an empty temporary directory that holds only its input
+files; the directory's path is replaced by ``<tmp>`` before hashing, in
+arguments and outputs alike.  The runs cover every verb but ``run mock`` (which spawns
 processes) on the fixtures, seeded generated Dockerfiles, and each fixture
 profile and spec with one injected defect, so that error lines are pinned.
 

@@ -238,52 +238,157 @@ def test_render_is_a_fixed_point_of_parse(text):
     assert render_cluster_profile(parse_cluster_profile(rendered)) == rendered
 
 
-class TestValidateProfile:
-    def _base(self, **overrides) -> ClusterProfile:
-        values = dict(
-            name="x",
-            scheduler="slurm",
-            gpus_per_node=1,
-            gpu_nodes=1,
-            openmpi_version=SemVer(4, 0, 1),
-            container_runtime_path="/usr/local/bin/udocker",
-        )
-        values.update(overrides)
-        return ClusterProfile(**values)
+def _profile(**overrides) -> ClusterProfile:
+    values = dict(
+        name="x",
+        scheduler="slurm",
+        gpus_per_node=1,
+        gpu_nodes=1,
+        openmpi_version=SemVer(4, 0, 1),
+        container_runtime_path="/usr/local/bin/udocker",
+    )
+    return ClusterProfile(**{**values, **overrides})
 
+
+class TestValidateProfile:
     def test_valid_profile_no_issues(self):
-        assert validate_profile(self._base()) == []
+        assert validate_profile(_profile()) == []
 
     def test_relative_runtime_path_warns(self):
-        issues = validate_profile(self._base(container_runtime_path="bin/udocker"))
+        issues = validate_profile(_profile(container_runtime_path="bin/udocker"))
         assert [i.severity for i in issues] == ["warning"]
 
     def test_empty_module_entry_is_error(self):
-        issues = validate_profile(self._base(module_loads=("gcc", "")))
+        issues = validate_profile(_profile(module_loads=("gcc", "")))
         assert [i.severity for i in issues] == ["error"]
 
     def test_whitespace_module_entry_is_error(self):
-        issues = validate_profile(self._base(module_loads=("open mpi",)))
+        issues = validate_profile(_profile(module_loads=("open mpi",)))
         assert [i.severity for i in issues] == ["error"]
 
     @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"name": ""}, "name must be non-empty"),
-            ({"scheduler": "pbs"}, "scheduler must be one of slurm, none, got 'pbs'"),
             ({"container_runtime_path": ""}, "container_runtime_path must be non-empty"),
-            ({"default_mounts": (("/a", ""),)}, "default_mounts entries must have non-empty"),
-            ({"default_mounts": (("", "/a"),)}, "default_mounts entries must have non-empty"),
         ],
     )
     def test_record_built_in_code_is_checked(self, overrides, message):
-        issues = validate_profile(self._base(**overrides))
+        issues = validate_profile(_profile(**overrides))
         assert [i.severity for i in issues] == ["error"]
         assert issues[0].message.startswith(message)
 
-    def test_nonpositive_counts_are_errors(self):
-        issues = validate_profile(self._base(gpus_per_node=0, gpu_nodes=0))
-        assert [i.severity for i in issues] == ["error", "error"]
+
+_MOUNT_REFUSED = "default_mounts entries must be 'src:dst', got "
+
+
+class TestProfileBuiltInCode:
+    """A ``ClusterProfile`` built in code is checked like a parsed one, when built."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"scheduler": "pbs"}, "scheduler must be one of slurm, none, got 'pbs'"),
+            ({"gpus_per_node": 0}, "gpus_per_node must be >= 1, got 0"),
+            ({"gpu_nodes": 0}, "gpu_nodes must be >= 1, got 0"),
+            ({"default_mounts": (("/a", ""),)}, _MOUNT_REFUSED + "'/a:'"),
+            ({"default_mounts": (("", "/a"),)}, _MOUNT_REFUSED + "':/a'"),
+            (
+                {"container_runtime_path": "/u\nsudo true"},
+                "container_runtime_path must not contain line breaks or control characters",
+            ),
+            ({"name": " x"}, "name ' x' reads back as 'x'"),
+            ({"name": None}, "name None reads back as 'None'"),
+            ({"partition": ""}, "partition '' reads back as None"),
+            ({"extra": (("name", "y"),)}, "duplicate key 'name'"),
+            ({"extra": (("site", "a"), ("site", "b"))}, "duplicate key 'site'"),
+            ({"extra": (("Site", "a"),)}, "invalid key 'Site' (keys match [a-z_]+)"),
+            (
+                {"extra": (("site", "x\nscheduler = none"),)},
+                "site must not contain line breaks or control characters",
+            ),
+            ({"extra": (("site", "x "),)}, "site 'x ' reads back as 'x'"),
+        ],
+        ids=[
+            "scheduler",
+            "gpus_per_node",
+            "gpu_nodes",
+            "mount-dst",
+            "mount-src",
+            "runtime-line-break",
+            "name-space",
+            "name-none",
+            "partition-empty",
+            "extra-field-key",
+            "extra-twice",
+            "extra-key",
+            "extra-line-break",
+            "extra-space",
+        ],
+    )
+    def test_refused_naming_the_key(self, overrides, message):
+        with pytest.raises(ProfileError) as info:
+            _profile(**overrides)
+        assert (str(info.value), info.value.line) == (message, None)
+
+    def test_replace_is_checked(self, csic_profile):
+        with pytest.raises(ProfileError, match="^gpu_nodes must be >= 1, got 0$"):
+            csic_profile.replace(gpu_nodes=0)
+
+
+# a word any profile value may be, and text that tries each edge of the format
+_PLAIN = st.text(st.sampled_from("ab1/._-"), min_size=1, max_size=4)
+_EDGY = st.text(st.sampled_from("a :,=#\t\n\x1f\x85\u2028"), max_size=4)
+
+
+@st.composite
+def _profile_fields(draw) -> dict:
+    """The fields of a profile of plain words, with none or one drawn from edge values."""
+    fields = {
+        "name": draw(_PLAIN),
+        "scheduler": draw(st.sampled_from(SCHEDULERS)),
+        "gpus_per_node": draw(st.integers(1, 8)),
+        "gpu_nodes": draw(st.integers(1, 8)),
+        "openmpi_version": SemVer(4, 0, 1),
+        "container_runtime_path": draw(_PLAIN),
+        "module_loads": tuple(draw(st.lists(_PLAIN, max_size=2))),
+        "interconnect": draw(_PLAIN),
+        "partition": draw(st.none() | _PLAIN),
+        "account": draw(st.none() | _PLAIN),
+        "default_mounts": tuple(draw(st.lists(st.tuples(_PLAIN, _PLAIN), max_size=2))),
+        "extra": (("site", draw(_PLAIN)),),
+    }
+    edges = {
+        "name": _EDGY | st.none(),
+        "scheduler": st.sampled_from(["pbs", "Slurm", ""]),
+        "gpus_per_node": st.integers(-1, 1) | st.just(True),
+        "gpu_nodes": st.integers(-1, 1),
+        "openmpi_version": st.builds(
+            SemVer, st.integers(-1, 2), st.integers(0, 2), st.integers(0, 2), st.booleans()
+        ),
+        "container_runtime_path": _EDGY,
+        "module_loads": st.lists(_EDGY, max_size=2).map(tuple),
+        "interconnect": _EDGY,
+        "partition": _EDGY,
+        "account": _EDGY,
+        "default_mounts": st.lists(st.tuples(_EDGY, _EDGY), max_size=2).map(tuple),
+        "extra": st.lists(
+            st.tuples(st.sampled_from(["site", "name", "Site", "a_b", ""]), _EDGY), max_size=2
+        ).map(tuple),
+    }
+    spoiled = draw(st.sampled_from([None, *edges]))
+    if spoiled is not None:
+        fields[spoiled] = draw(edges[spoiled])
+    return fields
+
+
+@given(_profile_fields())
+def test_every_built_profile_reads_back_from_its_text(fields):
+    try:
+        profile = ClusterProfile(**fields)
+    except ProfileError:
+        return
+    assert parse_cluster_profile(render_cluster_profile(profile)) == profile
 
 
 class TestParseEnvSpec:
@@ -562,6 +667,10 @@ class TestSpecBuiltInCode:
                 {"openmpi_version": SemVer(-1, 0)},
                 "openmpi_version unparseable version '-1.0.0' (expected MAJOR.MINOR[.PATCH])",
             ),
+            (
+                {"registry": "a\nb"},
+                "registry must not contain line breaks or control characters",
+            ),
         ],
         ids=[
             "package",
@@ -572,9 +681,41 @@ class TestSpecBuiltInCode:
             "package-comma",
             "version-text",
             "version-negative",
+            "line-break",
         ],
     )
     def test_refused_naming_the_key(self, fields, message):
+        with pytest.raises(ProfileError) as info:
+            EnvironmentSpec(**{**self._NGC, **fields})
+        assert (str(info.value), info.value.line) == (message, None)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"strategy": "tags", "openmpi_version": SemVer(4, 0, 1)},
+                "strategy 'tags' defers the OpenMPI version to the target cluster's "
+                "matching image tag; remove openmpi_version",
+            ),
+            (
+                {},
+                "strategy 'ngc' uses a prebuilt image with a fixed OpenMPI; "
+                "openmpi_version is required so it can be checked against the cluster",
+            ),
+            (
+                {"strategy": "entrypoint"},
+                "strategy 'entrypoint' installs versions at first container start; "
+                "entrypoint_path is required",
+            ),
+            (
+                {"strategy": "tags", "base_image": "a@sha256:0"},
+                "strategy 'tags' picks the image tag per cluster; "
+                "base_image must not be digest-pinned",
+            ),
+        ],
+        ids=["tags-openmpi", "ngc-no-openmpi", "entrypoint-no-path", "tags-digest"],
+    )
+    def test_strategy_rules(self, fields, message):
         with pytest.raises(ProfileError) as info:
             EnvironmentSpec(**{**self._NGC, **fields})
         assert (str(info.value), info.value.line) == (message, None)

@@ -103,19 +103,15 @@ RECORDS = [
     ),
     (BenchRun, dict(label="2 GPUs", gpus=2, samples=(1.0, 2.0), warmup_count=1)),
     (BenchSummary, dict(mean=1.5, ci95_half_width=0.5, n=2, ci_undefined=False)),
-    (
-        InstallerConfig,
-        dict(openmpi_install="a", horovod_install="b", system_packages_install="c"),
-    ),
+    (InstallerConfig, dict(openmpi_install="a", horovod_install="b")),
     (
         ReconcilePlan,
         dict(image_ref="x:ompi4.0", runtime_args=(), strategy_used="tags", match_note="n"),
     ),
     (RankResult, dict(rank=0, exit_code=0, env={"RANK": "0"}, stdout="", error=None)),
 ]
-# records with a dict field cannot be hashed; RankResult is mutable
+# records with a dict field cannot be hashed
 UNHASHABLE = {JobRequest, LaunchPlan, SmellReport, RankResult}
-MUTABLE = {RankResult}
 # every field has a default
 ALL_DEFAULTED = {InstallerConfig}
 IDS = [cls.__name__ for cls, _ in RECORDS]
@@ -147,16 +143,12 @@ class TestEveryRecord:
     def test_fields_are_frozen(self, cls, values):
         record = cls(**values)
         for name, value in values.items():
-            if cls in MUTABLE:
-                setattr(record, name, value)
-                continue
             with pytest.raises(AttributeError):
                 setattr(record, name, value)
             with pytest.raises(AttributeError):
                 delattr(record, name)
-        if cls not in MUTABLE:
-            with pytest.raises(AttributeError):
-                record.not_a_field = 1
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1
         assert record == cls(**values)
 
     def test_wrong_arguments_are_type_errors(self, cls, values):
@@ -236,16 +228,6 @@ class TestSemVerOrder:
     def test_other_types_do_not_order(self):
         with pytest.raises(TypeError):
             SemVer(4, 0) < (4, 1, 0)
-
-
-class TestMutableAndUnhashable:
-    def test_rank_result_is_mutable(self):
-        result = RankResult(0, 0, {})
-        result.exit_code = 1
-        result.error = "boom"
-        assert result == RankResult(0, 1, {}, error="boom")
-        with pytest.raises(TypeError):
-            hash(result)
 
 
 class TestValidation:
