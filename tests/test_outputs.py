@@ -4,14 +4,16 @@ and of each written file, for a fixed list of in-process ``cli.main`` runs.
 Each run starts in an empty temporary directory that holds only its input
 files; the directory's path is replaced by ``<tmp>`` before hashing, in
 arguments and outputs alike.  The runs cover every verb but ``run mock`` (which spawns
-processes) on the fixtures, seeded generated Dockerfiles, and each fixture
-profile and spec with one injected defect, so that error lines are pinned.
+processes) on the fixtures, seeded generated Dockerfiles, each fixture
+profile and spec with one injected defect, and ``job gen`` with one wrong
+flag, so that error lines are pinned.
 
 A change that alters an output on purpose rewrites the manifest with
 
     python tests/test_outputs.py --regen
 
-and names each changed entry, with its reason, in CHANGES.md.
+which lists the added, removed and changed entries; name each, with its
+reason, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ _PARSER = functools.cache(cli.build_parser)
 BAD_VALUES = (
     "", "0", "pbs", "tags", "ngc", "entrypoint", "4.0", "a b", "/a:",
     "img@sha256:0", "sudo", "x\x0by", " ,x",
+)
+
+
+# one wrong ``job gen`` flag each; a repeated flag overrides the one before it
+JOB_DEFECTS = (
+    ("--walltime", "1:00"),
+    ("--container-name", "a b"),
+    ("--env", "a-b=1"),
+    ("--job-name", "a\nsudo id"),
+    ("--nodes", "99"),
+    ("--gpus-per-node", "9"),
 )
 
 
@@ -115,6 +128,10 @@ def _runs() -> dict[str, tuple[list[str], dict[str, str]]]:
                 *pair,
             )
             add(f"run dry {' '.join(pair)}", _run_dry(*pair, *tags), *pair)
+    for flag, value in JOB_DEFECTS:
+        pair = ["csic.profile", "entrypoint.spec"]
+        add(f"job gen {' '.join(pair)}, {flag} {value!r}", _job_gen(*pair, "1", flag, value),
+            *pair)
 
     logs = [f"{n}:{TMP}/{log.name}" for n, log in enumerate(LOGS, start=1)]
     for warmup in ("0", "10"):
@@ -191,15 +208,18 @@ def outcomes() -> dict[str, dict]:
         return {run_id: _outcome(*run, Path(tmp)) for run_id, run in _runs().items()}
 
 
-def _changed(manifest: dict, expected: dict) -> list[str]:
-    """Run ids whose entry differs between the two manifests, or is in one only."""
-    keys = manifest.keys() | expected.keys()
-    return sorted(k for k in keys if manifest.get(k) != expected.get(k))
+def _diff(manifest: dict, expected: dict) -> dict[str, list[str]]:
+    """Run ids only in ``manifest``, only in ``expected``, and in both with other entries."""
+    return {
+        "added": sorted(manifest.keys() - expected.keys()),
+        "removed": sorted(expected.keys() - manifest.keys()),
+        "changed": sorted(k for k in manifest.keys() & expected.keys() if manifest[k] != expected[k]),
+    }
 
 
 def test_every_output_is_pinned():
     expected = json.loads(MANIFEST.read_text())
-    assert _changed(outcomes(), expected) == []
+    assert _diff(outcomes(), expected) == {"added": [], "removed": [], "changed": []}
 
 
 if __name__ == "__main__":
@@ -207,8 +227,10 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_outputs.py --regen")
     expected = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     manifest = outcomes()
-    changed = _changed(manifest, expected)
+    diff = _diff(manifest, expected)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {MANIFEST}: {len(manifest)} runs, {len(changed)} changed")
-    for run_id in changed:
-        print(f"  {run_id}")
+    print(f"wrote {MANIFEST}: {len(manifest)} runs, "
+          + ", ".join(f"{len(ids)} {kind}" for kind, ids in diff.items()))
+    for kind, ids in diff.items():
+        for run_id in ids:
+            print(f"  {kind}: {run_id}")
