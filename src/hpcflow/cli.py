@@ -182,10 +182,11 @@ def cmd_job_gen(args: argparse.Namespace) -> int:
     launch_plan = launch.plan_launch(profile, plan, request)
     script = launch.render_job_script(launch_plan, profile, request)
     out = Path(args.out)
-    out.write_text(script.text, encoding="utf-8")
     setup_path = out.parent / f"{out.stem}_setup.sh"
     setup_lines = runner.dry_run(launch.render_udocker_setup(plan, container_name))
-    setup_path.write_text("\n".join(setup_lines) + "\n", encoding="utf-8")
+    # argv that is not UTF-8 arrives as surrogates; its bytes pass through as they are
+    for path, text in ((out, script.text), (setup_path, "\n".join(setup_lines) + "\n")):
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
     print(f"wrote {out}")
     print(f"wrote {setup_path}")
     return EXIT_OK

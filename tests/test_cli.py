@@ -347,6 +347,23 @@ class TestJobGen:
         assert (code, out, err) == (1, "", "error: walltime '01:00:00\\n' is not HH:MM:SS\n")
         assert not (tmp_path / "job.sh").exists()
 
+    # the interpreter decodes argv bytes that are not UTF-8 to lone surrogates
+    @pytest.mark.parametrize(
+        "extra, line",
+        [
+            (["--env", "A=\udcff", "--", "true"], b"export A='\xff'"),
+            (["--job-name", "j\udcff", "--", "true"], b"#SBATCH --job-name=j\xff"),
+            (["--", "python", "\udcff"], b" python '\xff'"),
+        ],
+        ids=["env", "job-name", "command"],
+    )
+    def test_non_utf8_argv_passes_through_as_bytes(self, extra, line, tmp_path, capsys):
+        code, out, err = run_cli(self._job_gen(tmp_path, extra), capsys)
+        assert (code, err) == (0, ""), err
+        job = tmp_path / "job.sh"
+        assert line + b"\n" in job.read_bytes()
+        assert subprocess.run(["/usr/bin/sh", "-n", str(job)]).returncode == 0
+
     def test_profile_with_error_issue_exits_one(self, tmp_path, capsys):
         argv = self._job_gen(tmp_path, ["--", "python", "train.py"])
         argv[argv.index("--profile") + 1] = str(_profile_with_error(tmp_path))

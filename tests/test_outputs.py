@@ -6,7 +6,8 @@ files; the directory's path is replaced by ``<tmp>`` before hashing, in
 arguments and outputs alike.  The runs cover every verb but ``run mock`` (which spawns
 processes) on the fixtures, seeded generated Dockerfiles, each fixture
 profile and spec with one injected defect, and ``job gen`` with one wrong
-flag, so that error lines are pinned.
+flag, so that error lines are pinned, or with argv that is not UTF-8.  Text
+is hashed as the bytes it stands for: a lone surrogate as the byte it decodes.
 
 A change that alters an output on purpose rewrites the manifest with
 
@@ -55,14 +56,19 @@ BAD_VALUES = (
 )
 
 
-# one wrong ``job gen`` flag each; a repeated flag overrides the one before it
-JOB_DEFECTS = (
+# extra ``job gen`` arguments: one wrong flag each (a repeated flag overrides
+# the one before it), then argv bytes that are not UTF-8, which the
+# interpreter decodes to lone surrogates
+JOB_EXTRAS = (
     ("--walltime", "1:00"),
     ("--container-name", "a b"),
     ("--env", "a-b=1"),
     ("--job-name", "a\nsudo id"),
     ("--nodes", "99"),
     ("--gpus-per-node", "9"),
+    ("--env", "A=\udcff"),
+    ("--job-name", "j\udcff"),
+    ("--", "python", "\udcff"),
 )
 
 
@@ -128,10 +134,10 @@ def _runs() -> dict[str, tuple[list[str], dict[str, str]]]:
                 *pair,
             )
             add(f"run dry {' '.join(pair)}", _run_dry(*pair, *tags), *pair)
-    for flag, value in JOB_DEFECTS:
+    for flag, *values in JOB_EXTRAS:
         pair = ["csic.profile", "entrypoint.spec"]
-        add(f"job gen {' '.join(pair)}, {flag} {value!r}", _job_gen(*pair, "1", flag, value),
-            *pair)
+        run_id = f"job gen {' '.join(pair)}, {flag} {' '.join(map(repr, values))}"
+        add(run_id, _job_gen(*pair, "1", flag, *values), *pair)
 
     logs = [f"{n}:{TMP}/{log.name}" for n, log in enumerate(LOGS, start=1)]
     for warmup in ("0", "10"):
@@ -186,11 +192,13 @@ def _outcome(argv: list[str], inputs: dict[str, str], tmp: Path) -> dict:
     files = {}
     for path in sorted(tmp.iterdir()):
         if path.name not in inputs:
-            files[path.name] = path.read_text(encoding="utf-8")
+            files[path.name] = path.read_text(encoding="utf-8", errors="surrogateescape")
         path.unlink()
 
     def digest(text: str) -> str:
-        return hashlib.sha256(text.replace(str(tmp), TMP).encode()).hexdigest()
+        return hashlib.sha256(
+            text.replace(str(tmp), TMP).encode(errors="surrogateescape")
+        ).hexdigest()
 
     return {
         "exit": code,
