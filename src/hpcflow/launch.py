@@ -3,7 +3,7 @@
 Produces the mpirun invocation (one rank per GPU), the batch script with
 scheduler directives, the container setup command sequence, and the
 runtime install script.  Everything here is pure rendering; nothing is
-executed.
+executed.  A ``LaunchPlan`` is checked when it is built, however it is built.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import shlex
 from hpcflow.errors import LaunchError, Record
 from hpcflow.profiles import (
     _ENV_KEY_RE,
+    _IDENTIFIER_RE,
     _PLAIN_WORD_RE,
     _WALLTIME_RE,
     CONTROL_CHAR_RE,
     PRIVILEGED_TOKENS,
     ClusterProfile,
 )
-from hpcflow.recon import ReconcilePlan, is_identifier
+from hpcflow.recon import ReconcilePlan
 
 # where a shell word can end without whitespace: operators and substitutions
 _WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
@@ -34,9 +35,6 @@ _USER_MAP_ARGS = ("--hostauth", "--user=$USER")
 _UDOCKER_RELEASE_URL = (
     "https://github.com/indigo-dc/udocker/releases/download/1.3.17/udocker-1.3.17.tar.gz"
 )
-
-# the mock runtime spawns one local process per rank
-MAX_MOCK_RANKS = 64
 
 
 class JobRequest(Record):
@@ -62,6 +60,10 @@ class LaunchPlan(Record):
     ``env_exports`` maps variable names to values; a value of ``None``
     means the variable is forwarded from the submitting environment
     (``-x NAME`` only, no export line).
+
+    Building one raises ``LaunchError`` unless it has at least one rank and
+    one slot per node, every ``env_exports`` key is a shell identifier, and
+    each scheduler directive is one line: no control character in it.
     """
 
     total_ranks: int
@@ -70,6 +72,17 @@ class LaunchPlan(Record):
     env_exports: dict[str, str | None]
     udocker_run_args: tuple[str, ...]
     scheduler_directives: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        if self.total_ranks < 1 or self.slots_per_node < 1:
+            raise LaunchError("nodes and gpus_per_node must be >= 1")
+        for key in self.env_exports:
+            if not _ENV_KEY_RE.fullmatch(key):
+                raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
+        for key, value in self.scheduler_directives:
+            line = f"--{key}={value}"
+            if CONTROL_CHAR_RE.search(line):
+                raise LaunchError(f"directive {line!r} contains a line break or control character")
 
 
 class JobScript(Record):
@@ -81,14 +94,12 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
 
     Raises:
         LaunchError: when the request exceeds the cluster's capacity, the
-            container name is not an identifier, an ``extra_env`` key is
-            not a shell identifier, the job name holds a line break or
-            control character, the walltime is not HH:MM:SS, or the user
-            command is empty for a strategy whose image has no entrypoint
-            to fall back on.  The cluster profile was checked when built.
+            container name is not an identifier, the job name holds a line
+            break or control character, the walltime is not HH:MM:SS, or the
+            user command is empty for a strategy whose image has no
+            entrypoint to fall back on.  ``LaunchPlan`` checks the counts and
+            the ``extra_env`` keys; the cluster profile was checked when built.
     """
-    if req.nodes < 1 or req.gpus_per_node < 1:
-        raise LaunchError("nodes and gpus_per_node must be >= 1")
     if req.nodes > cluster.gpu_nodes:
         raise LaunchError(
             f"request needs {req.nodes} nodes but cluster {cluster.name} "
@@ -99,12 +110,10 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
             f"request needs {req.gpus_per_node} GPUs per node but cluster "
             f"{cluster.name} has {cluster.gpus_per_node}"
         )
-    if not is_identifier(req.container_name):
+    if not _IDENTIFIER_RE.fullmatch(req.container_name):
         raise LaunchError(f"container name {req.container_name!r} is not an identifier")
-    # each directive is one script line
     if CONTROL_CHAR_RE.search(req.job_name):
         raise LaunchError(f"job name {req.job_name!r} contains a line break or control character")
-    _check_env_keys(req.extra_env)
     if not _WALLTIME_RE.fullmatch(req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")
     if not req.user_command and recon.strategy_used != "entrypoint":
@@ -172,21 +181,9 @@ def grid_plan(
     """A bare nodes x GPUs rank layout for the mock runtime.
 
     It has no launcher, container or scheduler arguments; ``env`` becomes
-    ``env_exports``.
-
-    Raises:
-        LaunchError: when nodes or gpus_per_node is below 1, the grid has
-            more than ``MAX_MOCK_RANKS`` ranks, or an ``env`` key is not a
-            shell identifier.
+    ``env_exports``.  ``LaunchPlan`` checks the counts and the keys, and
+    ``runner.mock_run_ranks`` the number of ranks it spawns.
     """
-    if nodes < 1 or gpus_per_node < 1:
-        raise LaunchError("nodes and gpus_per_node must be >= 1")
-    if nodes * gpus_per_node > MAX_MOCK_RANKS:
-        raise LaunchError(
-            f"a {nodes} x {gpus_per_node} grid has {nodes * gpus_per_node} ranks; "
-            f"the mock runtime spawns at most {MAX_MOCK_RANKS}"
-        )
-    _check_env_keys(env or {})
     return LaunchPlan(
         total_ranks=nodes * gpus_per_node,
         slots_per_node=gpus_per_node,
@@ -195,12 +192,6 @@ def grid_plan(
         udocker_run_args=(),
         scheduler_directives=(),
     )
-
-
-def _check_env_keys(env: dict) -> None:
-    for key in env:
-        if not _ENV_KEY_RE.fullmatch(key):
-            raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
 
 
 def _sh_word(word: str) -> str:
@@ -257,7 +248,7 @@ def render_udocker_setup(recon: ReconcilePlan, container_name: str) -> list[list
     Raises:
         LaunchError: for container names that are not identifiers.
     """
-    if not is_identifier(container_name):
+    if not _IDENTIFIER_RE.fullmatch(container_name):
         raise LaunchError(f"container name {container_name!r} is not an identifier")
     commands = [
         ["udocker", "pull", recon.image_ref],

@@ -11,7 +11,6 @@ import re
 
 from hpcflow.errors import ReconcileError, Record
 from hpcflow.profiles import (
-    _IDENTIFIER_RE,
     DEFAULT_REGISTRY,
     ClusterProfile,
     EnvironmentSpec,
@@ -200,11 +199,6 @@ def default_cmd_args(spec: EnvironmentSpec) -> tuple[str, str]:
             "set openmpi_version in the environment spec"
         )
     return (str(spec.openmpi_version), spec.horovod_version)
-
-
-def is_identifier(name: str) -> bool:
-    """True for names safe to use as container identifiers (no whitespace)."""
-    return _IDENTIFIER_RE.fullmatch(name) is not None
 
 
 def generate_entrypoint(installers: InstallerConfig = DEFAULT_INSTALLERS) -> str:

@@ -2,7 +2,7 @@
 
 Provides the dry-run transcript of a command sequence and a local
 multi-process rank launcher that reproduces the node x GPU process grid
-with real subprocesses.
+with real subprocesses, at most ``MAX_MOCK_RANKS`` of them for any plan.
 """
 
 from __future__ import annotations
@@ -11,8 +11,11 @@ import os
 import shlex
 import time
 
-from hpcflow.errors import Record
+from hpcflow.errors import LaunchError, Record
 from hpcflow.launch import LaunchPlan
+
+# the mock runtime spawns one local process per rank
+MAX_MOCK_RANKS = 64
 
 
 def dry_run(commands: list[list[str]]) -> list[str]:
@@ -63,7 +66,16 @@ def mock_run_ranks(
     rank runs in its own session, and at the deadline its whole process
     group is killed, so a child that holds the rank's output open cannot
     outlive the deadline either.
+
+    Raises:
+        LaunchError: before any process starts, when the plan has more than
+            ``MAX_MOCK_RANKS`` ranks.
     """
+    if plan.total_ranks > MAX_MOCK_RANKS:
+        raise LaunchError(
+            f"a {plan.total_ranks // plan.slots_per_node} x {plan.slots_per_node} grid has "
+            f"{plan.total_ranks} ranks; the mock runtime spawns at most {MAX_MOCK_RANKS}"
+        )
     # imported here: ``job gen`` and ``run dry`` load this module for dry_run
     import signal
     import subprocess

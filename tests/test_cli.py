@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hpcflow
-from conftest import FIXTURES
+from conftest import FIXTURES, corpus_paths
+from hpcflow import cli
 from hpcflow.cli import _default_container_name, main
 
 PROFILES = FIXTURES / "profiles"
@@ -602,11 +607,10 @@ def test_non_utf8_input_is_an_error_naming_the_file(argv, tmp_path, capsys):
 
 @given(st.text())
 def test_default_container_name_passes_the_identifier_rule(image_ref):
-    from hpcflow.profiles import ImageRef
-    from hpcflow.recon import is_identifier
+    from hpcflow.profiles import _IDENTIFIER_RE, ImageRef
 
     name = _default_container_name(image_ref)
-    assert is_identifier(name)
+    assert _IDENTIFIER_RE.fullmatch(name)
     # a name that already starts with a letter or digit keeps its text
     given_name = ImageRef.parse(image_ref).name
     if re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", given_name):
@@ -868,6 +872,109 @@ class TestUsageErrors:
         # a bare "--" is still accepted
         code, _, _ = run_cli([*argv, "--"], capsys)
         assert code == 0
+
+
+# Argument text a process can receive: no NUL, and bytes that are not UTF-8
+# arrive as the lone surrogates U+DC80..U+DCFF.
+_ARG_CHAR = st.one_of(
+    st.characters(blacklist_categories=["Cs"], blacklist_characters="\x00"),
+    st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF, categories=["Cs"]),
+)
+_ARG = st.text(_ARG_CHAR, max_size=8)
+# text spliced into a fixture: any argument text, or a token of the file formats
+_SPLICE = st.one_of(
+    _ARG,
+    st.sampled_from(["\n", "=", "[cluster]", "[environment]", "\\\n", '"', "'", "$(", "sudo",
+                     "FROM ", "RUN ", "@", ":", ",", "1e999", "nan", "-1", "\ufeff"]),
+)
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 10_000), st.integers(0, 6), _SPLICE), min_size=1, max_size=4
+)
+_ENV_KEY = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+_JOB_GEN = ["job", "gen", "--nodes", "1", "--gpus-per-node", "1", "--out", "{tmp}/job.sh"]
+_ENTRYPOINT_SPEC = ["--spec", str(SPECS / "entrypoint.spec")]
+_CSIC = ["--profile", str(PROFILES / "csic.profile")]
+# each verb that reads a file, with ``{file}`` for the fixture it reads mutated
+_FILE_CASES = [
+    *((["profile", "validate", "{file}"], path) for path in sorted(PROFILES.glob("*"))),
+    *((["image", "gen", "--spec", "{file}", "--out", "{tmp}/Dockerfile"], path)
+      for path in sorted(SPECS.glob("*"))),
+    *((["image", "lint", "{file}"], path) for path in corpus_paths()),
+    *(([*_JOB_GEN, "--profile", "{file}", *_ENTRYPOINT_SPEC], path)
+      for path in sorted(PROFILES.glob("*"))),
+    *(([*_JOB_GEN, *_CSIC, "--spec", "{file}"], path) for path in sorted(SPECS.glob("*"))),
+    *((["run", "dry", "--profile", "{file}", *_ENTRYPOINT_SPEC], path)
+      for path in sorted(PROFILES.glob("*"))),
+    *((["run", "dry", *_CSIC, "--spec", "{file}"], path) for path in sorted(SPECS.glob("*"))),
+    *((["bench", "report", f"1:{LOGS / 'bench_1gpu.log'}", "2:{file}"], path)
+      for path in sorted(LOGS.glob("*"))),
+]
+_PARSER = functools.cache(cli.build_parser)  # parsing leaves the parser as it was
+
+
+def _check_no_traceback(argv: list[str], tmp: str) -> None:
+    """``main`` returns 0, 1 or 3, or exits 2 through argparse, and every shell
+    file it writes passes ``sh -n``."""
+    argv = [arg.replace("{tmp}", tmp) for arg in argv]
+    with (
+        mock.patch.object(cli, "build_parser", _PARSER),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()) as err,
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error is the only exit
+            assert (exc.code, err.getvalue()[:7]) == (2, "usage: "), argv
+            return
+    assert code in (0, 1, 3), argv
+    for name in os.listdir(tmp):
+        if name.endswith(".sh"):
+            path = os.path.join(tmp, name)
+            assert subprocess.run(["/usr/bin/sh", "-n", path]).returncode == 0, argv
+
+
+class TestNoTraceback:
+    @settings(max_examples=75, deadline=None)
+    @given(case=st.sampled_from(_FILE_CASES), edits=_EDITS)
+    @example(case=_FILE_CASES[0], edits=[(40, 0, "\udcff")])
+    def test_mutated_input_file(self, case, edits):
+        argv, path = case
+        text = path.read_text(encoding="utf-8")
+        for at, cut, splice in edits:
+            at %= len(text) + 1
+            text = text[:at] + splice + text[at + cut :]
+        with tempfile.TemporaryDirectory() as tmp:
+            file = os.path.join(tmp, path.name)
+            with open(file, "wb") as f:
+                f.write(text.encode("utf-8", "surrogateescape"))
+            _check_no_traceback([arg.replace("{file}", file) for arg in argv], tmp)
+
+    # each checked flag is valid or absent often enough that many runs write a script
+    @settings(max_examples=40, deadline=None)
+    @given(
+        flags=st.fixed_dictionaries(
+            {},
+            optional={
+                "--job-name": _ARG,
+                "--walltime": st.one_of(st.just("2:00:00"), _ARG),
+                "--container-name": st.one_of(
+                    st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,4}", fullmatch=True), _ARG
+                ),
+                "--env": st.one_of(st.builds("{}={}".format, _ENV_KEY, _ARG), _ARG),
+                "--workdir": st.builds("{}:{}".format, _ARG, _ARG),
+                "--tags": _ARG,
+            },
+        ),
+        command=st.lists(_ARG, max_size=3),
+    )
+    @example(flags={"--env": "A=\udcff", "--job-name": "j\udcff"}, command=["python", "\udcff"])
+    def test_job_gen_free_text(self, flags, command):
+        argv = [*_JOB_GEN, *_CSIC, *_ENTRYPOINT_SPEC]
+        argv += [f"{flag}={value}" for flag, value in flags.items()]
+        if command:
+            argv += ["--", *command]
+        with tempfile.TemporaryDirectory() as tmp:
+            _check_no_traceback(argv, tmp)
 
 
 # the hpcflow modules each verb may load, and the standard-library modules

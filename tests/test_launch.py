@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import shlex
 import subprocess
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from hpcflow.errors import LaunchError, ProfileError
 from hpcflow.launch import (
-    MAX_MOCK_RANKS,
     PRIVILEGED_TOKENS,
     JobRequest,
+    LaunchPlan,
     find_privileged_tokens,
     grid_plan,
     plan_launch,
@@ -382,6 +383,17 @@ class TestUdockerSetup:
         with pytest.raises(LaunchError, match="identifier"):
             render_udocker_setup(csic_plan, "bad name")
 
+    @pytest.mark.parametrize(
+        "name, ok", [("abc", True), ("a.b-c_1", True), ("abc\n", False), ("-a", False)]
+    )
+    def test_container_name_is_an_identifier(self, name, ok, csic_plan):
+        if ok:
+            assert render_udocker_setup(csic_plan, name)[2][-1] == name
+        else:
+            message = f"container name {name!r} is not an identifier"
+            with pytest.raises(LaunchError, match=f"^{re.escape(message)}$"):
+                render_udocker_setup(csic_plan, name)
+
 
 class TestInstallScript:
     def test_default_prefix_and_url(self):
@@ -619,6 +631,97 @@ class TestBuiltSpecDockerfileProperty:
                 assert len(_words(instr)) == 2, dockerfile
 
 
+def _plan(**fields) -> LaunchPlan:
+    """A one-rank plan built in code, with ``fields`` in place of the defaults."""
+    values = dict(
+        total_ranks=1,
+        slots_per_node=1,
+        mpirun_args=(),
+        env_exports={},
+        udocker_run_args=(),
+        scheduler_directives=(),
+    )
+    return LaunchPlan(**{**values, **fields})
+
+
+# an identifier most of the time, any short text otherwise
+_ENV_KEY = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True), st.text(max_size=4)
+)
+# text that holds a line break or control character some of the time
+_DIRECTIVE_TEXT = st.one_of(_PRINTABLE, st.text(max_size=6))
+
+
+class TestLaunchPlan:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"total_ranks": 0}, "nodes and gpus_per_node must be >= 1"),
+            ({"slots_per_node": 0}, "nodes and gpus_per_node must be >= 1"),
+            ({"total_ranks": -1, "slots_per_node": -1}, "nodes and gpus_per_node must be >= 1"),
+            (
+                {"env_exports": {"A;sudo id;B": "1"}},
+                "environment variable name 'A;sudo id;B' is not a shell identifier",
+            ),
+            (
+                {"env_exports": {"A=B": None}},
+                "environment variable name 'A=B' is not a shell identifier",
+            ),
+            (
+                {"scheduler_directives": (("job-name", "x\nsudo id"),)},
+                "directive '--job-name=x\\nsudo id' contains a line break or control character",
+            ),
+            (
+                {"scheduler_directives": (("time", "1"), ("a\u2028b", "x"))},
+                "directive '--a\\u2028b=x' contains a line break or control character",
+            ),
+        ],
+        ids=["no-ranks", "no-slots", "negative", "env-key", "env-key-equals", "directive-value",
+             "directive-key"],
+    )
+    def test_built_in_code_is_checked(self, fields, message):
+        with pytest.raises(LaunchError, match=f"^{re.escape(message)}$"):
+            _plan(**fields)
+        with pytest.raises(LaunchError, match=f"^{re.escape(message)}$"):
+            _plan().replace(**fields)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ranks=st.integers(-1, 2),
+        slots=st.integers(-1, 2),
+        env=st.dictionaries(_ENV_KEY, st.one_of(st.none(), _PRINTABLE), max_size=3),
+        directives=st.lists(st.tuples(_DIRECTIVE_TEXT, _DIRECTIVE_TEXT), max_size=3),
+    )
+    def test_every_plan_that_builds_renders_one_line_each(
+        self, tmp_path_factory, ranks, slots, env, directives
+    ):
+        from hpcflow.profiles import parse_cluster_profile
+
+        try:
+            plan = _plan(
+                total_ranks=ranks,
+                slots_per_node=slots,
+                env_exports=env,
+                scheduler_directives=tuple(directives),
+            )
+        except LaunchError:
+            return
+        cluster = parse_cluster_profile((FIXTURES / "profiles" / "csic.profile").read_text())
+        text = render_job_script(plan, cluster, make_request(1, 1, user_command=())).text
+        lines = text.splitlines()
+        valued = {key: value for key, value in env.items() if value is not None}
+        modules = len(cluster.module_loads)
+        assert len(lines) == 1 + len(directives) + modules + len(valued) + 1, text
+        assert lines[1 : 1 + len(directives)] == [f"#SBATCH --{k}={v}" for k, v in directives]
+        exports = lines[1 + len(directives) + modules : -1]
+        assert [shlex.split(line) for line in exports] == [
+            ["export", f"{key}={value}"] for key, value in valued.items()
+        ]
+        path = tmp_path_factory.mktemp("job") / "job.sh"
+        path.write_text(text, encoding="utf-8")
+        assert subprocess.run(["/usr/bin/sh", "-n", str(path)]).returncode == 0, text
+
+
 class TestGridPlan:
     def test_layout_without_launcher_fields(self):
         plan = grid_plan(2, 3, {"FOO": "bar", "PATH": None})
@@ -633,12 +736,6 @@ class TestGridPlan:
     def test_rejects_empty_grid(self, nodes, gpus):
         with pytest.raises(LaunchError, match=">= 1"):
             grid_plan(nodes, gpus)
-
-    def test_rank_limit(self):
-        assert grid_plan(8, MAX_MOCK_RANKS // 8).total_ranks == MAX_MOCK_RANKS == 64
-        for nodes, gpus in [(1000, 1000), (MAX_MOCK_RANKS + 1, 1), (1, MAX_MOCK_RANKS + 1)]:
-            with pytest.raises(LaunchError, match="at most 64"):
-                grid_plan(nodes, gpus)
 
     @pytest.mark.parametrize("key", ["", "1A", "A-B", "A B", "A=B"])
     def test_rejects_env_key_not_identifier(self, key):

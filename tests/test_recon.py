@@ -13,7 +13,6 @@ from hpcflow.recon import (
     InstallerConfig,
     default_cmd_args,
     generate_entrypoint,
-    is_identifier,
     reconcile,
     select_tag,
 )
@@ -37,13 +36,6 @@ class TestSelectTag:
     def test_tag_with_trailing_newline_is_unconventional(self):
         with pytest.raises(ReconcileError):
             select_tag(["ompi4.0\n"], SemVer(4, 0))
-
-
-@pytest.mark.parametrize(
-    "name, ok", [("abc", True), ("a.b-c_1", True), ("abc\n", False), ("-a", False)]
-)
-def test_is_identifier(name, ok):
-    assert is_identifier(name) is ok
 
 
 class TestReconcile:

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpcflow.launch import grid_plan
+from hpcflow.errors import LaunchError
+from hpcflow.launch import LaunchPlan, grid_plan
 from hpcflow.recon import reconcile
 from hpcflow.runner import (
+    MAX_MOCK_RANKS,
     _parse_env_lines,
     all_ranks_succeeded,
     dry_run,
@@ -138,6 +140,33 @@ class TestMockRunRanks:
         assert result.error is None
         assert result.exit_code == 0
         assert not _alive(int(result.stdout))
+
+    def test_rank_limit(self, monkeypatch):
+        # a rank that would be spawned is reported as a spawn error instead
+        def no_spawn(*args, **kwargs):
+            raise OSError("not spawned")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        results = mock_run_ranks(grid_plan(8, MAX_MOCK_RANKS // 8), ["true"])
+        assert len(results) == MAX_MOCK_RANKS == 64
+        assert {r.error for r in results} == {"not spawned"}
+        built = LaunchPlan(
+            total_ranks=65,
+            slots_per_node=2,
+            mpirun_args=(),
+            env_exports={},
+            udocker_run_args=(),
+            scheduler_directives=(),
+        )
+        over = {
+            "a 1000 x 1000 grid has 1000000 ranks": grid_plan(1000, 1000),
+            "a 65 x 1 grid has 65 ranks": grid_plan(MAX_MOCK_RANKS + 1, 1),
+            "a 1 x 65 grid has 65 ranks": grid_plan(1, MAX_MOCK_RANKS + 1),
+            "a 32 x 2 grid has 65 ranks": built,
+        }
+        for grid, plan in over.items():
+            with pytest.raises(LaunchError, match=f"^{grid}; the mock runtime spawns at most 64$"):
+                mock_run_ranks(plan, ["true"])
 
     def test_env_dump_starts_no_python(self):
         command = env_dump_command()
