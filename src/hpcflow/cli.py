@@ -367,6 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # argv that is not UTF-8 arrives as surrogates; printed, they are its bytes again
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="surrogateescape")
     if "--" in argv:
         split = argv.index("--")
         argv, user_command = argv[:split], argv[split + 1 :]

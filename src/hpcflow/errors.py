@@ -29,14 +29,19 @@ class Record:
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
-        values = {**self._defaults, **kwargs}
-        if args:
-            if len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[: len(args)]):
-                raise TypeError(f"{type(self).__name__}() got too many or repeated arguments")
-            values.update(zip(fields, args))
-        if len(values) > len(fields) or _MISSING in values.values():
-            wrong = [k for k, v in values.items() if k not in fields or v is _MISSING]
-            raise TypeError(f"{type(self).__name__}() got unknown or missing fields {wrong}")
+        if not kwargs and len(args) == len(fields):  # every field by position
+            values = zip(fields, args)
+        elif not args and kwargs.keys() == self._defaults.keys():  # every field by keyword
+            values = kwargs
+        else:
+            values = {**self._defaults, **kwargs}
+            if args:
+                if len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[: len(args)]):
+                    raise TypeError(f"{type(self).__name__}() got too many or repeated arguments")
+                values.update(zip(fields, args))
+            if len(values) > len(fields) or _MISSING in values.values():
+                wrong = [k for k, v in values.items() if k not in fields or v is _MISSING]
+                raise TypeError(f"{type(self).__name__}() got unknown or missing fields {wrong}")
         # one update: a __dict__ write per field makes later attribute reads slower
         self.__dict__.update(values)
         self.__post_init__()

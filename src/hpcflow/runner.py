@@ -72,9 +72,10 @@ def mock_run_ranks(
             ``MAX_MOCK_RANKS`` ranks.
     """
     if plan.total_ranks > MAX_MOCK_RANKS:
+        nodes, rest = divmod(plan.total_ranks, plan.slots_per_node)
+        grid = "the plan" if rest else f"a {nodes} x {plan.slots_per_node} grid"
         raise LaunchError(
-            f"a {plan.total_ranks // plan.slots_per_node} x {plan.slots_per_node} grid has "
-            f"{plan.total_ranks} ranks; the mock runtime spawns at most {MAX_MOCK_RANKS}"
+            f"{grid} has {plan.total_ranks} ranks; the mock runtime spawns at most {MAX_MOCK_RANKS}"
         )
     # imported here: ``job gen`` and ``run dry`` load this module for dry_run
     import signal

@@ -369,6 +369,20 @@ class TestJobGen:
         assert line + b"\n" in job.read_bytes()
         assert subprocess.run(["/usr/bin/sh", "-n", str(job)]).returncode == 0
 
+    def test_non_utf8_out_path_is_echoed_as_bytes(self, tmp_path, capsys):
+        argv = self._job_gen(tmp_path, ["--out", f"{tmp_path}/\udcff.sh", "--", "true"])
+        # a UTF-8 locale's stdout, which refuses surrogates unless told otherwise
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        stdout.flush()
+        assert (code, capsys.readouterr().err) == (0, "")
+        folder = bytes(tmp_path)
+        assert stdout.buffer.getvalue() == (
+            b"wrote " + folder + b"/\xff.sh\nwrote " + folder + b"/\xff_setup.sh\n"
+        )
+        assert sorted(os.listdir(folder)) == [b"\xff.sh", b"\xff_setup.sh"]
+
     def test_profile_with_error_issue_exits_one(self, tmp_path, capsys):
         argv = self._job_gen(tmp_path, ["--", "python", "train.py"])
         argv[argv.index("--profile") + 1] = str(_profile_with_error(tmp_path))
@@ -918,7 +932,8 @@ def _check_no_traceback(argv: list[str], tmp: str) -> None:
     argv = [arg.replace("{tmp}", tmp) for arg in argv]
     with (
         mock.patch.object(cli, "build_parser", _PARSER),
-        contextlib.redirect_stdout(io.StringIO()),
+        # strict, as a UTF-8 locale's stdout is: it refuses a surrogate it is not told to pass
+        contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")),
         contextlib.redirect_stderr(io.StringIO()) as err,
     ):
         try:
@@ -963,11 +978,16 @@ class TestNoTraceback:
                 "--env": st.one_of(st.builds("{}={}".format, _ENV_KEY, _ARG), _ARG),
                 "--workdir": st.builds("{}:{}".format, _ARG, _ARG),
                 "--tags": _ARG,
+                # a file name in the folder: no "/", so nothing is written outside it
+                "--out": st.builds("{{tmp}}/{}.sh".format, _ARG.filter(lambda a: "/" not in a)),
             },
         ),
         command=st.lists(_ARG, max_size=3),
     )
-    @example(flags={"--env": "A=\udcff", "--job-name": "j\udcff"}, command=["python", "\udcff"])
+    @example(
+        flags={"--env": "A=\udcff", "--job-name": "j\udcff", "--out": "{tmp}/\udcff.sh"},
+        command=["python", "\udcff"],
+    )
     def test_job_gen_free_text(self, flags, command):
         argv = [*_JOB_GEN, *_CSIC, *_ENTRYPOINT_SPEC]
         argv += [f"{flag}={value}" for flag, value in flags.items()]

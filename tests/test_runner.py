@@ -162,7 +162,8 @@ class TestMockRunRanks:
             "a 1000 x 1000 grid has 1000000 ranks": grid_plan(1000, 1000),
             "a 65 x 1 grid has 65 ranks": grid_plan(MAX_MOCK_RANKS + 1, 1),
             "a 1 x 65 grid has 65 ranks": grid_plan(1, MAX_MOCK_RANKS + 1),
-            "a 32 x 2 grid has 65 ranks": built,
+            # 65 ranks at 2 per node is no whole grid, so the message counts ranks only
+            "the plan has 65 ranks": built,
         }
         for grid, plan in over.items():
             with pytest.raises(LaunchError, match=f"^{grid}; the mock runtime spawns at most 64$"):
