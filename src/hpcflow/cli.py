@@ -86,6 +86,22 @@ def _read_text(path: str) -> str:
         raise HpcflowError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _write_files(texts: dict[Path, str]) -> None:
+    """Write every file, or none: a failed write removes those this call wrote."""
+    written = []
+    try:
+        for path, text in texts.items():
+            # argv that is not UTF-8 arrives as surrogates; its bytes pass through as they are
+            path.write_text(text, encoding="utf-8", errors="surrogateescape")
+            written.append(path)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    for path in texts:
+        print(f"wrote {path}")
+
+
 def _load_profile(path: str):
     from hpcflow.profiles import parse_cluster_profile
 
@@ -119,10 +135,7 @@ def cmd_image_gen(args: argparse.Namespace) -> int:
                 f"--out {out} is also the path of the entrypoint script; choose another name"
             )
         texts[script_path] = recon.generate_entrypoint()
-    for path, text in texts.items():
-        path.write_text(text, encoding="utf-8")
-    for path in texts:
-        print(f"wrote {path}")
+    _write_files(texts)
     return EXIT_OK
 
 
@@ -182,13 +195,9 @@ def cmd_job_gen(args: argparse.Namespace) -> int:
     launch_plan = launch.plan_launch(profile, plan, request)
     script = launch.render_job_script(launch_plan, profile, request)
     out = Path(args.out)
-    setup_path = out.parent / f"{out.stem}_setup.sh"
     setup_lines = runner.dry_run(launch.render_udocker_setup(plan, container_name))
-    # argv that is not UTF-8 arrives as surrogates; its bytes pass through as they are
-    for path, text in ((out, script.text), (setup_path, "\n".join(setup_lines) + "\n")):
-        path.write_text(text, encoding="utf-8", errors="surrogateescape")
-    print(f"wrote {out}")
-    print(f"wrote {setup_path}")
+    setup_text = "\n".join(setup_lines) + "\n"
+    _write_files({out: script.text, out.parent / f"{out.stem}_setup.sh": setup_text})
     return EXIT_OK
 
 
@@ -213,11 +222,11 @@ def cmd_run_mock(args: argparse.Namespace) -> int:
         node = result.env.get("NODE_INDEX", "?")
         local = result.env.get("LOCAL_RANK", "?")
         print(f"{result.rank} {node} {local} {result.exit_code}")
-    for result in results:
-        if result.exit_code != 0:
-            reason = result.error or f"exit {result.exit_code}"
-            print(f"error: rank {result.rank}: {reason}", file=sys.stderr)
-    return EXIT_OK if runner.all_ranks_succeeded(results) else EXIT_ERROR
+    failed = [result for result in results if result.exit_code != 0]
+    for result in failed:
+        reason = result.error or f"exit {result.exit_code}"
+        print(f"error: rank {result.rank}: {reason}", file=sys.stderr)
+    return EXIT_ERROR if failed else EXIT_OK
 
 
 def cmd_perf_predict(args: argparse.Namespace) -> int:

@@ -59,7 +59,8 @@ class LaunchPlan(Record):
 
     ``env_exports`` maps variable names to values; a value of ``None``
     means the variable is forwarded from the submitting environment
-    (``-x NAME`` only, no export line).
+    (``-x NAME`` only, no export line).  ``udocker_run_args`` ends at the
+    runtime arguments; the user's command comes from the ``JobRequest``.
 
     Building one raises ``LaunchError`` unless it has at least one rank and
     one slot per node, every ``env_exports`` key is a shell identifier, and
@@ -94,11 +95,11 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
 
     Raises:
         LaunchError: when the request exceeds the cluster's capacity, the
-            container name is not an identifier, the job name holds a line
-            break or control character, the walltime is not HH:MM:SS, or the
-            user command is empty for a strategy whose image has no
-            entrypoint to fall back on.  ``LaunchPlan`` checks the counts and
-            the ``extra_env`` keys; the cluster profile was checked when built.
+            container name is not an identifier, the walltime is not
+            HH:MM:SS, or the user command is empty for a strategy whose image
+            has no entrypoint to fall back on.  ``LaunchPlan`` checks the
+            counts, the ``extra_env`` keys and the directives, the job name
+            among them; the cluster profile was checked when built.
     """
     if req.nodes > cluster.gpu_nodes:
         raise LaunchError(
@@ -112,8 +113,6 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
         )
     if not _IDENTIFIER_RE.fullmatch(req.container_name):
         raise LaunchError(f"container name {req.container_name!r} is not an identifier")
-    if CONTROL_CHAR_RE.search(req.job_name):
-        raise LaunchError(f"job name {req.job_name!r} contains a line break or control character")
     if not _WALLTIME_RE.fullmatch(req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")
     if not req.user_command and recon.strategy_used != "entrypoint":
@@ -150,7 +149,6 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
         *(f"--volume={src}:{dst}" for src, dst in cluster.default_mounts),
         req.container_name,
         *recon.runtime_args,
-        *req.user_command,
     ]
 
     directives = [
@@ -203,11 +201,12 @@ def render_job_script(
 ) -> JobScript:
     """Render the batch script: directives, module loads, exports, launcher.
 
-    Export values and the user's command are shell-quoted, so the script
-    passes them through unchanged.  Every other launcher word, and each
-    module name, is written as it is when it holds only safe characters
-    and $NAME references, so ``$PWD`` and ``$USER`` still expand, and is
-    shell-quoted otherwise.
+    The launcher line is the plan's words followed by the request's
+    command.  Export values and the command are shell-quoted, so the script
+    passes them through unchanged.  Every plan word, and each module name,
+    is written as it is when it holds only safe characters and $NAME
+    references, so ``$PWD`` and ``$USER`` still expand, and is shell-quoted
+    otherwise.
 
     Raises:
         LaunchError: for scheduler 'none'; local execution goes through
@@ -226,12 +225,8 @@ def render_job_script(
     for key, value in plan.env_exports.items():
         if value is not None:
             lines.append(f"export {key}={shlex.quote(value)}")
-    # udocker_run_args ends with the user's command
-    run_args = plan.udocker_run_args[: len(plan.udocker_run_args) - len(req.user_command)]
-    launcher = " ".join(
-        _sh_word(word)
-        for word in ["mpirun", *plan.mpirun_args, cluster.container_runtime_path, "run", *run_args]
-    )
+    udocker_run = [cluster.container_runtime_path, "run", *plan.udocker_run_args]
+    launcher = " ".join(_sh_word(word) for word in ["mpirun", *plan.mpirun_args, *udocker_run])
     if req.user_command:
         launcher += " " + shlex.join(req.user_command)
     lines.append(launcher)

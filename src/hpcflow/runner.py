@@ -82,8 +82,8 @@ def mock_run_ranks(
     import subprocess
 
     deadline = time.monotonic() + timeout
-    procs: list[subprocess.Popen | None] = []
-    errors: list[str | None] = []
+    # each rank's process, or the result of its failed spawn
+    spawned: list[subprocess.Popen | RankResult] = []
     shared_env = dict(os.environ)
     shared_env.update((k, v) for k, v in plan.env_exports.items() if v is not None)
     for rank in range(plan.total_ranks):
@@ -95,7 +95,7 @@ def mock_run_ranks(
             "NODE_INDEX": str(rank // plan.slots_per_node),
         }
         try:
-            procs.append(
+            spawned.append(
                 subprocess.Popen(
                     rank_command,
                     env=env,
@@ -105,15 +105,13 @@ def mock_run_ranks(
                     start_new_session=True,
                 )
             )
-            errors.append(None)
         except OSError as exc:
-            procs.append(None)
-            errors.append(str(exc))
+            spawned.append(RankResult(rank=rank, exit_code=127, env={}, error=str(exc)))
 
     results = []
-    for rank, (proc, error) in enumerate(zip(procs, errors)):
-        if proc is None:
-            results.append(RankResult(rank=rank, exit_code=127, env={}, error=error))
+    for rank, proc in enumerate(spawned):
+        if isinstance(proc, RankResult):
+            results.append(proc)
             continue
         error = None
         try:
@@ -137,7 +135,3 @@ def mock_run_ranks(
             )
         )
     return results
-
-
-def all_ranks_succeeded(results: list[RankResult]) -> bool:
-    return all(r.exit_code == 0 for r in results)

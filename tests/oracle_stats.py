@@ -3,7 +3,9 @@
 Mean and sample standard deviation are computed with exact rational
 arithmetic; the Student-t quantile comes from numerically integrating the
 t density (composite Simpson) and inverting the CDF by bisection.  None
-of this shares code with the scipy-backed implementation it checks.
+of this shares code with ``hpcflow.perf``, which it checks: there the
+mean is an ``fsum``, the SD a ``hypot`` of the deviations, and the t
+quantile Newton's method on a series for the tail.
 """
 
 from __future__ import annotations

@@ -144,6 +144,19 @@ class TestImageGen:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys):
+        # the Dockerfile is written first, then the entrypoint script fails
+        script = tmp_path / "entry.sh"
+        script.mkdir()
+        out = tmp_path / "Dockerfile"
+        code, stdout, err = run_cli(
+            ["image", "gen", "--spec", str(SPECS / "entrypoint.spec"), "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{script}'\n"
+        assert list(tmp_path.iterdir()) == [script]
+
     @pytest.mark.parametrize(
         "spec_name, key, value, line",
         [
@@ -341,10 +354,20 @@ class TestJobGen:
         code, out, err = run_cli(
             self._job_gen(tmp_path, ["--job-name", "a\nsudo true", "--", "true"]), capsys
         )
-        assert code == 1
-        assert out == ""
-        assert "job name" in err
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: directive '--job-name=a\\nsudo true' contains a line break or control character\n"
+        )
         assert not (tmp_path / "job.sh").exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys):
+        # the job script is written first, then the setup script fails
+        setup = tmp_path / "job_setup.sh"
+        setup.mkdir()
+        code, stdout, err = run_cli(self._job_gen(tmp_path, ["--", "true"]), capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{setup}'\n"
+        assert list(tmp_path.iterdir()) == [setup]
 
     def test_walltime_with_trailing_newline_exits_one(self, tmp_path, capsys):
         argv = self._job_gen(tmp_path, ["--walltime", "01:00:00\n", "--", "true"])
@@ -1130,6 +1153,22 @@ class TestColdStartImports:
         assert hpcflow.ImageRef is profiles.ImageRef is errors.ImageRef
         with pytest.raises(AttributeError):
             hpcflow.not_a_name
+
+    def test_every_benchmarked_layer_resolves(self):
+        # the benchmark traces each layer by its ``module.function`` name
+        import importlib
+        import json
+
+        benchmark = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+        names = [metric["name"] for metric in benchmark["per_layer"]]
+        layers = [name.removesuffix(".calls") for name in names if name.endswith(".calls")]
+        assert {"cli.main", "runner.dry_run"} <= set(layers)
+        missing = []
+        for layer in layers:
+            module, _, function = layer.partition(".")
+            if not callable(getattr(importlib.import_module(f"hpcflow.{module}"), function, None)):
+                missing.append(layer)
+        assert missing == []
 
 
 class TestNoRuntimeDependencies:

@@ -60,6 +60,7 @@ class TestParse:
     def test_bracket_that_is_not_json_stays_shell_form(self):
         run = parse_dockerfile("FROM a:1\nRUN [not json\n").instructions[1]
         assert (run.args, run.exec_form) == ("[not json", False)
+        assert exec_tokens(run) is None
 
     def test_every_line_attributed_to_one_instruction(self):
         for path in corpus_paths():
@@ -258,6 +259,16 @@ class TestWhitespace:
                 ("LABEL", "a=b", False, (7, 7)),
             ],
             id="continuation-over-comment",
+        ),
+        pytest.param(
+            'FROM a:1\nRUN ["a", 1]\nCMD ["a", {"b": 1}]\nRUN [1, 2\n',
+            [
+                ("FROM", "a:1", False, (1, 1)),
+                ("RUN", '["a", 1]', False, (2, 2)),
+                ("CMD", '["a", {"b": 1}]', False, (3, 3)),
+                ("RUN", "[1, 2", False, (4, 4)),
+            ],
+            id="json-not-a-list-of-strings",
         ),
         ],
     )

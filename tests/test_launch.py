@@ -113,8 +113,8 @@ class TestPlanLaunch:
         assert args[2] == "--volume=$PWD:/workdir"
         assert args[3] == "--volume=/scratch:/scratch"  # cluster default mount
         assert args[4] == "tfbench"
-        assert args[5:7] == ["4.0.1", "0.21.3"]  # reconcile-supplied versions
-        assert args[7:] == ["python", "/workspace/train.py"]
+        # ends at the reconcile-supplied versions; the command is the request's
+        assert args[5:] == ["4.0.1", "0.21.3"]
 
     def test_capacity_checks(self, csic_profile, csic_plan):
         with pytest.raises(LaunchError, match="nodes"):
@@ -156,6 +156,11 @@ class TestPlanLaunch:
         request = make_request(1, 1, **{field: value[:at] + brk + value[at:]})
         with pytest.raises(LaunchError, match="HH:MM:SS|identifier"):
             plan_launch(cluster, reconcile(spec, cluster), request)
+
+    def test_walltime_reported_before_job_name(self, csic_profile, csic_plan):
+        request = make_request(1, 1, job_name="a\nsudo id", walltime="1h")
+        with pytest.raises(LaunchError, match="^walltime '1h' is not HH:MM:SS$"):
+            plan_launch(csic_profile, csic_plan, request)
 
     def test_empty_command_needs_entrypoint(self, csic_profile, ngc_spec, csic_plan):
         ngc_plan = reconcile(ngc_spec, csic_profile)
@@ -199,6 +204,14 @@ class TestRenderJobScript:
         (mpirun_idx,) = [i for i, l in enumerate(lines) if l.startswith("mpirun ")]
         assert export_idx < mpirun_idx
         assert "-x FOO" in lines[mpirun_idx]
+
+    @pytest.mark.parametrize("command, tail", [(("x",), " 0.21.3 x"), ((), " 0.21.3")])
+    def test_command_comes_from_the_request(self, command, tail, csic_profile, csic_plan):
+        built_for = make_request(1, 1, user_command=("python", "$HOME/train.py"))
+        plan = plan_launch(csic_profile, csic_plan, built_for)
+        text = render_job_script(plan, csic_profile, make_request(1, 1, user_command=command)).text
+        (launcher,) = [l for l in text.splitlines() if l.startswith("mpirun ")]
+        assert launcher.endswith(tail)
 
     def test_byte_stable(self, csic_profile, csic_plan):
         req = make_request(2, 2)
@@ -316,7 +329,9 @@ class TestLauncherWords:
 
     @pytest.mark.parametrize("name", ["a\nsudo true", "a\rb", "a\x0bb", "a\x85b", "a\u2028b", "a\x00"])
     def test_job_name_line_break_rejected(self, name, csic_profile, csic_plan):
-        with pytest.raises(LaunchError, match="job name"):
+        line = repr(f"--job-name={name}")
+        message = f"directive {line} contains a line break or control character"
+        with pytest.raises(LaunchError, match=f"^{re.escape(message)}$"):
             plan_launch(csic_profile, csic_plan, make_request(1, 1, job_name=name))
 
     @pytest.mark.parametrize("field", ["partition", "account"])
