@@ -6,8 +6,11 @@ files; the directory's path is replaced by ``<tmp>`` before hashing, in
 arguments and outputs alike.  The runs cover every verb but ``run mock`` (which spawns
 processes) on the fixtures, seeded generated Dockerfiles, each fixture
 profile and spec with one injected defect, and ``job gen`` with one wrong
-flag, so that error lines are pinned, or with argv that is not UTF-8.  Text
-is hashed as the bytes it stands for: a lone surrogate as the byte it decodes.
+flag, so that error lines are pinned, or with argv that is not UTF-8.  Every
+help screen is pinned at two terminal widths, and so are usage errors and
+argv that argparse reads in its own way; each run sets ``COLUMNS``, which
+argparse wraps its text to.  Text is hashed as the bytes it stands for: a
+lone surrogate as the byte it decodes.
 
 A change that alters an output on purpose rewrites the manifest with
 
@@ -24,6 +27,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import tempfile
@@ -71,6 +75,13 @@ JOB_EXTRAS = (
     ("--", "python", "\udcff"),
 )
 
+# the help screens, by argv: the root, each noun and each verb
+HELP = (
+    [], ["profile"], ["profile", "validate"], ["image"], ["image", "gen"], ["image", "lint"],
+    ["job"], ["job", "gen"], ["run"], ["run", "dry"], ["run", "mock"],
+    ["perf"], ["perf", "predict"], ["bench"], ["bench", "report"],
+)
+
 
 def _defects(text: str, whole: bool) -> dict[str, str]:
     """``text`` with one defect each, by a label naming it.
@@ -99,14 +110,15 @@ def _defects(text: str, whole: bool) -> dict[str, str]:
     return texts
 
 
-def _runs() -> dict[str, tuple[list[str], dict[str, str]]]:
-    """Run id -> (argv, input files by name); ``<tmp>`` in argv is the run's directory."""
-    runs: dict[str, tuple[list[str], dict[str, str]]] = {}
+def _runs() -> dict[str, tuple[list[str], dict[str, str], int]]:
+    """Run id -> (argv, input files by name, ``COLUMNS``); ``<tmp>`` in argv is
+    the run's directory."""
+    runs: dict[str, tuple[list[str], dict[str, str], int]] = {}
     texts = {path.name: path.read_text() for path in PROFILES + SPECS + LOGS}
 
-    def add(run_id: str, argv: list[str], *names: str, **inputs: str) -> None:
+    def add(run_id: str, argv: list[str], *names: str, columns: int = 80, **inputs: str) -> None:
         assert run_id not in runs, run_id
-        runs[run_id] = (argv, {**{name: texts[name] for name in names}, **inputs})
+        runs[run_id] = (argv, {**{name: texts[name] for name in names}, **inputs}, columns)
 
     for profile in PROFILES:
         for flags in ([], ["--machine"]):
@@ -158,6 +170,38 @@ def _runs() -> dict[str, tuple[list[str], dict[str, str]]]:
     for spec in SPECS:
         for defect, text in _defects(texts[spec.name], whole=True).items():
             add(f"image gen {spec.name}, {defect}", _image_gen(spec.name), **{spec.name: text})
+
+    for words in HELP:
+        for columns in (50, 120):
+            add(f"help {' '.join(['hpcflow', *words])}, COLUMNS={columns}", [*words, "-h"],
+                columns=columns)
+    pair = ["csic.profile", "entrypoint.spec"]
+    lint = "12_multiple_smells.dockerfile"
+    # read in argparse's own way: an abbreviated option, ``--opt=value``, a
+    # repeated option (the last wins), a value with a leading ``-``
+    add("usage image lint --mach", ["image", "lint", f"{TMP}/{lint}", "--mach"],
+        **{lint: dockerfiles[lint]})
+    add("usage job gen --nodes=2", _job_gen(*pair, "1", "--nodes=2"), *pair)
+    add("usage job gen --nodes 1 --nodes 2", _job_gen(*pair, "1", "--nodes", "2"), *pair)
+    add("usage perf predict --link-latency -1", [*predict, "--link-latency", "-1"])
+    add("usage bench report --warmup -1", ["bench", "report", "--warmup", "-1", *logs],
+        *(log.name for log in LOGS))
+    # rejected: positionals split by an option, help after arguments, no
+    # noun, no verb, an unknown verb, an extra positional, a missing or
+    # mistyped option, and a command after ``--`` where none is taken
+    add("usage bench report, --warmup between runs",
+        ["bench", "report", logs[0], "--warmup", "2", *logs[1:]], *(log.name for log in LOGS))
+    add("usage profile validate -h after the path",
+        ["profile", "validate", f"{TMP}/csic.profile", "-h"], "csic.profile")
+    add("usage no noun", [])
+    add("usage profile, no verb", ["profile"])
+    add("usage profile check", ["profile", "check"])
+    add("usage profile validate, two paths",
+        ["profile", "validate", f"{TMP}/csic.profile", f"{TMP}/csic.profile"], "csic.profile")
+    add("usage image gen, no --out", ["image", "gen", "--spec", f"{TMP}/entrypoint.spec"],
+        "entrypoint.spec")
+    add("usage job gen --nodes 0", _job_gen(*pair, "0"), *pair)
+    add("usage run dry -- x", _run_dry(*pair, "--", "x"), *pair)
     return runs
 
 
@@ -174,14 +218,15 @@ def _run_dry(profile: str, spec: str, *flags: str) -> list[str]:
     return ["run", "dry", "--profile", f"{TMP}/{profile}", "--spec", f"{TMP}/{spec}", *flags]
 
 
-def _outcome(argv: list[str], inputs: dict[str, str], tmp: Path) -> dict:
-    """Run ``main`` on ``argv`` in the empty directory ``tmp`` holding ``inputs``;
-    hash what it left, and empty the directory again."""
+def _outcome(argv: list[str], inputs: dict[str, str], columns: int, tmp: Path) -> dict:
+    """Run ``main`` on ``argv`` in the empty directory ``tmp`` holding ``inputs``,
+    with ``COLUMNS`` set; hash what it left, and empty the directory again."""
     for name, text in inputs.items():
         (tmp / name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with (
         mock.patch.object(cli, "build_parser", _PARSER),
+        mock.patch.dict(os.environ, COLUMNS=str(columns)),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):
