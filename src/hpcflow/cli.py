@@ -11,11 +11,12 @@ present (lint subcommand only).
 
 from __future__ import annotations
 
-import argparse
+import gc
 import math
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # Each command imports the layers it runs, so a cold start loads only those.
 from hpcflow.errors import HpcflowError, ImageRef
@@ -26,14 +27,21 @@ EXIT_USAGE = 2
 EXIT_LINT = 3
 
 
+def _type_error(message: str) -> Exception:
+    """The error an argument type raises, which argparse reports as a usage error."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+            raise _type_error(f"{text!r} is not an integer") from None
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"{text!r} must be >= {minimum}")
+            raise _type_error(f"{text!r} must be >= {minimum}")
         return value
 
     return parse
@@ -44,7 +52,7 @@ _positive_int = _int_at_least(1)
 
 def _env_pair(text: str) -> tuple[str, str]:
     if "=" not in text:
-        raise argparse.ArgumentTypeError(f"{text!r} is not KEY=VALUE")
+        raise _type_error(f"{text!r} is not KEY=VALUE")
     key, _, value = text.partition("=")
     return key, value
 
@@ -52,20 +60,20 @@ def _env_pair(text: str) -> tuple[str, str]:
 def _mount_pair(text: str) -> tuple[str, str]:
     src, sep, dst = text.partition(":")
     if not sep or not src or not dst:
-        raise argparse.ArgumentTypeError(f"{text!r} is not host:container")
+        raise _type_error(f"{text!r} is not host:container")
     return src, dst
 
 
 def _gpus_log_pair(text: str) -> tuple[int, str]:
     gpus, sep, path = text.partition(":")
     if not sep:
-        raise argparse.ArgumentTypeError(f"{text!r} is not GPUS:PATH")
+        raise _type_error(f"{text!r} is not GPUS:PATH")
     try:
         count = int(gpus)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{gpus!r} is not an integer GPU count") from None
+        raise _type_error(f"{gpus!r} is not an integer GPU count") from None
     if count < 1:
-        raise argparse.ArgumentTypeError("GPU count must be >= 1")
+        raise _type_error("GPU count must be >= 1")
     return count, path
 
 
@@ -87,16 +95,27 @@ def _read_text(path: str) -> str:
 
 
 def _write_files(texts: dict[Path, str]) -> None:
-    """Write every file, or none: a failed write removes those this call wrote."""
-    written = []
+    """Write every file, or none: a failed write puts back the bytes of each
+    file this call overwrote and removes each file it created."""
+    undo: list[tuple[Path, bytes | None]] = []  # bytes to write back, or None to remove
     try:
         for path, text in texts.items():
+            try:
+                old = path.read_bytes()
+            except OSError:  # none there, or unreadable: removed again once written
+                old = None
+            if old is not None:  # put back even if this write fails part way
+                undo.append((path, old))
             # argv that is not UTF-8 arrives as surrogates; its bytes pass through as they are
             path.write_text(text, encoding="utf-8", errors="surrogateescape")
-            written.append(path)
+            if old is None:
+                undo.append((path, None))
     except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for path, old in undo:
+            if old is None:
+                path.unlink(missing_ok=True)
+            else:  # in place, so its mode bits and a symlink stay as they were
+                path.write_bytes(old)
         raise
     for path in texts:
         print(f"wrote {path}")
@@ -108,7 +127,7 @@ def _load_profile(path: str):
     return parse_cluster_profile(_read_text(path))
 
 
-def cmd_profile_validate(args: argparse.Namespace) -> int:
+def cmd_profile_validate(args: SimpleNamespace) -> int:
     from hpcflow.profiles import validate_profile
 
     profile = _load_profile(args.path)
@@ -120,7 +139,7 @@ def cmd_profile_validate(args: argparse.Namespace) -> int:
     return EXIT_ERROR if any(i.severity == "error" for i in issues) else EXIT_OK
 
 
-def cmd_image_gen(args: argparse.Namespace) -> int:
+def cmd_image_gen(args: SimpleNamespace) -> int:
     from hpcflow import dockerfile, recon
     from hpcflow.profiles import parse_env_spec
 
@@ -139,7 +158,7 @@ def cmd_image_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_image_lint(args: argparse.Namespace) -> int:
+def cmd_image_lint(args: SimpleNamespace) -> int:
     from hpcflow import dockerfile, lint
 
     ast = dockerfile.parse_dockerfile(_read_text(args.path), source_name=args.path)
@@ -161,7 +180,7 @@ def cmd_image_lint(args: argparse.Namespace) -> int:
     return EXIT_LINT if report.counts["error"] else EXIT_OK
 
 
-def _reconcile_from_args(args: argparse.Namespace):
+def _reconcile_from_args(args: SimpleNamespace):
     from hpcflow import recon
     from hpcflow.profiles import parse_env_spec, validate_profile
 
@@ -176,7 +195,7 @@ def _reconcile_from_args(args: argparse.Namespace):
     return profile, recon.reconcile(spec, profile, available_tags=tags)
 
 
-def cmd_job_gen(args: argparse.Namespace) -> int:
+def cmd_job_gen(args: SimpleNamespace) -> int:
     from hpcflow import launch, runner
 
     profile, plan = _reconcile_from_args(args)
@@ -201,7 +220,7 @@ def cmd_job_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_run_dry(args: argparse.Namespace) -> int:
+def cmd_run_dry(args: SimpleNamespace) -> int:
     from hpcflow import launch, runner
 
     _, plan = _reconcile_from_args(args)
@@ -211,7 +230,7 @@ def cmd_run_dry(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_run_mock(args: argparse.Namespace) -> int:
+def cmd_run_mock(args: SimpleNamespace) -> int:
     from hpcflow import launch, runner
 
     plan = launch.grid_plan(args.nodes, args.gpus_per_node, dict(args.env or []))
@@ -229,7 +248,7 @@ def cmd_run_mock(args: argparse.Namespace) -> int:
     return EXIT_ERROR if failed else EXIT_OK
 
 
-def cmd_perf_predict(args: argparse.Namespace) -> int:
+def cmd_perf_predict(args: SimpleNamespace) -> int:
     from hpcflow import perf
 
     if args.ideal:
@@ -268,7 +287,7 @@ def cmd_perf_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench_report(args: argparse.Namespace) -> int:
+def cmd_bench_report(args: SimpleNamespace) -> int:
     from hpcflow import perf
 
     runs = []
@@ -286,7 +305,88 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(name: str, **options) -> tuple[str, dict]:
+    """One argument: the name and keywords of its ``add_argument`` call."""
+    return name, options
+
+
+_RECONCILE_ARGS = (_arg("--profile", required=True), _arg("--spec", required=True))
+_GRID_ARGS = (
+    _arg("--nodes", type=_positive_int, required=True),
+    _arg("--gpus-per-node", type=_positive_int, required=True),
+)
+_ENV_ARG = _arg("--env", action="append", type=_env_pair, metavar="KEY=VALUE")
+
+# Every noun, in help order: its help and its verbs; each verb's help,
+# handler and arguments.  ``build_parser`` builds argparse from it, and
+# ``_read_args`` reads well-formed argv against it without argparse.
+_COMMANDS = {
+    "profile": ("cluster profile operations", {
+        "validate": ("parse and validate a profile", cmd_profile_validate, (
+            _arg("path"),
+            _arg("--machine", action="store_true", help="issue lines only"),
+        )),
+    }),
+    "image": ("image input generation and linting", {
+        "gen": ("generate Dockerfile (and entrypoint script)", cmd_image_gen, (
+            _arg("--spec", required=True, help="environment spec file"),
+            _arg("--out", required=True, help="output Dockerfile path"),
+        )),
+        "lint": ("report Dockerfile smells", cmd_image_lint, (
+            _arg("path"),
+            _arg("--machine", action="store_true", help="rule_id:severity:line:message lines"),
+        )),
+    }),
+    "job": ("batch job planning", {
+        "gen": ("render batch script + setup commands", cmd_job_gen, (
+            *_RECONCILE_ARGS,
+            *_GRID_ARGS,
+            _arg("--out", required=True, help="output job script path"),
+            _arg("--workdir", type=_mount_pair, default=("$PWD", "/workdir")),
+            _arg("--job-name", default="hpcflow-job"),
+            _arg("--walltime", default="01:00:00"),
+            _arg("--container-name", default=None),
+            _arg("--tags", default=None, help="available image tags (tags strategy)"),
+            _ENV_ARG,
+        )),
+    }),
+    "run": ("preview or mock-execute commands", {
+        "dry": ("print the container setup transcript", cmd_run_dry, (
+            *_RECONCILE_ARGS,
+            _arg("--container-name", default=None),
+            _arg("--tags", default=None),
+        )),
+        "mock": ("run the rank grid with local processes", cmd_run_mock, (*_GRID_ARGS, _ENV_ARG)),
+    }),
+    "perf": ("scaling prediction", {
+        "predict": ("CSV speedup table for 1..P workers", cmd_perf_predict, (
+            _arg("--params", type=_positive_int, required=True),
+            _arg("--batch-per-gpu", type=_positive_int, required=True),
+            _arg("--single-gpu-ips", type=float, required=True),
+            _arg("--bytes-per-param", type=_positive_int, default=4),
+            _arg("--link-bandwidth", type=float, default=1.25e9),
+            _arg("--link-latency", type=float, default=5e-6),
+            _arg("--gpus-per-node", type=_positive_int, default=2),
+            _arg("--intra-bandwidth", type=float, default=None),
+            _arg("--p-max", type=_positive_int, default=6),
+            _arg("--ideal", action="store_true", help="zero communication cost (ideal speedup)"),
+        )),
+    }),
+    "bench": ("benchmark statistics", {
+        "report": ("summarize runs as CSV", cmd_bench_report, (
+            _arg("runs", nargs="+", type=_gpus_log_pair, metavar="GPUS:LOGPATH"),
+            _arg("--warmup", type=_int_at_least(0), default=0),
+        )),
+    }),
+}
+# the verbs that take the user's command after ``--``
+_TAKES_COMMAND = (cmd_job_gen, cmd_run_mock)
+
+
+def build_parser():
+    """The argparse parser of ``_COMMANDS``: every help screen and usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hpcflow",
         description=(
@@ -295,82 +395,67 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     nouns = parser.add_subparsers(dest="noun", required=True)
-
-    profile = nouns.add_parser("profile", help="cluster profile operations")
-    profile_verbs = profile.add_subparsers(dest="verb", required=True)
-    validate = profile_verbs.add_parser("validate", help="parse and validate a profile")
-    validate.add_argument("path")
-    validate.add_argument("--machine", action="store_true", help="issue lines only")
-    validate.set_defaults(func=cmd_profile_validate)
-
-    image = nouns.add_parser("image", help="image input generation and linting")
-    image_verbs = image.add_subparsers(dest="verb", required=True)
-    gen = image_verbs.add_parser("gen", help="generate Dockerfile (and entrypoint script)")
-    gen.add_argument("--spec", required=True, help="environment spec file")
-    gen.add_argument("--out", required=True, help="output Dockerfile path")
-    gen.set_defaults(func=cmd_image_gen)
-    lint_cmd = image_verbs.add_parser("lint", help="report Dockerfile smells")
-    lint_cmd.add_argument("path")
-    lint_cmd.add_argument(
-        "--machine", action="store_true", help="rule_id:severity:line:message lines"
-    )
-    lint_cmd.set_defaults(func=cmd_image_lint)
-
-    job = nouns.add_parser("job", help="batch job planning")
-    job_verbs = job.add_subparsers(dest="verb", required=True)
-    job_gen = job_verbs.add_parser("gen", help="render batch script + setup commands")
-    job_gen.add_argument("--profile", required=True)
-    job_gen.add_argument("--spec", required=True)
-    job_gen.add_argument("--nodes", type=_positive_int, required=True)
-    job_gen.add_argument("--gpus-per-node", type=_positive_int, required=True)
-    job_gen.add_argument("--out", required=True, help="output job script path")
-    job_gen.add_argument("--workdir", type=_mount_pair, default=("$PWD", "/workdir"))
-    job_gen.add_argument("--job-name", default="hpcflow-job")
-    job_gen.add_argument("--walltime", default="01:00:00")
-    job_gen.add_argument("--container-name", default=None)
-    job_gen.add_argument("--tags", default=None, help="available image tags (tags strategy)")
-    job_gen.add_argument("--env", action="append", type=_env_pair, metavar="KEY=VALUE")
-    job_gen.set_defaults(func=cmd_job_gen)
-
-    run = nouns.add_parser("run", help="preview or mock-execute commands")
-    run_verbs = run.add_subparsers(dest="verb", required=True)
-    dry = run_verbs.add_parser("dry", help="print the container setup transcript")
-    dry.add_argument("--profile", required=True)
-    dry.add_argument("--spec", required=True)
-    dry.add_argument("--container-name", default=None)
-    dry.add_argument("--tags", default=None)
-    dry.set_defaults(func=cmd_run_dry)
-    mock = run_verbs.add_parser("mock", help="run the rank grid with local processes")
-    mock.add_argument("--nodes", type=_positive_int, required=True)
-    mock.add_argument("--gpus-per-node", type=_positive_int, required=True)
-    mock.add_argument("--env", action="append", type=_env_pair, metavar="KEY=VALUE")
-    mock.set_defaults(func=cmd_run_mock)
-
-    perf_cmd = nouns.add_parser("perf", help="scaling prediction")
-    perf_verbs = perf_cmd.add_subparsers(dest="verb", required=True)
-    predict = perf_verbs.add_parser("predict", help="CSV speedup table for 1..P workers")
-    predict.add_argument("--params", type=_positive_int, required=True)
-    predict.add_argument("--batch-per-gpu", type=_positive_int, required=True)
-    predict.add_argument("--single-gpu-ips", type=float, required=True)
-    predict.add_argument("--bytes-per-param", type=_positive_int, default=4)
-    predict.add_argument("--link-bandwidth", type=float, default=1.25e9)
-    predict.add_argument("--link-latency", type=float, default=5e-6)
-    predict.add_argument("--gpus-per-node", type=_positive_int, default=2)
-    predict.add_argument("--intra-bandwidth", type=float, default=None)
-    predict.add_argument("--p-max", type=_positive_int, default=6)
-    predict.add_argument(
-        "--ideal", action="store_true", help="zero communication cost (ideal speedup)"
-    )
-    predict.set_defaults(func=cmd_perf_predict)
-
-    bench = nouns.add_parser("bench", help="benchmark statistics")
-    bench_verbs = bench.add_subparsers(dest="verb", required=True)
-    report = bench_verbs.add_parser("report", help="summarize runs as CSV")
-    report.add_argument("runs", nargs="+", type=_gpus_log_pair, metavar="GPUS:LOGPATH")
-    report.add_argument("--warmup", type=_int_at_least(0), default=0)
-    report.set_defaults(func=cmd_bench_report)
-
+    for noun, (noun_help, verbs) in _COMMANDS.items():
+        verb_parsers = nouns.add_parser(noun, help=noun_help).add_subparsers(
+            dest="verb", required=True
+        )
+        for verb, (verb_help, func, arguments) in verbs.items():
+            verb_parser = verb_parsers.add_parser(verb, help=verb_help)
+            for name, options in arguments:
+                verb_parser.add_argument(name, **options)
+            verb_parser.set_defaults(func=func)
     return parser
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` read as argparse reads it, or None where argparse might read it
+    otherwise: anything but exact options, values without a leading ``-``
+    that their types take, and one run of positionals.  Then argparse reads
+    it, and reports any usage error."""
+    try:
+        noun, verb, *words = argv
+        _, func, arguments = _COMMANDS[noun][1][verb]
+    except (ValueError, KeyError):
+        return None
+    values, options, required, positional = {}, {}, set(), None
+    for name, opts in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if not name.startswith("-"):
+            positional = dest, opts  # a verb has one positional at most
+            continue
+        options[name] = dest, opts
+        values[dest] = opts.get("default", False if opts.get("action") == "store_true" else None)
+        if opts.get("required"):
+            required.add(dest)
+    places = []  # where each positional word is in ``words``
+    numbered = enumerate(words)
+    for at, word in numbered:
+        if word in options:
+            dest, opts = options[word]
+            required.discard(dest)
+            if opts.get("action") == "store_true":
+                values[dest] = True
+                continue
+            at, word = next(numbered, (at, "-"))
+            if word.startswith("-"):
+                return None
+        elif word.startswith("-") or positional is None:
+            return None
+        else:
+            dest, opts = positional
+            if places and (places[-1] != at - 1 or "nargs" not in opts):
+                return None  # a second positional, or one after an option
+            places.append(at)
+        try:
+            value = opts.get("type", str)(word)
+        except Exception:  # argparse reports it
+            return None
+        if opts.get("action") == "append" or "nargs" in opts:
+            value = [*(values.get(dest) or []), value]
+        values[dest] = value
+    if required or positional and not places:
+        return None
+    return SimpleNamespace(noun=noun, verb=verb, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -384,10 +469,13 @@ def main(argv: list[str] | None = None) -> int:
         argv, user_command = argv[:split], argv[split + 1 :]
     else:
         user_command = []
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if user_command and args.func not in (cmd_job_gen, cmd_run_mock):
-        parser.error(f"'{args.noun} {args.verb}' takes no command after '--'")
+    args = _read_args(argv)
+    if args is None or user_command and args.func not in _TAKES_COMMAND:
+        # argparse reads what the table reader leaves, and reports each usage error
+        parser = build_parser()
+        args = parser.parse_args(argv, SimpleNamespace())
+        if user_command and args.func not in _TAKES_COMMAND:
+            parser.error(f"'{args.noun} {args.verb}' takes no command after '--'")
     args.user_command = user_command
     try:
         return args.func(args)
@@ -397,6 +485,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # what is loaded by now lives until exit: frozen, no collection scans it again
+    gc.freeze()
     sys.exit(main())
 
 

@@ -369,6 +369,24 @@ class TestJobGen:
         assert err == f"error: [Errno 21] Is a directory: '{setup}'\n"
         assert list(tmp_path.iterdir()) == [setup]
 
+    @pytest.mark.parametrize("again", [[], ["--job-name", "other"]], ids=["same", "other name"])
+    def test_failed_write_keeps_the_earlier_files(self, again, tmp_path, capsys):
+        # a second run whose setup-script write fails puts the first run's
+        # job script back, bytes and mode bits, rather than deleting it
+        argv = self._job_gen(tmp_path, ["--", "true"])
+        assert run_cli(argv, capsys)[0] == 0
+        job, setup = tmp_path / "job.sh", tmp_path / "job_setup.sh"
+        job.chmod(0o750)
+        before = job.read_bytes()
+        setup.unlink()
+        setup.mkdir()
+        code, stdout, err = run_cli(self._job_gen(tmp_path, [*again, "--", "true"]), capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{setup}'\n"
+        assert job.read_bytes() == before
+        assert job.stat().st_mode & 0o777 == 0o750
+        assert sorted(tmp_path.iterdir()) == [job, setup]
+
     def test_walltime_with_trailing_newline_exits_one(self, tmp_path, capsys):
         argv = self._job_gen(tmp_path, ["--walltime", "01:00:00\n", "--", "true"])
         code, out, err = run_cli(argv, capsys)
@@ -911,6 +929,114 @@ class TestUsageErrors:
         assert code == 0
 
 
+# values of every kind the verbs' types accept or reject, a leading "-" included
+_READER_VALUES = ("1", "2", "0", "-1", "-2.5", "1e9", "inf", "x", "", "a b", "A=b", "a:b",
+                  "1:p", "2:q", "0:p", "-x", "-h")
+
+
+def _parse(argv: list[str]):
+    """argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _PARSER().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@st.composite
+def _verb_argv(draw) -> list[str]:
+    """A noun and verb, then each of the verb's arguments 0-2 times, in any
+    order.  Half the argv are wild: options exact, abbreviated or with ``=``,
+    values good or bad, one stray word; the rest use exact options and
+    values their types accept."""
+    noun = draw(st.sampled_from(list(cli._COMMANDS)))
+    verb = draw(st.sampled_from(list(cli._COMMANDS[noun][1])))
+    wild = draw(st.booleans())
+    pieces = []
+    for name, options in cli._COMMANDS[noun][1][verb][2]:
+        good = []
+        for value in _READER_VALUES:
+            with contextlib.suppress(Exception):
+                options.get("type", str)(value)
+                good += [] if value.startswith("-") else [value]
+        values = st.sampled_from(good)
+        if wild:
+            values = st.one_of(values, st.sampled_from(_READER_VALUES))
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            if not name.startswith("-"):
+                pieces.append(draw(st.lists(values, min_size=1, max_size=3)))
+                continue
+            shape = "exact"
+            if wild:
+                shape = draw(st.sampled_from([shape, shape, shape, "abbreviated", "="]))
+            spelled = name if shape != "abbreviated" else name[: draw(st.integers(3, len(name) - 1))]
+            if shape == "=":
+                pieces.append([f"{spelled}={draw(values)}"])
+            elif options.get("action") == "store_true":
+                pieces.append([spelled])
+            else:
+                pieces.append([spelled, draw(values)])
+    if wild:
+        pieces += draw(st.lists(st.sampled_from(_READER_VALUES).map(lambda v: [v]), max_size=1))
+    return [noun, verb, *(word for piece in draw(st.permutations(pieces)) for word in piece)]
+
+
+class TestArgvReader:
+    """``cli._read_args`` reads argv as argparse does, or leaves it to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_verb_argv())
+    def test_a_read_namespace_is_argparses(self, argv):
+        args = cli._read_args(argv)
+        if args is not None:
+            parsed = _parse(argv)
+            assert parsed is not None, argv
+            assert vars(args) == vars(parsed), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["image", "lint", "x", "--mach"],
+            ["job", "gen", "--profile", "p", "--spec", "s", "--nodes=2", "--gpus-per-node", "1",
+             "--out", "o"],
+            ["bench", "report", "--warmup", "-1", "1:a"],
+            ["perf", "predict", "--params", "1", "--batch-per-gpu", "1", "--single-gpu-ips",
+             "1", "--link-latency", "-1"],
+            ["bench", "report", "1:a", "--warmup", "2", "2:b"],
+            ["profile", "validate", "x", "-h"],
+            ["profile", "validate", "x", "y"],
+            ["profile", "validate"],
+            ["profile", "check", "x"],
+            ["profile"],
+            [],
+            ["run", "mock", "--nodes", "0", "--gpus-per-node", "1"],
+            ["image", "gen", "--spec", "s"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_argparse_reads_what_the_reader_declines(self, argv):
+        assert cli._read_args(argv) is None
+
+    def test_every_benchmark_argv_is_read(self, tmp_path, monkeypatch):
+        # the benchmark's ops must take the path without argparse
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = pytest.importorskip("workloads")
+        rounds = [*workloads.job_lifecycle_rounds(1, tmp_path / "jobs"),
+                  *workloads.lint_rounds(1, tmp_path / "lint")]
+        argvs = [op.argv for ops in rounds for op in ops]
+        assert len(argvs) > 100
+        for argv in argvs:
+            head = argv[: argv.index("--")] if "--" in argv else argv
+            args = cli._read_args(head)
+            assert args is not None, argv
+            assert vars(args) == vars(_parse(head)), argv
+
+    def test_a_read_verb_builds_no_parser(self, capsys):
+        with mock.patch.object(cli, "build_parser", side_effect=AssertionError):
+            assert main(["profile", "validate", str(PROFILES / "csic.profile")]) == 0
+        assert capsys.readouterr().out == "profile csic-dl: OK\n"
+
+
 # Argument text a process can receive: no NUL, and bytes that are not UTF-8
 # arrive as the lone surrogates U+DC80..U+DCFF.
 _ARG_CHAR = st.one_of(
@@ -1031,66 +1157,69 @@ _RECONCILE_ARGS = [
 _RECORD_MODULES = {"dataclasses", "inspect"}
 # what ``statistics`` would load; ``perf`` computes with ``math`` alone
 _STATISTICS_MODULES = {"statistics", "fractions", "decimal", "random"}
+# what a usage error or help loads; well-formed argv is read without them
+_PARSER_MODULES = {"argparse", "gettext"}
 _VERBS = {
     "profile validate": (
         ["profile", "validate", str(PROFILES / "csic.profile")],
         {"errors", "profiles"},
-        {"subprocess", "statistics", *_RECORD_MODULES},
+        {"subprocess", "statistics", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "image gen": (
         ["image", "gen", "--spec", str(SPECS / "entrypoint.spec"), "--out", "{tmp}/Dockerfile"],
         {"errors", "profiles", "recon", "dockerfile"},
-        {"subprocess", "statistics", *_RECORD_MODULES},
+        {"subprocess", "statistics", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "image lint": (
         ["image", "lint", "--machine", str(LINT / "12_multiple_smells.dockerfile")],
         {"errors", "dockerfile", "lint"},
         # the fixture has no quoted text and no JSON list
-        {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES},
+        {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "job gen": (
         ["job", "gen", *_RECONCILE_ARGS, "--nodes", "2", "--gpus-per-node", "2",
          "--out", "{tmp}/job.sh", "--", "python", "train.py"],
         _RECONCILE,
-        {"subprocess", "statistics", *_RECORD_MODULES},
+        {"subprocess", "statistics", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "run dry": (
         ["run", "dry", *_RECONCILE_ARGS],
         _RECONCILE,
-        {"subprocess", "statistics", *_RECORD_MODULES},
+        {"subprocess", "statistics", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "run mock": (
         ["run", "mock", "--nodes", "1", "--gpus-per-node", "2"],
         _RECONCILE,
-        {"statistics", *_RECORD_MODULES},
+        {"statistics", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "perf predict": (
         ["perf", "predict", "--params", "25636712", "--batch-per-gpu", "256",
          "--single-gpu-ips", "380"],
         {"errors", "perf"},
-        {"subprocess", "statistics", *_RECORD_MODULES},
+        {"subprocess", "statistics", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "bench report": (
         ["bench", "report", "--warmup", "10", f"1:{LOGS / 'bench_1gpu.log'}",
          f"2:{LOGS / 'bench_2gpu.log'}"],
         {"errors", "perf"},
-        {"subprocess", *_RECORD_MODULES, *_STATISTICS_MODULES},
+        {"subprocess", *_RECORD_MODULES, *_STATISTICS_MODULES, *_PARSER_MODULES},
     ),
 }
 
 
-def _modules_after(code: str, argv: list[str] = ()) -> set[str]:
-    """Run ``code`` in a fresh interpreter and return its ``sys.modules``."""
+def _run_python(code: str, argv: list[str] = ()) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports hpcflow from this tree."""
     env = dict(os.environ)
     src = str(Path(hpcflow.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", code + "\nprint(' '.join(sorted(sys.modules)))", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def _modules_after(code: str, argv: list[str] = ()) -> set[str]:
+    """Run ``code`` in a fresh interpreter and return its ``sys.modules``."""
+    child = _run_python(code + "\nprint(' '.join(sorted(sys.modules)))", argv)
     assert child.returncode == 0, child.stderr
     return set(child.stdout.splitlines()[-1].split())
 
@@ -1135,6 +1264,29 @@ class TestColdStartImports:
         modules = set(child.stdout.splitlines()[-1].split())
         assert "hpcflow.cli" in modules
         assert modules & {"typing", *forbidden} == set()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "validate", str(PROFILES / "csic.profile")],
+            ["profile", "validate", str(PROFILES / "missing.profile")],
+            ["image", "lint", "--machine", str(LINT / "12_multiple_smells.dockerfile")],
+        ],
+        ids=["ok", "error", "lint errors"],
+    )
+    def test_entry_freezes_the_start_up_heap(self, argv):
+        # an atexit hook registered first runs last, after hpcflow's own
+        hook = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        )
+        runs = {}
+        for call in ("from hpcflow.cli import entry\nentry()",
+                     "from hpcflow.cli import main\nsys.exit(main())"):
+            child = _run_python(hook + call, argv)
+            runs[call.split()[3]] = (child.returncode, child.stdout, child.stderr.splitlines()[-1])
+        code, out, _ = runs["main"]
+        assert runs == {"entry": (code, out, "frozen True"), "main": (code, out, "frozen False")}
 
     @pytest.mark.parametrize("module", ["hpcflow.cli", "hpcflow.errors"])
     def test_import_loads_no_layer(self, module):
