@@ -448,7 +448,7 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
             places.append(at)
         try:
             value = opts.get("type", str)(word)
-        except Exception:  # argparse reports it
+        except Exception:  # argparse calls the type again, and reports or raises its error
             return None
         if opts.get("action") == "append" or "nargs" in opts:
             value = [*(values.get(dest) or []), value]
