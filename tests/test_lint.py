@@ -233,6 +233,12 @@ class TestTf3:
             ("RUN pip install x", True),
             ("RUN pip install --no-cache-dir x", False),
             ("RUN pip3 install x && pip3 cache purge", False),
+            ("RUN apt-get install -y x && apt-get clean", False),
+            ("RUN apk add x && rm -rf /var/cache/apk/*", False),
+            ("RUN pip install x && pip cache list", True),  # cache without purge
+            ("RUN pip3 install x", True),
+            ("RUN yum update -y", False),  # only install installs for yum
+            ("RUN apt-get --version", False),
         ],
     )
     def test_manager_patterns(self, snippet, expect):

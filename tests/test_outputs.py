@@ -29,6 +29,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -66,6 +67,7 @@ BAD_VALUES = (
 JOB_EXTRAS = (
     ("--walltime", "1:00"),
     ("--container-name", "a b"),
+    ("--container-name", "su"),
     ("--env", "a-b=1"),
     ("--job-name", "a\nsudo id"),
     ("--nodes", "99"),
@@ -110,6 +112,11 @@ def _defects(text: str, whole: bool) -> dict[str, str]:
     return texts
 
 
+def _with_value(text: str, key: str, value: str) -> str:
+    """``text`` with the value of ``key`` replaced by ``value``."""
+    return re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+
+
 def _runs() -> dict[str, tuple[list[str], dict[str, str], int]]:
     """Run id -> (argv, input files by name, ``COLUMNS``); ``<tmp>`` in argv is
     the run's directory."""
@@ -150,6 +157,16 @@ def _runs() -> dict[str, tuple[list[str], dict[str, str], int]]:
         pair = ["csic.profile", "entrypoint.spec"]
         run_id = f"job gen {' '.join(pair)}, {flag} {' '.join(map(repr, values))}"
         add(run_id, _job_gen(*pair, "1", flag, *values), *pair)
+    # a privileged command named by a profile path or module, or by the image
+    pair = ["csic.profile", "entrypoint.spec"]
+    for key, value in (("container_runtime_path", "/usr/bin/sudo"), ("module_loads", "sudo")):
+        name = f"csic.profile, {key} = {value!r}"
+        profile = {"csic.profile": _with_value(texts["csic.profile"], key, value)}
+        add(f"profile validate {name}", ["profile", "validate", f"{TMP}/csic.profile"], **profile)
+        add(f"job gen {name}", _job_gen(*pair, "1"), "entrypoint.spec", **profile)
+    spec = {"entrypoint.spec": _with_value(texts["entrypoint.spec"], "base_image", "sudo:1")}
+    add("job gen entrypoint.spec, base_image = 'sudo:1'", _job_gen(*pair, "1"), "csic.profile",
+        **spec)
 
     logs = [f"{n}:{TMP}/{log.name}" for n, log in enumerate(LOGS, start=1)]
     for warmup in ("0", "10"):
