@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import gc
 import math
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 # Each command imports the layers it runs, so a cold start loads only those.
-from hpcflow.errors import HpcflowError, ImageRef
+from hpcflow.errors import HpcflowError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -79,11 +78,6 @@ def _gpus_log_pair(text: str) -> tuple[int, str]:
 
 def _tag_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
-
-
-def _default_container_name(image_ref: str) -> str:
-    name = re.sub(r"[^A-Za-z0-9_.-]", "-", ImageRef.parse(image_ref).name)
-    return name.lstrip("._-") or "container"
 
 
 def _read_text(path: str) -> str:
@@ -199,7 +193,7 @@ def cmd_job_gen(args: SimpleNamespace) -> int:
     from hpcflow import launch, runner
 
     profile, plan = _reconcile_from_args(args)
-    container_name = args.container_name or _default_container_name(plan.image_ref)
+    container_name = args.container_name or launch.default_container_name(plan.image_ref)
     request = launch.JobRequest(
         nodes=args.nodes,
         gpus_per_node=args.gpus_per_node,
@@ -224,7 +218,7 @@ def cmd_run_dry(args: SimpleNamespace) -> int:
     from hpcflow import launch, runner
 
     _, plan = _reconcile_from_args(args)
-    container_name = args.container_name or _default_container_name(plan.image_ref)
+    container_name = args.container_name or launch.default_container_name(plan.image_ref)
     for line in runner.dry_run(launch.render_udocker_setup(plan, container_name)):
         print(line)
     return EXIT_OK

@@ -11,10 +11,11 @@ from __future__ import annotations
 import re
 import shlex
 
-from hpcflow.errors import LaunchError, Record
+from hpcflow.errors import ImageRef, LaunchError, Record
 from hpcflow.profiles import (
     _ENV_KEY_RE,
     _IDENTIFIER_RE,
+    _NAME_CHARS,
     _PLAIN_WORD_RE,
     _WALLTIME_RE,
     CONTROL_CHAR_RE,
@@ -27,6 +28,7 @@ from hpcflow.recon import ReconcilePlan
 _WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
 # the first word after each ``$(`` or backtick, even inside quotes
 _SUBSTITUTED_WORD_RE = re.compile(r"(?:\$\(|`)\s*[\"']?([^\s;&|`()\"']+)")
+_NOT_NAME_CHAR_RE = re.compile(f"[^{_NAME_CHARS}]")
 
 # mpirun transport flags: NCCL carries GPU collectives, MPI the rest (the
 # common Horovod launch pattern)
@@ -90,12 +92,24 @@ class JobScript(Record):
     text: str
 
 
+def default_container_name(image_ref: str) -> str:
+    """The image's name, each character a container name may not hold made
+    ``-`` and a leading ``._-`` dropped; ``container`` if none is left."""
+    name = _NOT_NAME_CHAR_RE.sub("-", ImageRef.parse(image_ref).name).lstrip("._-")
+    return name or "container"
+
+
+def _check_container_name(name: str) -> None:
+    if not _IDENTIFIER_RE.fullmatch(name):
+        raise LaunchError(f"container name {name!r} is not an identifier")
+
+
 def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) -> LaunchPlan:
     """Lay out one rank per GPU across the requested nodes.
 
     Raises:
         LaunchError: when the request exceeds the cluster's capacity, the
-            container name is not an identifier, the walltime is not
+            container name is refused, the walltime is not
             HH:MM:SS, or the user command is empty for a strategy whose image
             has no entrypoint to fall back on.  ``LaunchPlan`` checks the
             counts, the ``extra_env`` keys and the directives, the job name
@@ -111,8 +125,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
             f"request needs {req.gpus_per_node} GPUs per node but cluster "
             f"{cluster.name} has {cluster.gpus_per_node}"
         )
-    if not _IDENTIFIER_RE.fullmatch(req.container_name):
-        raise LaunchError(f"container name {req.container_name!r} is not an identifier")
+    _check_container_name(req.container_name)
     if not _WALLTIME_RE.fullmatch(req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")
     if not req.user_command and recon.strategy_used != "entrypoint":
@@ -243,8 +256,7 @@ def render_udocker_setup(recon: ReconcilePlan, container_name: str) -> list[list
     Raises:
         LaunchError: for container names that are not identifiers.
     """
-    if not _IDENTIFIER_RE.fullmatch(container_name):
-        raise LaunchError(f"container name {container_name!r} is not an identifier")
+    _check_container_name(container_name)
     commands = [
         ["udocker", "pull", recon.image_ref],
         ["udocker", "create", f"--name={container_name}", recon.image_ref],

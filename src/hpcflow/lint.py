@@ -196,30 +196,16 @@ def _run_paths(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     return [_norm(c) for c in created if c], removed, extracted
 
 
-# manager -> (installs, cleans, fix).  The tests take the RUN's words as a
-# set, and the words joined by spaces for the paths, which hold no space.
+# manager -> (install words, clean-ups as word sets, the cache directory an
+# ``rm`` of which cleans, fix): the manager, an install word and no clean-up
 _CACHE_CLEANERS = {
     "apt-get": (
-        lambda words, text: "install" in words or "update" in words,
-        lambda words, text: "clean" in words
-        or ("rm" in words and "/var/lib/apt/lists" in text),
-        "rm -rf /var/lib/apt/lists/*",
+        ("install", "update"), ({"clean"},), "/var/lib/apt/lists", "rm -rf /var/lib/apt/lists/*"
     ),
-    "yum": (
-        lambda words, text: "install" in words,
-        lambda words, text: "clean" in words,
-        "yum clean all",
-    ),
-    "apk": (
-        lambda words, text: "add" in words,
-        lambda words, text: "--no-cache" in words
-        or ("rm" in words and "/var/cache/apk" in text),
-        "apk add --no-cache",
-    ),
+    "yum": (("install",), ({"clean"},), None, "yum clean all"),
+    "apk": (("add",), ({"--no-cache"},), "/var/cache/apk", "apk add --no-cache"),
     "pip": (
-        lambda words, text: "install" in words,
-        lambda words, text: "--no-cache-dir" in words or ("cache" in words and "purge" in words),
-        "pip install --no-cache-dir",
+        ("install",), ({"--no-cache-dir"}, {"cache", "purge"}), None, "pip install --no-cache-dir"
     ),
 }
 _CACHE_CLEANERS["pip3"] = _CACHE_CLEANERS["pip"]
@@ -268,9 +254,15 @@ def _check_run(
                         "in a single layer",
                     ))
     if not _MANAGERS.isdisjoint(words):
-        word_set, text = set(words), " ".join(words)
-        for manager, (installs, cleans, fix) in _CACHE_CLEANERS.items():
-            if manager in word_set and installs(word_set, text) and not cleans(word_set, text):
+        word_set = set(words)
+        for manager, (installs, cleans, cache, fix) in _CACHE_CLEANERS.items():
+            if (
+                manager in word_set
+                and not word_set.isdisjoint(installs)
+                and not any(clean <= word_set for clean in cleans)
+                # the paths hold no space, so the words joined show them whole
+                and not (cache and "rm" in word_set and cache in " ".join(words))
+            ):
                 findings.append(_finding(
                     "TF3",
                     line,

@@ -137,8 +137,6 @@ def predict(inputs: ScalingInputs, p: int) -> ScalingEstimate:
     Raises:
         ValueError: when p < 1 or a predicted value is not finite.
     """
-    if p < 1:
-        raise ValueError(f"worker count must be >= 1, got {p}")
     comp = inputs.model.batch_per_gpu / inputs.single_gpu_images_per_sec
     comm = _comm_seconds(inputs, p)
     # a float product overflows to inf, which is reported below, not raised

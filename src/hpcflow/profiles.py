@@ -42,7 +42,8 @@ DEFAULT_REGISTRY = "docker.io"
 # C0, DEL and C1 controls plus the Unicode line and paragraph separators:
 # every character str.splitlines breaks at, so no value can start a new line
 CONTROL_CHAR_RE = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
-_IDENTIFIER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")  # a container name
+_NAME_CHARS = "A-Za-z0-9_.-"  # a container name's, as a character class
+_IDENTIFIER_RE = re.compile(f"[A-Za-z0-9][{_NAME_CHARS}]*")  # a container name
 _ENV_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a shell variable name
 _WALLTIME_RE = re.compile(r"\d{1,3}:\d{2}:\d{2}", re.ASCII)  # Slurm reads ASCII digits only
 # shlex's safe characters and ``^``: no shell or Dockerfile splits or expands them

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import hpcflow
 from conftest import FIXTURES, corpus_paths
 from hpcflow import cli
-from hpcflow.cli import _default_container_name, main
+from hpcflow.cli import main
+from hpcflow.launch import default_container_name
 
 PROFILES = FIXTURES / "profiles"
 SPECS = FIXTURES / "specs"
@@ -664,7 +665,7 @@ def test_non_utf8_input_is_an_error_naming_the_file(argv, tmp_path, capsys):
 def test_default_container_name_passes_the_identifier_rule(image_ref):
     from hpcflow.profiles import _IDENTIFIER_RE, ImageRef
 
-    name = _default_container_name(image_ref)
+    name = default_container_name(image_ref)
     assert _IDENTIFIER_RE.fullmatch(name)
     # a name that already starts with a letter or digit keeps its text
     given_name = ImageRef.parse(image_ref).name
