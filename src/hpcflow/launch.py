@@ -21,13 +21,12 @@ from hpcflow.profiles import (
     CONTROL_CHAR_RE,
     PRIVILEGED_TOKENS,
     ClusterProfile,
+    find_privileged_tokens,  # noqa: F401  (the scan of what this module writes)
 )
-from hpcflow.recon import ReconcilePlan
 
-# where a shell word can end without whitespace: operators and substitutions
-_WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
-# the first word after each ``$(`` or backtick, even inside quotes
-_SUBSTITUTED_WORD_RE = re.compile(r"(?:\$\(|`)\s*[\"']?([^\s;&|`()\"']+)")
+# The annotation ``ReconcilePlan`` is ``hpcflow.recon.ReconcilePlan``, not
+# imported so that ``run mock`` does not load the reconcile layer.
+
 _NOT_NAME_CHAR_RE = re.compile(f"[^{_NAME_CHARS}]")
 
 # mpirun transport flags: NCCL carries GPU collectives, MPI the rest (the
@@ -94,14 +93,17 @@ class JobScript(Record):
 
 def default_container_name(image_ref: str) -> str:
     """The image's name, each character a container name may not hold made
-    ``-`` and a leading ``._-`` dropped; ``container`` if none is left."""
+    ``-`` and a leading ``._-`` dropped; ``container`` if none is left or it
+    is a privileged command."""
     name = _NOT_NAME_CHAR_RE.sub("-", ImageRef.parse(image_ref).name).lstrip("._-")
-    return name or "container"
+    return "container" if not name or name in PRIVILEGED_TOKENS else name
 
 
 def _check_container_name(name: str) -> None:
     if not _IDENTIFIER_RE.fullmatch(name):
         raise LaunchError(f"container name {name!r} is not an identifier")
+    if name in PRIVILEGED_TOKENS:
+        raise LaunchError(f"container name {name!r} names a privileged command")
 
 
 def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) -> LaunchPlan:
@@ -254,7 +256,8 @@ def render_udocker_setup(recon: ReconcilePlan, container_name: str) -> list[list
     install run.
 
     Raises:
-        LaunchError: for container names that are not identifiers.
+        LaunchError: for a container name that is not an identifier or is a
+            privileged command.
     """
     _check_container_name(container_name)
     commands = [
@@ -287,25 +290,3 @@ tar -xzf "$TARBALL" -C "$PREFIX" --strip-components=1
 rm -f "$TARBALL"
 echo "prepend to PATH: $PREFIX"
 """
-
-
-def find_privileged_tokens(text: str) -> list[str]:
-    """Shell words in ``text`` that imply elevated rights (sorted, unique).
-
-    Words are also split at ``; & |``, ``$(`` and backticks, so a command
-    glued to an operator or inside a substitution is still seen, and the
-    first word after each ``$(`` or backtick is checked even inside quotes
-    (``echo "$(sudo id)"``).  The scan errs toward reporting: the
-    single-quoted ``'$(sudo id)'``, which ``sh`` does not run, reports
-    ``sudo`` too.
-    """
-    found = set()
-    for line in text.splitlines():
-        found.update(w for w in _SUBSTITUTED_WORD_RE.findall(line) if w in PRIVILEGED_TOKENS)
-        try:
-            words = shlex.split(line, posix=True)
-        except ValueError:
-            words = line.split()
-        for word in words:
-            found.update(w for w in _WORD_BREAK_RE.split(word) if w in PRIVILEGED_TOKENS)
-    return sorted(found)

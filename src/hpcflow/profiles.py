@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import posixpath
 import re
-from functools import total_ordering
+import shlex
 
 from hpcflow.errors import _MISSING, ImageRef, ProfileError, Record
 
@@ -58,8 +58,12 @@ _VERSION_WORD = r"[A-Za-z0-9][A-Za-z0-9.+_-]*"
 _PACKAGE_RE = re.compile(r"[a-z0-9][a-z0-9+.-]*(?:=" + _VERSION_WORD + ")?")  # Debian-style
 
 # commands that would need elevated rights; generated scripts must never
-# contain any of these as a shell word
+# contain any of these as a shell word, or a path to one
 PRIVILEGED_TOKENS = frozenset({"sudo", "su", "doas", "pkexec", "setcap", "visudo"})
+# where a shell word can end without whitespace: operators and substitutions
+_WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
+# the first word after each ``$(`` or backtick, even inside quotes
+_SUBSTITUTED_WORD_RE = re.compile(r"(?:\$\(|`)\s*[\"']?([^\s;&|`()\"']+)")
 
 SCHEDULERS = ("slurm", "none")
 STRATEGIES = ("tags", "ngc", "entrypoint")
@@ -68,14 +72,13 @@ CLUSTER_SECTION = "cluster"
 ENVIRONMENT_SECTION = "environment"
 
 
-@total_ordering
 class SemVer(Record):
-    """A MAJOR.MINOR.PATCH version ordered as an integer triple.
+    """A MAJOR.MINOR.PATCH version, equal to another with the same three integers.
 
     ``MAJOR.MINOR`` input is accepted with patch 0; ``patch_specified``
     records whether the patch was stated, which matters when deciding how
     strictly two versions must match.  The flag does not participate in
-    ordering or equality.
+    equality.
     """
 
     major: int
@@ -83,11 +86,6 @@ class SemVer(Record):
     patch: int = 0
     patch_specified: bool = True
     _uncompared = ("patch_specified",)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not SemVer:
-            return NotImplemented
-        return self._key() < other._key()
 
     @classmethod
     def parse(cls, text: str) -> "SemVer":
@@ -333,12 +331,46 @@ def render_cluster_profile(profile: ClusterProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _privileged(word: str) -> str | None:
+    """The privileged command ``word`` is, as itself or as the last component
+    of a path (a word with ``/`` and no ``=``), or None."""
+    if "/" in word and "=" not in word:
+        word = word.rpartition("/")[2]
+    return word if word in PRIVILEGED_TOKENS else None
+
+
+def find_privileged_tokens(text: str) -> list[str]:
+    """Shell words in ``text`` that imply elevated rights (sorted, unique).
+
+    Words are also split at ``; & |``, ``$(`` and backticks, so a command
+    glued to an operator or inside a substitution is still seen, and the
+    first word after each ``$(`` or backtick is checked even inside quotes
+    (``echo "$(sudo id)"``).  A path to a privileged command
+    (``/usr/bin/sudo``) is reported as the command; a word with ``=``
+    (``A=/bin/sudo``) is not.  The scan errs toward reporting: the
+    single-quoted ``'$(sudo id)'``, which ``sh`` does not run, reports
+    ``sudo`` too.
+    """
+    found = set()
+    for line in text.splitlines():
+        found.update(map(_privileged, _SUBSTITUTED_WORD_RE.findall(line)))
+        try:
+            words = shlex.split(line, posix=True)
+        except ValueError:
+            words = line.split()
+        for word in words:
+            found.update(map(_privileged, _WORD_BREAK_RE.split(word)))
+    found.discard(None)
+    return sorted(found)
+
+
 def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
     """The checks a built profile may still fail, which no reader makes.
 
     Issues are data, not failures: the list is empty iff the name is
     non-empty, each module name is one word, the container runtime path is
-    absolute, and no key is unknown.
+    absolute, neither names a privileged command as one word of a script,
+    and no key is unknown.
     """
     issues: list[ValidationIssue] = []
 
@@ -355,12 +387,15 @@ def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
             error("module_loads entries must be non-empty")
         elif any(c.isspace() for c in entry):
             error(f"module_loads entry {entry!r} must not contain whitespace")
-    if not profile.container_runtime_path:
+        elif find_privileged_tokens(shlex.quote(entry)):
+            error(f"module_loads entry {entry!r} names a privileged command")
+    path = profile.container_runtime_path
+    if not path:
         error("container_runtime_path must be non-empty")
-    elif not profile.container_runtime_path.startswith("/"):
-        warning(
-            f"container_runtime_path {profile.container_runtime_path!r} is not absolute"
-        )
+    elif find_privileged_tokens(shlex.quote(path)):
+        error(f"container_runtime_path {path!r} names a privileged command")
+    elif not path.startswith("/"):
+        warning(f"container_runtime_path {path!r} is not absolute")
     for key, _ in profile.extra:
         warning(f"unknown key {key!r} ignored")
     return issues

@@ -12,7 +12,9 @@ import shlex
 import time
 
 from hpcflow.errors import LaunchError, Record
-from hpcflow.launch import LaunchPlan
+
+# The annotation ``LaunchPlan`` is ``hpcflow.launch.LaunchPlan``, not
+# imported: a module that builds plans has loaded it already.
 
 # the mock runtime spawns one local process per rank
 MAX_MOCK_RANKS = 64

@@ -20,7 +20,7 @@ import hpcflow
 from conftest import FIXTURES, corpus_paths
 from hpcflow import cli
 from hpcflow.cli import main
-from hpcflow.launch import default_container_name
+from hpcflow.launch import PRIVILEGED_TOKENS, default_container_name, find_privileged_tokens
 
 PROFILES = FIXTURES / "profiles"
 SPECS = FIXTURES / "specs"
@@ -661,16 +661,18 @@ def test_non_utf8_input_is_an_error_naming_the_file(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [bad]
 
 
-@given(st.text())
+@given(st.one_of(st.text(), st.sampled_from(sorted(PRIVILEGED_TOKENS)).map("reg/{}:1".format)))
 def test_default_container_name_passes_the_identifier_rule(image_ref):
     from hpcflow.profiles import _IDENTIFIER_RE, ImageRef
 
     name = default_container_name(image_ref)
     assert _IDENTIFIER_RE.fullmatch(name)
-    # a name that already starts with a letter or digit keeps its text
+    assert name not in PRIVILEGED_TOKENS
+    # a name that already starts with a letter or digit keeps its text,
+    # unless it is a privileged command
     given_name = ImageRef.parse(image_ref).name
     if re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", given_name):
-        assert name == given_name
+        assert name == (given_name if given_name not in PRIVILEGED_TOKENS else "container")
 
 
 _BOM_ARGS = {
@@ -1097,10 +1099,40 @@ def _check_no_traceback(argv: list[str], tmp: str) -> None:
             assert subprocess.run(["/usr/bin/sh", "-n", path]).returncode == 0, argv
 
 
+def _check_no_privileged_words(argv: list[str], tmp: str) -> None:
+    """No shell file in ``tmp`` holds a privileged word but those of the
+    user's command, after ``--``."""
+    command = argv[argv.index("--") + 1 :] if "--" in argv else []
+    allowed = set(find_privileged_tokens(shlex.join(command)))
+    for name in os.listdir(tmp):
+        if name.endswith(".sh"):
+            with open(os.path.join(tmp, name), encoding="utf-8", errors="surrogateescape") as f:
+                assert set(find_privileged_tokens(f.read())) <= allowed, (argv, name)
+
+
+def _replacing(path: Path, old: str, new: str) -> list[tuple[int, int, str]]:
+    """The one edit that puts ``new`` in place of the first ``old`` in ``path``."""
+    return [(path.read_text(encoding="utf-8").index(old), len(old), new)]
+
+
+_CSIC_JOB_GEN = ([*_JOB_GEN, "--profile", "{file}", *_ENTRYPOINT_SPEC], PROFILES / "csic.profile")
+_SPEC_JOB_GEN = ([*_JOB_GEN, *_CSIC, "--spec", "{file}"], SPECS / "entrypoint.spec")
+
+
 class TestNoTraceback:
     @settings(max_examples=75, deadline=None)
     @given(case=st.sampled_from(_FILE_CASES), edits=_EDITS)
     @example(case=_FILE_CASES[0], edits=[(40, 0, "\udcff")])
+    # a privileged command as the runtime path, a module or the image's name
+    @example(
+        case=_CSIC_JOB_GEN,
+        edits=_replacing(_CSIC_JOB_GEN[1], "/home/researcher/.local/udocker/udocker", "/usr/bin/sudo"),
+    )
+    @example(case=_CSIC_JOB_GEN, edits=_replacing(_CSIC_JOB_GEN[1], "openmpi/4.0.1", "sudo"))
+    @example(
+        case=_SPEC_JOB_GEN,
+        edits=_replacing(_SPEC_JOB_GEN[1], "nvidia/cuda:10.1-cudnn7-devel-ubuntu18.04", "sudo:1"),
+    )
     def test_mutated_input_file(self, case, edits):
         argv, path = case
         text = path.read_text(encoding="utf-8")
@@ -1111,7 +1143,9 @@ class TestNoTraceback:
             file = os.path.join(tmp, path.name)
             with open(file, "wb") as f:
                 f.write(text.encode("utf-8", "surrogateescape"))
-            _check_no_traceback([arg.replace("{file}", file) for arg in argv], tmp)
+            argv = [arg.replace("{file}", file) for arg in argv]
+            _check_no_traceback(argv, tmp)
+            _check_no_privileged_words(argv, tmp)
 
     # each checked flag is valid or absent often enough that many runs write a script
     @settings(max_examples=40, deadline=None)
@@ -1144,6 +1178,49 @@ class TestNoTraceback:
             argv += ["--", *command]
         with tempfile.TemporaryDirectory() as tmp:
             _check_no_traceback(argv, tmp)
+
+
+class TestPrivilegedWords:
+    """A privileged command named by a container name or a profile is refused."""
+
+    @pytest.mark.parametrize("verb", ["job", "run"])
+    def test_privileged_container_name_exits_one(self, verb, tmp_path, capsys):
+        argv = [*_JOB_GEN, *_CSIC, *_ENTRYPOINT_SPEC] if verb == "job" else [
+            "run", "dry", *_CSIC, *_ENTRYPOINT_SPEC]
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, out, err = run_cli([*argv, "--container-name", "su"], capsys)
+        assert (code, out, err) == (1, "", "error: container name 'su' names a privileged command\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("/home/researcher/.local/udocker/udocker", "/usr/bin/sudo",
+             "container_runtime_path '/usr/bin/sudo' names a privileged command"),
+            ("openmpi/4.0.1", "sudo", "module_loads entry 'sudo' names a privileged command"),
+        ],
+    )
+    def test_profile_naming_a_privileged_command_is_refused(
+        self, old, new, message, tmp_path, capsys
+    ):
+        profile = tmp_path / "bad.profile"
+        profile.write_text((PROFILES / "csic.profile").read_text().replace(old, new))
+        # ``profile validate`` prints its issues on stdout
+        assert run_cli(["profile", "validate", str(profile)], capsys) == (1, f"error: {message}\n", "")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [*_JOB_GEN, "--profile", str(profile), *_ENTRYPOINT_SPEC]
+        argv = [a.replace("{tmp}", str(out)) for a in argv]
+        assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+        assert list(out.iterdir()) == []
+
+    def test_image_named_like_a_privileged_command_runs_as_container(self, tmp_path, capsys):
+        spec = tmp_path / "sudo.spec"
+        text = (SPECS / "entrypoint.spec").read_text()
+        spec.write_text(text.replace("nvidia/cuda:10.1-cudnn7-devel-ubuntu18.04", "sudo:1"))
+        code, out, err = run_cli(["run", "dry", *_CSIC, "--spec", str(spec)], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "udocker create --name=container sudo:1"
 
 
 # the hpcflow modules each verb may load, and the standard-library modules
@@ -1189,7 +1266,7 @@ _VERBS = {
     ),
     "run mock": (
         ["run", "mock", "--nodes", "1", "--gpus-per-node", "2"],
-        _RECONCILE,
+        {"errors", "profiles", "launch", "runner"},
         {"statistics", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "perf predict": (

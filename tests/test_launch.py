@@ -457,6 +457,25 @@ class TestNoPrivilegedCommands:
         assert find_privileged_tokens("udocker run --user=$USER img\n") == []
         assert find_privileged_tokens("udocker setup --nvidia name\n") == []
 
+    @pytest.mark.parametrize(
+        "text, found",
+        [
+            ("mpirun x /usr/bin/sudo run", ["sudo"]),
+            ("./su -", ["su"]),
+            ("true;/sbin/doas id", ["doas"]),
+            ("echo $(/usr/bin/sudo id)", ["sudo"]),
+            ('echo "`/usr/bin/pkexec id`"', ["pkexec"]),
+            ("A=/bin/sudo true", []),
+            ("udocker run --volume=/a:/sudo img", []),
+            ('echo "sudo is fine"', []),
+            ("cd /opt/sudo/bin", []),
+            ("ls /sudo/", []),
+        ],
+    )
+    def test_scan_reports_a_path_to_a_privileged_command(self, text, found):
+        # a word with ``/`` and no ``=`` names the command of its last component
+        assert find_privileged_tokens(text) == found
+
     def test_scan_of_quoted_text(self):
         assert find_privileged_tokens('echo "sudo is fine"') == []
         # sh prints a single-quoted substitution, but the scan errs toward reporting

