@@ -382,6 +382,8 @@ def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
 
     if not profile.name:
         error("name must be non-empty")
+    # a module name and the runtime path are each one word of the job script,
+    # quoted there unless plain, and scanned as that word
     for entry in profile.module_loads:
         if not entry:
             error("module_loads entries must be non-empty")
