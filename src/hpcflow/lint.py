@@ -196,8 +196,8 @@ def _run_paths(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     return [_norm(c) for c in created if c], removed, extracted
 
 
-# manager -> (install words, clean-ups as word sets, the cache directory an
-# ``rm`` of which cleans, fix): the manager, an install word and no clean-up
+# manager -> (install words, clean-up word sets, cache directory whose ``rm``
+# cleans it, fix); a RUN with the manager, an install word and no clean-up is a finding
 _CACHE_CLEANERS = {
     "apt-get": (
         ("install", "update"), ({"clean"},), "/var/lib/apt/lists", "rm -rf /var/lib/apt/lists/*"

@@ -1126,7 +1126,9 @@ class TestNoTraceback:
     # a privileged command as the runtime path, a module or the image's name
     @example(
         case=_CSIC_JOB_GEN,
-        edits=_replacing(_CSIC_JOB_GEN[1], "/home/researcher/.local/udocker/udocker", "/usr/bin/sudo"),
+        edits=_replacing(
+            _CSIC_JOB_GEN[1], "/home/researcher/.local/udocker/udocker", "/usr/bin/sudo"
+        ),
     )
     @example(case=_CSIC_JOB_GEN, edits=_replacing(_CSIC_JOB_GEN[1], "openmpi/4.0.1", "sudo"))
     @example(
@@ -1183,13 +1185,16 @@ class TestNoTraceback:
 class TestPrivilegedWords:
     """A privileged command named by a container name or a profile is refused."""
 
-    @pytest.mark.parametrize("verb", ["job", "run"])
-    def test_privileged_container_name_exits_one(self, verb, tmp_path, capsys):
-        argv = [*_JOB_GEN, *_CSIC, *_ENTRYPOINT_SPEC] if verb == "job" else [
-            "run", "dry", *_CSIC, *_ENTRYPOINT_SPEC]
+    @pytest.mark.parametrize(
+        "argv",
+        [[*_JOB_GEN, *_CSIC, *_ENTRYPOINT_SPEC], ["run", "dry", *_CSIC, *_ENTRYPOINT_SPEC]],
+        ids=["job gen", "run dry"],
+    )
+    def test_privileged_container_name_exits_one(self, argv, tmp_path, capsys):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         code, out, err = run_cli([*argv, "--container-name", "su"], capsys)
-        assert (code, out, err) == (1, "", "error: container name 'su' names a privileged command\n")
+        error = "error: container name 'su' names a privileged command\n"
+        assert (code, out, err) == (1, "", error)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -1206,13 +1211,14 @@ class TestPrivilegedWords:
         profile = tmp_path / "bad.profile"
         profile.write_text((PROFILES / "csic.profile").read_text().replace(old, new))
         # ``profile validate`` prints its issues on stdout
-        assert run_cli(["profile", "validate", str(profile)], capsys) == (1, f"error: {message}\n", "")
-        out = tmp_path / "out"
-        out.mkdir()
+        code, out, err = run_cli(["profile", "validate", str(profile)], capsys)
+        assert (code, out, err) == (1, f"error: {message}\n", "")
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
         argv = [*_JOB_GEN, "--profile", str(profile), *_ENTRYPOINT_SPEC]
-        argv = [a.replace("{tmp}", str(out)) for a in argv]
+        argv = [a.replace("{tmp}", str(jobs)) for a in argv]
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
-        assert list(out.iterdir()) == []
+        assert list(jobs.iterdir()) == []
 
     def test_image_named_like_a_privileged_command_runs_as_container(self, tmp_path, capsys):
         spec = tmp_path / "sudo.spec"

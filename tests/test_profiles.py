@@ -298,7 +298,10 @@ class TestValidateProfile:
                 {"container_runtime_path": "/opt/$(sudo id)"},
                 "container_runtime_path '/opt/$(sudo id)' names a privileged command",
             ),
-            ({"module_loads": ("gcc", "sudo")}, "module_loads entry 'sudo' names a privileged command"),
+            (
+                {"module_loads": ("gcc", "sudo")},
+                "module_loads entry 'sudo' names a privileged command",
+            ),
             (
                 {"module_loads": ("tools/pkexec",)},
                 "module_loads entry 'tools/pkexec' names a privileged command",
