@@ -256,7 +256,7 @@ def render_udocker_setup(recon: ReconcilePlan, container_name: str) -> list[list
     install run.
 
     Raises:
-        LaunchError: for a container name that is not an identifier or is a
+        LaunchError: for a container name that breaks the name rule or is a
             privileged command.
     """
     _check_container_name(container_name)
