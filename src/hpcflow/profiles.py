@@ -60,8 +60,9 @@ _PACKAGE_RE = re.compile(r"[a-z0-9][a-z0-9+.-]*(?:=" + _VERSION_WORD + ")?")  # 
 # commands that would need elevated rights; generated scripts must never
 # contain any of these as a shell word, or a path to one
 PRIVILEGED_TOKENS = frozenset({"sudo", "su", "doas", "pkexec", "setcap", "visudo"})
-# where a shell word can end without whitespace: operators and substitutions
-_WORD_BREAK_RE = re.compile(r"[;&|`]|\$\(")
+# where a shell word can end without whitespace: operators, parentheses
+# (a subshell or ``$(``) and backticks
+_WORD_BREAK_RE = re.compile(r"[;&|`()]")
 # the first word after each ``$(`` or backtick, even inside quotes
 _SUBSTITUTED_WORD_RE = re.compile(r"(?:\$\(|`)\s*[\"']?([^\s;&|`()\"']+)")
 
@@ -342,10 +343,10 @@ def _privileged(word: str) -> str | None:
 def find_privileged_tokens(text: str) -> list[str]:
     """Shell words in ``text`` that imply elevated rights (sorted, unique).
 
-    Words are also split at ``; & |``, ``$(`` and backticks, so a command
-    glued to an operator or inside a substitution is still seen, and the
-    first word after each ``$(`` or backtick is checked even inside quotes
-    (``echo "$(sudo id)"``).  A path to a privileged command
+    Words are also split at ``; & |``, parentheses and backticks, so a
+    command glued to an operator or inside a subshell or a substitution is
+    still seen, and the first word after each ``$(`` or backtick is checked
+    even inside quotes (``echo "$(sudo id)"``).  A path to a privileged command
     (``/usr/bin/sudo``) is reported as the command; a word with ``=``
     (``A=/bin/sudo``) is not.  The scan errs toward reporting: the
     single-quoted ``'$(sudo id)'``, which ``sh`` does not run, reports

@@ -447,6 +447,9 @@ class TestNoPrivilegedCommands:
             'echo "$(sudo id)"',
             'echo "`sudo id`"',
             'X="$(doas ls)" true',
+            "(sudo id)\n",
+            "true&&(doas ls)",
+            "{ sudo id; }",
         ],
     )
     def test_scan_splits_at_operators_and_substitutions(self, text):
