@@ -113,8 +113,10 @@ def _defects(text: str, whole: bool) -> dict[str, str]:
 
 
 def _with_value(text: str, key: str, value: str) -> str:
-    """``text`` with the value of ``key`` replaced by ``value``."""
-    return re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+    """``text`` with the value of ``key`` replaced by ``value``, or with the
+    line ``key = value`` added where ``text`` has no such key."""
+    text, count = re.subn(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+    return text if count else f"{text}{key} = {value}\n"
 
 
 def _runs() -> dict[str, tuple[list[str], dict[str, str], int]]:
@@ -157,9 +159,13 @@ def _runs() -> dict[str, tuple[list[str], dict[str, str], int]]:
         pair = ["csic.profile", "entrypoint.spec"]
         run_id = f"job gen {' '.join(pair)}, {flag} {' '.join(map(repr, values))}"
         add(run_id, _job_gen(*pair, "1", flag, *values), *pair)
-    # a privileged command named by a profile path or module, or by the image
+    # a privileged command named by a profile value that reaches the job
+    # script, or by the image
     pair = ["csic.profile", "entrypoint.spec"]
-    for key, value in (("container_runtime_path", "/usr/bin/sudo"), ("module_loads", "sudo")):
+    for key, value in (
+        ("container_runtime_path", "/usr/bin/sudo"), ("module_loads", "sudo"),
+        ("partition", "gpu;sudo"), ("account", "a;sudo"), ("default_mounts", "/a:/b;sudo"),
+    ):
         name = f"csic.profile, {key} = {value!r}"
         profile = {"csic.profile": _with_value(texts["csic.profile"], key, value)}
         add(f"profile validate {name}", ["profile", "validate", f"{TMP}/csic.profile"], **profile)
