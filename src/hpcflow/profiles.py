@@ -370,8 +370,8 @@ def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
 
     Issues are data, not failures: the list is empty iff the name is
     non-empty, each module name is one word, the container runtime path is
-    absolute, neither names a privileged command as one word of a script,
-    and no key is unknown.
+    absolute, no value that reaches the job script names a privileged
+    command there, and no key is unknown.
     """
     issues: list[ValidationIssue] = []
 
@@ -383,22 +383,32 @@ def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
 
     if not profile.name:
         error("name must be non-empty")
-    # a module name and the runtime path are each one word of the job script,
-    # quoted there unless plain, and scanned as that word
-    for entry in profile.module_loads:
-        if not entry:
-            error("module_loads entries must be non-empty")
-        elif any(c.isspace() for c in entry):
-            error(f"module_loads entry {entry!r} must not contain whitespace")
-        elif find_privileged_tokens(shlex.quote(entry)):
-            error(f"module_loads entry {entry!r} names a privileged command")
+    # each value that reaches the job script, with the text the script holds
+    # it as, which is what the scan reads: a module name, the runtime path
+    # and a mount are one word each, quoted there unless plain, and a
+    # directive is written as it is
     path = profile.container_runtime_path
-    if not path:
-        error("container_runtime_path must be non-empty")
-    elif find_privileged_tokens(shlex.quote(path)):
-        error(f"container_runtime_path {path!r} names a privileged command")
-    elif not path.startswith("/"):
-        warning(f"container_runtime_path {path!r} is not absolute")
+    values = [("module_loads entry", entry, shlex.quote(entry)) for entry in profile.module_loads]
+    values.append(("container_runtime_path", path, shlex.quote(path)))
+    values += [
+        ("default_mounts entry", f"{src}:{dst}", shlex.quote(f"--volume={src}:{dst}"))
+        for src, dst in profile.default_mounts
+    ]
+    values += [
+        (key, value, f"--{key}={value}")
+        for key, value in (("partition", profile.partition), ("account", profile.account))
+        if value is not None
+    ]
+    for label, value, text in values:
+        module = label == "module_loads entry"
+        if not value:  # only a module name or the runtime path can be empty
+            error(f"{'module_loads entries' if module else label} must be non-empty")
+        elif module and any(c.isspace() for c in value):
+            error(f"{label} {value!r} must not contain whitespace")
+        elif find_privileged_tokens(text):
+            error(f"{label} {value!r} names a privileged command")
+        elif label == "container_runtime_path" and not value.startswith("/"):
+            warning(f"{label} {value!r} is not absolute")
     for key, _ in profile.extra:
         warning(f"unknown key {key!r} ignored")
     return issues

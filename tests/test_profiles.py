@@ -259,10 +259,13 @@ class TestValidateProfile:
             {"container_runtime_path": "/opt/sudo/bin/udocker"},
             {"container_runtime_path": "/opt/my sudo/udocker"},
             {"module_loads": ("sudo/1.9", "visudo-tools")},
+            {"partition": "sudo", "account": "/usr/bin/sudo"},
+            {"default_mounts": (("/usr/bin/sudo", "/usr/bin/sudo"),)},
         ],
     )
     def test_privileged_word_elsewhere_in_a_value_passes(self, overrides):
-        # a directory named like a command, or a word in a quoted path, runs nothing
+        # a directory named like a command, a word in a quoted path, or the
+        # value of a ``--key=value`` word runs nothing
         assert validate_profile(_profile(**overrides)) == []
 
     def test_relative_runtime_path_warns(self):
@@ -306,12 +309,39 @@ class TestValidateProfile:
                 {"module_loads": ("tools/pkexec",)},
                 "module_loads entry 'tools/pkexec' names a privileged command",
             ),
+            ({"partition": "gpu;sudo"}, "partition 'gpu;sudo' names a privileged command"),
+            ({"partition": "gpu sudo"}, "partition 'gpu sudo' names a privileged command"),
+            ({"account": "a&&(doas)"}, "account 'a&&(doas)' names a privileged command"),
+            (
+                {"default_mounts": (("/a", "/b;sudo"),)},
+                "default_mounts entry '/a:/b;sudo' names a privileged command",
+            ),
         ],
     )
     def test_record_built_in_code_is_checked(self, overrides, message):
         issues = validate_profile(_profile(**overrides))
         assert [i.severity for i in issues] == ["error"]
         assert issues[0].message.startswith(message)
+
+    def test_issues_in_value_order(self):
+        profile = _profile(
+            module_loads=("sudo", "", "a b"),
+            container_runtime_path="",
+            default_mounts=(("/a", "/b;su"),),
+            partition="p;doas",
+            account="a;pkexec",
+            extra=(("site", "x"),),
+        )
+        assert [i.message for i in validate_profile(profile)] == [
+            "module_loads entry 'sudo' names a privileged command",
+            "module_loads entries must be non-empty",
+            "module_loads entry 'a b' must not contain whitespace",
+            "container_runtime_path must be non-empty",
+            "default_mounts entry '/a:/b;su' names a privileged command",
+            "partition 'p;doas' names a privileged command",
+            "account 'a;pkexec' names a privileged command",
+            "unknown key 'site' ignored",
+        ]
 
 
 _MOUNT_REFUSED = "default_mounts entries must be 'src:dst', got "
