@@ -1,13 +1,70 @@
-"""Exception types, the ``Record`` base of the data classes, and ``ImageRef``.
+"""Exception types, the ``Record`` base of the data classes, ``ImageRef``
+and ``shell_words``.
 
 Every verb loads this module.  ``ImageRef`` lives here, not in ``profiles``
 (which re-exports it), so that ``image lint`` reads image references
-without loading the profile layer.
+without loading the profile layer; ``shell_words`` lives here because
+``lint`` and the privileged-command scan in ``profiles`` both read shell
+words, and neither layer loads the other.
 """
 
 from __future__ import annotations
 
+import re
+
 _MISSING = object()  # the default of a field that has none
+
+_WORD_PIECE_RE: re.Pattern | None = None  # compiled on first use: most verbs read no shell text
+
+
+def shell_words(text: str) -> list[str]:
+    r"""``text`` as POSIX shell words, each run of unquoted ``; & |`` a word.
+
+    Words are read as ``shlex`` reads them with ``;&|`` as punctuation and
+    no comment character: only space, tab, CR and LF separate words,
+    adjacent pieces join, ``''`` is an empty word, and inside double quotes
+    only ``\\`` and ``\"`` are escapes.  Linear in the length of ``text``.
+
+    Raises:
+        ValueError: on an unbalanced quote or a trailing backslash.
+    """
+    global _WORD_PIECE_RE
+    if _WORD_PIECE_RE is None:
+        _WORD_PIECE_RE = re.compile(
+            r"([ \t\r\n]+)"  # 1: whitespace, which ends a word
+            r"|([;&|]+)"  # 2: operators, a word of their own
+            r"|'([^']*)'"  # 3: single-quoted
+            r'|"([^"\\]*(?:\\.[^"\\]*)*)"'  # 4: double-quoted, escapes kept
+            r"|\\(.)"  # 5: an escaped character
+            r"|([^ \t\r\n;&|'\"\\]+)",  # 6: plain
+            re.DOTALL,
+        )
+    words: list[str] = []
+    word: list[str] | None = None  # the pieces of the word being read
+    end = 0
+    for m in _WORD_PIECE_RE.finditer(text):
+        if m.start() != end:
+            break
+        end = m.end()
+        kind = m.lastindex
+        if kind <= 2:  # whitespace or operators end the word
+            if word is not None:
+                words.append("".join(word))
+                word = None
+            if kind == 2:
+                words.append(m[2])
+            continue
+        piece = m[kind]
+        if kind == 4 and "\\" in piece:
+            piece = re.sub(r'\\([\\"])', r"\1", piece)
+        if word is None:
+            word = []
+        word.append(piece)
+    if end != len(text):
+        raise ValueError("unbalanced quote or trailing backslash")
+    if word is not None:
+        words.append("".join(word))
+    return words
 
 
 class Record:

@@ -7,13 +7,14 @@ space in the layer that created it.
 Detection is token-pattern based (shell words), not full shell parsing:
 each RUN is tokenized once and split into commands at the shell operators
 ``&& || ; |``, whether they stand alone or are glued to a word, and each
-rule misses what its patterns cannot see.  Words are read as
-``shlex.split`` reads them, with each run of unquoted ``; & |`` a word of
-its own (text without quotes or backslashes is split by ``str.split`` where
-that reads the same, else by a regex; the rest by ``shlex``); text with an
-unbalanced quote or a trailing backslash goes to the regex too, its quotes
-and backslashes read as word characters.  The words of a JSON-form RUN,
-COPY or ADD are its list.
+rule misses what its patterns cannot see.  Words are POSIX shell words,
+with each run of unquoted ``; & |`` a word of its own: text with a quote or
+a backslash is read by ``errors.shell_words``, the one word reader that the
+privileged-command scan uses too, and other text is split by ``str.split``
+where that reads the same, else by a regex.  Text with an unbalanced quote
+or a trailing backslash goes to the regex too, its quotes and backslashes
+read as word characters.  The words of a JSON-form RUN, COPY or ADD are
+its list.
 
 - TF1 knows creations by ``wget`` (plain or ``-O``), ``curl -o/-O`` and
   ``tar x ... -C dir``, and a removal must name the created path textually.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import re
 
 from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
-from hpcflow.errors import ImageRef, Record
+from hpcflow.errors import ImageRef, Record, shell_words
 
 RULES: dict[str, tuple[str, str]] = {
     "TF1": ("error", "file downloaded/extracted in one layer and deleted in a later one"),
@@ -78,20 +79,6 @@ class SmellReport(Record):
     counts: dict[str, int]
 
 
-def _split(text: str) -> list[str]:
-    """Quoted ``text`` as POSIX shell words, each run of unquoted ``; & |`` a word.
-
-    Raises:
-        ValueError: on an unbalanced quote or a trailing backslash.
-    """
-    import shlex  # only quoted text needs it
-
-    lexer = shlex.shlex(text, posix=True, punctuation_chars=";&|")
-    lexer.whitespace_split = True
-    lexer.commenters = ""
-    return list(lexer)
-
-
 def _words(instr: Instruction) -> list[str]:
     """The instruction's shell words, tokenized once."""
     if instr.exec_form:
@@ -99,7 +86,7 @@ def _words(instr: Instruction) -> list[str]:
     text = instr.args
     if "'" in text or '"' in text or "\\" in text:
         try:
-            return _split(text)
+            return shell_words(text)
         except ValueError:  # unbalanced quoting; split as if the text had no quotes
             pass
     elif (

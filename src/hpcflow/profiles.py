@@ -28,7 +28,7 @@ import posixpath
 import re
 import shlex
 
-from hpcflow.errors import _MISSING, ImageRef, ProfileError, Record
+from hpcflow.errors import _MISSING, ImageRef, ProfileError, Record, shell_words
 
 _VERSION_RE = re.compile(r"(\d+)\.(\d+)(?:\.(\d+))?")
 _KEY_RE = re.compile(r"[a-z_]+")
@@ -356,7 +356,7 @@ def find_privileged_tokens(text: str) -> list[str]:
     for line in text.splitlines():
         found.update(map(_privileged, _SUBSTITUTED_WORD_RE.findall(line)))
         try:
-            words = shlex.split(line, posix=True)
+            words = shell_words(line)
         except ValueError:
             words = line.split()
         for word in words:
