@@ -1256,7 +1256,12 @@ _VERBS = {
     "image lint": (
         ["image", "lint", "--machine", str(LINT / "12_multiple_smells.dockerfile")],
         {"errors", "dockerfile", "lint"},
-        # the fixture has no quoted text and no JSON list
+        # neither lint fixture has a JSON list
+        {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
+    ),
+    "image lint, quoted RUN": (
+        ["image", "lint", "--machine", str(FIXTURES / "dockerfiles" / "p10_quoted_run.dockerfile")],
+        {"errors", "dockerfile", "lint"},
         {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
     "job gen": (

@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 import shlex
 import subprocess
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -433,6 +434,33 @@ class TestInstallScript:
         assert subprocess.run(shell, capture_output=True, text=True).stdout == prefix
 
 
+# privileged words, paths and assignments among quotes, escapes, operators,
+# substitutions, parentheses, and characters that end a line or are not ASCII
+_SCAN_PIECES = [
+    "sudo", "su", "/bin/su", "a=", "'", '"', "\\", ";", "&", "|", "$(", "`", "(", ")",
+    "\x0b", "é", "#", " ", "\n", "x",
+]
+
+
+def _shlex_scan(text: str) -> list[str]:
+    """The oracle: the privileged-command scan with ``shlex.split`` reading words."""
+    found = set()
+    for line in text.splitlines():
+        words = re.findall(r"(?:\$\(|`)\s*[\"']?([^\s;&|`()\"']+)", line)
+        try:
+            split = shlex.split(line, posix=True)
+        except ValueError:
+            split = line.split()
+        for word in split:
+            words += re.split(r"[;&|`()]", word)
+        for word in words:
+            if "/" in word and "=" not in word:
+                word = word.rpartition("/")[2]
+            if word in PRIVILEGED_TOKENS:
+                found.add(word)
+    return sorted(found)
+
+
 class TestNoPrivilegedCommands:
     def test_scan_catches_sudo(self):
         assert find_privileged_tokens("sudo rm -rf /\n") == ["sudo"]
@@ -482,6 +510,18 @@ class TestNoPrivilegedCommands:
         assert find_privileged_tokens('echo "sudo is fine"') == []
         # sh prints a single-quoted substitution, but the scan errs toward reporting
         assert find_privileged_tokens("echo '$(sudo id)'") == ["sudo"]
+
+    @pytest.mark.parametrize("quote", ["'", '"'])
+    def test_scan_of_one_quoted_megabyte_line_in_linear_time(self, quote):
+        text = f"echo {quote}" + "a sudo " * 150_000 + quote
+        start = time.perf_counter()
+        assert find_privileged_tokens(text) == []
+        assert time.perf_counter() - start < 2
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=12).map("".join))
+    def test_scan_matches_the_shlex_scan(self, text):
+        assert find_privileged_tokens(text) == _shlex_scan(text)
 
     def test_generated_scripts_are_clean(self, csic_profile, csic_plan):
         from hpcflow.recon import generate_entrypoint

@@ -68,9 +68,21 @@ class TestWords:
     def test_examples(self, text, words):
         assert _words(Instruction("RUN", text)) == words
 
-    @pytest.mark.parametrize("text", ["a" * 200_000, "a;" * 100_000, " &" * 100_000])
-    def test_unquoted_text_in_linear_time(self, text):
-        # milliseconds when linear; the bound catches only backtracking
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a" * 200_000,
+            "a;" * 100_000,
+            " &" * 100_000,
+            '"' + "a b " * 250_000 + '"',
+            "a" * 199_999 + "'",
+            "\\;" * 100_000,
+        ],
+        ids=["plain", "semicolons", "ampersands", "double-quoted", "unbalanced", "escapes"],
+    )
+    def test_text_in_linear_time(self, text):
+        # milliseconds when linear; the bound catches only backtracking or a
+        # quadratic reader
         start = time.perf_counter()
         _words(Instruction("RUN", text))
         assert time.perf_counter() - start < 2
