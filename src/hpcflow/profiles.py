@@ -343,14 +343,16 @@ def _privileged(word: str) -> str | None:
 def find_privileged_tokens(text: str) -> list[str]:
     """Shell words in ``text`` that imply elevated rights (sorted, unique).
 
-    Words are also split at ``; & |``, parentheses and backticks, so a
-    command glued to an operator or inside a subshell or a substitution is
-    still seen, and the first word after each ``$(`` or backtick is checked
-    even inside quotes (``echo "$(sudo id)"``).  A path to a privileged command
+    Each line is read by ``shell_words``, and its words are also split at
+    ``; & |``, parentheses and backticks, so a command glued to an operator
+    or inside a subshell or a substitution is still seen; the first word
+    after each ``$(`` or backtick is checked even inside quotes
+    (``echo "$(sudo id)"``).  A path to a privileged command
     (``/usr/bin/sudo``) is reported as the command; a word with ``=``
     (``A=/bin/sudo``) is not.  The scan errs toward reporting: the
     single-quoted ``'$(sudo id)'``, which ``sh`` does not run, reports
-    ``sudo`` too.
+    ``sudo`` too, and a line with an unbalanced quote is split at
+    whitespace alone.
     """
     found = set()
     for line in text.splitlines():
