@@ -170,6 +170,13 @@ def _runs() -> dict[str, tuple[list[str], dict[str, str], int]]:
         profile = {"csic.profile": _with_value(texts["csic.profile"], key, value)}
         add(f"profile validate {name}", ["profile", "validate", f"{TMP}/csic.profile"], **profile)
         add(f"job gen {name}", _job_gen(*pair, "1"), "entrypoint.spec", **profile)
+    # two faulty values, which each verb refuses with the same error lines
+    text = _with_value(texts["csic.profile"], "container_runtime_path", "/usr/bin/sudo")
+    profile = {"csic.profile": _with_value(text, "module_loads", "sudo, a b")}
+    name = "csic.profile, container_runtime_path = '/usr/bin/sudo', module_loads = 'sudo, a b'"
+    add(f"profile validate {name}", ["profile", "validate", f"{TMP}/csic.profile"], **profile)
+    add(f"job gen {name}", _job_gen(*pair, "1"), "entrypoint.spec", **profile)
+    add(f"run dry {name}", _run_dry(*pair), "entrypoint.spec", **profile)
     spec = {"entrypoint.spec": _with_value(texts["entrypoint.spec"], "base_image", "sudo:1")}
     add("job gen entrypoint.spec, base_image = 'sudo:1'", _job_gen(*pair, "1"), "csic.profile",
         **spec)
