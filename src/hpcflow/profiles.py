@@ -161,7 +161,7 @@ class EnvironmentSpec(Record):
 
 
 class ValidationIssue(Record):
-    severity: str  # "error" or "warning"
+    severity: str  # "warning": a faulty profile is refused when built
     message: str
 
 
@@ -269,20 +269,50 @@ def _one_of(choices: tuple[str, ...]):
     return read
 
 
+def _non_empty(value: str) -> str:
+    if not value:
+        raise ValueError("must be non-empty")
+    return value
+
+
+def _unprivileged(value: str, text: str, what: str = "") -> str:
+    """``value``, unless the token scan finds a privileged command in ``text``,
+    the words the job script holds ``value`` as."""
+    if find_privileged_tokens(text):
+        raise ValueError(f"{what}{value!r} names a privileged command")
+    return value
+
+
+def _module(entry: str) -> str:
+    if not entry:
+        raise ValueError("entries must be non-empty")
+    if any(c.isspace() for c in entry):
+        raise ValueError(f"entry {entry!r} must not contain whitespace")
+    return _unprivileged(entry, shlex.quote(entry), "entry ")
+
+
+def _mount(pair: tuple[str, str]) -> tuple[str, str]:
+    mount = ":".join(pair)
+    _unprivileged(mount, shlex.quote(f"--volume={mount}"), "entry ")
+    return pair
+
+
 # key -> reader of its value, in file order; a key without a default in
-# the record is mandatory
+# the record is mandatory.  A value that reaches the job script is read as
+# the script holds it: a module, the runtime path or a mount is one word,
+# quoted unless plain, and the partition and account are directives.
 _CLUSTER_READERS = {
-    "name": str,
+    "name": _non_empty,
     "scheduler": _one_of(SCHEDULERS),
     "gpus_per_node": _positive_int,
     "gpu_nodes": _positive_int,
     "openmpi_version": SemVer.parse,
-    "container_runtime_path": str,
-    "module_loads": _split_list,
+    "container_runtime_path": lambda value: _unprivileged(_non_empty(value), shlex.quote(value)),
+    "module_loads": lambda value: tuple(map(_module, _split_list(value))),
     "interconnect": str,
-    "partition": lambda value: value or None,
-    "account": lambda value: value or None,
-    "default_mounts": _split_pairs,
+    "partition": lambda value: _unprivileged(value, f"--partition={value}") if value else None,
+    "account": lambda value: _unprivileged(value, f"--account={value}") if value else None,
+    "default_mounts": lambda value: tuple(map(_mount, _split_pairs(value))),
 }
 
 
@@ -311,8 +341,10 @@ def parse_cluster_profile(text: str) -> ClusterProfile:
 
     Raises:
         ProfileError: on syntax errors (with line number), missing
-            mandatory keys, unparseable versions, non-positive counts, or a
-            control character in any value.
+            mandatory keys, unparseable versions, non-positive counts, a
+            control character in any value, an empty name, runtime path or
+            module, a module with whitespace, or a value that would name a
+            privileged command in the job script.
     """
     entries = _read_section(text, CLUSTER_SECTION)
     return ClusterProfile(
@@ -368,52 +400,16 @@ def find_privileged_tokens(text: str) -> list[str]:
 
 
 def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
-    """The checks a built profile may still fail, which no reader makes.
+    """The warnings about a profile that a cluster can still use.
 
-    Issues are data, not failures: the list is empty iff the name is
-    non-empty, each module name is one word, the container runtime path is
-    absolute, no value that reaches the job script names a privileged
-    command there, and no key is unknown.
+    Every fault is refused when the profile is built, by the readers, so
+    the issues are warnings only: a container runtime path that is not
+    absolute, and each unknown key.
     """
-    issues: list[ValidationIssue] = []
-
-    def error(msg: str) -> None:
-        issues.append(ValidationIssue("error", msg))
-
-    def warning(msg: str) -> None:
-        issues.append(ValidationIssue("warning", msg))
-
-    if not profile.name:
-        error("name must be non-empty")
-    # each value that reaches the job script, with the text the script holds
-    # it as, which is what the scan reads: a module name, the runtime path
-    # and a mount are one word each, quoted there unless plain, and a
-    # directive is written as it is
     path = profile.container_runtime_path
-    values = [("module_loads entry", entry, shlex.quote(entry)) for entry in profile.module_loads]
-    values.append(("container_runtime_path", path, shlex.quote(path)))
-    values += [
-        ("default_mounts entry", f"{src}:{dst}", shlex.quote(f"--volume={src}:{dst}"))
-        for src, dst in profile.default_mounts
-    ]
-    values += [
-        (key, value, f"--{key}={value}")
-        for key, value in (("partition", profile.partition), ("account", profile.account))
-        if value is not None
-    ]
-    for label, value, text in values:
-        module = label == "module_loads entry"
-        if not value:  # only a module name or the runtime path can be empty
-            error(f"{'module_loads entries' if module else label} must be non-empty")
-        elif module and any(c.isspace() for c in value):
-            error(f"{label} {value!r} must not contain whitespace")
-        elif find_privileged_tokens(text):
-            error(f"{label} {value!r} names a privileged command")
-        elif label == "container_runtime_path" and not value.startswith("/"):
-            warning(f"{label} {value!r} is not absolute")
-    for key, _ in profile.extra:
-        warning(f"unknown key {key!r} ignored")
-    return issues
+    relative = [] if path.startswith("/") else [f"container_runtime_path {path!r} is not absolute"]
+    unknown = [f"unknown key {key!r} ignored" for key, _ in profile.extra]
+    return [ValidationIssue("warning", message) for message in relative + unknown]
 
 
 def _word(pattern: re.Pattern, what: str):

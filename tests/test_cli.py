@@ -45,7 +45,7 @@ def _profile_with_error(tmp_path) -> Path:
     return bad
 
 
-_MODULE_ERROR = "error: module_loads entry 'open mpi' must not contain whitespace\n"
+_MODULE_ERROR = "error: line 9: module_loads entry 'open mpi' must not contain whitespace\n"
 
 
 class TestProfileValidate:
@@ -60,12 +60,9 @@ class TestProfileValidate:
         assert "error:" in err
 
     def test_profile_with_error_issue_exits_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.profile"
-        text = (PROFILES / "csic.profile").read_text()
-        bad.write_text(text.replace("module_loads = openmpi/4.0.1", "module_loads = open mpi"))
-        code, out, _ = run_cli(["profile", "validate", str(bad)], capsys)
-        assert code == 1
-        assert "error:" in out
+        bad = _profile_with_error(tmp_path)
+        code, out, err = run_cli(["profile", "validate", str(bad)], capsys)
+        assert (code, out, err) == (1, "", _MODULE_ERROR)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -509,13 +506,12 @@ class TestRun:
         bad.write_text(
             text.replace("module_loads = openmpi/4.0.1", "module_loads = open mpi, big x")
         )
-        _, issues, _ = run_cli(["profile", "validate", str(bad)], capsys)
+        validate = run_cli(["profile", "validate", str(bad)], capsys)
         code, out, err = run_cli(
             ["run", "dry", "--profile", str(bad), "--spec", str(SPECS / "ngc.spec")], capsys
         )
-        assert (code, out) == (1, "")
-        assert err == issues
-        assert len(err.splitlines()) == 2
+        # the first fault is the one reported, by both verbs alike
+        assert (code, out, err) == validate == (1, "", _MODULE_ERROR)
 
     def test_dry_run_profile_warnings_stay_silent(self, tmp_path, capsys):
         profile = tmp_path / "extra.profile"
@@ -1201,8 +1197,9 @@ class TestPrivilegedWords:
         "old, new, message",
         [
             ("/home/researcher/.local/udocker/udocker", "/usr/bin/sudo",
-             "container_runtime_path '/usr/bin/sudo' names a privileged command"),
-            ("openmpi/4.0.1", "sudo", "module_loads entry 'sudo' names a privileged command"),
+             "line 8: container_runtime_path '/usr/bin/sudo' names a privileged command"),
+            ("openmpi/4.0.1", "sudo",
+             "line 9: module_loads entry 'sudo' names a privileged command"),
         ],
     )
     def test_profile_naming_a_privileged_command_is_refused(
@@ -1210,9 +1207,8 @@ class TestPrivilegedWords:
     ):
         profile = tmp_path / "bad.profile"
         profile.write_text((PROFILES / "csic.profile").read_text().replace(old, new))
-        # ``profile validate`` prints its issues on stdout
         code, out, err = run_cli(["profile", "validate", str(profile)], capsys)
-        assert (code, out, err) == (1, f"error: {message}\n", "")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         jobs = tmp_path / "jobs"
         jobs.mkdir()
         argv = [*_JOB_GEN, "--profile", str(profile), *_ENTRYPOINT_SPEC]

@@ -6,7 +6,7 @@ import subprocess
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -705,6 +705,53 @@ class TestBuiltSpecDockerfileProperty:
         for instr in ast.instructions:
             if instr.kind == "COPY":
                 assert len(_words(instr)) == 2, dockerfile
+
+
+# profile text that puts privileged words next to paths, operators,
+# substitutions and quotes
+_PROFILE_TEXT = st.lists(
+    st.sampled_from(
+        [*sorted(PRIVILEGED_TOKENS), "/", ";", "&", "|", "$(", "`", "(", ")", "'", '"', " ", "x"]
+    ),
+    max_size=6,
+).map("".join)
+
+
+class TestBuiltProfileJobScriptProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runtime=_PROFILE_TEXT,
+        modules=st.lists(_PROFILE_TEXT, max_size=2),
+        partition=st.none() | _PROFILE_TEXT,
+        account=st.none() | _PROFILE_TEXT,
+        mounts=st.lists(st.tuples(_PROFILE_TEXT, _PROFILE_TEXT), max_size=2),
+    )
+    @example(runtime="/usr/bin/sudo", modules=[], partition=None, account=None, mounts=[])
+    def test_every_built_profile_gives_a_clean_job_script(
+        self, runtime, modules, partition, account, mounts
+    ):
+        from hpcflow.profiles import ClusterProfile, SemVer, parse_env_spec
+
+        try:
+            cluster = ClusterProfile(
+                name="x",
+                scheduler="slurm",
+                gpus_per_node=1,
+                gpu_nodes=1,
+                openmpi_version=SemVer(4, 0, 1),
+                container_runtime_path=runtime,
+                module_loads=tuple(modules),
+                partition=partition,
+                account=account,
+                default_mounts=tuple(mounts),
+            )
+        except ProfileError:
+            return
+        spec = parse_env_spec((FIXTURES / "specs" / "entrypoint.spec").read_text())
+        req = make_request(1, 1)
+        plan = plan_launch(cluster, reconcile(spec, cluster), req)
+        text = render_job_script(plan, cluster, req).text
+        assert find_privileged_tokens(text) == [], text
 
 
 def _plan(**fields) -> LaunchPlan:

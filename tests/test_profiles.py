@@ -13,6 +13,7 @@ from hpcflow.profiles import (
     EnvironmentSpec,
     ImageRef,
     SemVer,
+    ValidationIssue,
     parse_cluster_profile,
     parse_env_spec,
     render_cluster_profile,
@@ -249,6 +250,13 @@ def _profile(**overrides) -> ClusterProfile:
     return ClusterProfile(**{**values, **overrides})
 
 
+def _file_value(value: object) -> str:
+    """A field value as a profile file writes it."""
+    if isinstance(value, tuple):
+        return ", ".join(v if isinstance(v, str) else ":".join(v) for v in value)
+    return value
+
+
 class TestValidateProfile:
     def test_valid_profile_no_issues(self):
         assert validate_profile(_profile()) == []
@@ -271,14 +279,6 @@ class TestValidateProfile:
     def test_relative_runtime_path_warns(self):
         issues = validate_profile(_profile(container_runtime_path="bin/udocker"))
         assert [i.severity for i in issues] == ["warning"]
-
-    def test_empty_module_entry_is_error(self):
-        issues = validate_profile(_profile(module_loads=("gcc", "")))
-        assert [i.severity for i in issues] == ["error"]
-
-    def test_whitespace_module_entry_is_error(self):
-        issues = validate_profile(_profile(module_loads=("open mpi",)))
-        assert [i.severity for i in issues] == ["error"]
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -316,31 +316,64 @@ class TestValidateProfile:
                 {"default_mounts": (("/a", "/b;sudo"),)},
                 "default_mounts entry '/a:/b;sudo' names a privileged command",
             ),
+            ({"module_loads": ("gcc", "")}, "module_loads entries must be non-empty"),
+            (
+                {"module_loads": ("open mpi",)},
+                "module_loads entry 'open mpi' must not contain whitespace",
+            ),
         ],
     )
-    def test_record_built_in_code_is_checked(self, overrides, message):
-        issues = validate_profile(_profile(**overrides))
-        assert [i.severity for i in issues] == ["error"]
-        assert issues[0].message.startswith(message)
+    def test_record_built_in_code_is_checked(self, overrides, message, fixtures):
+        # refused by the reader of its key, in code and in a file alike
+        with pytest.raises(ProfileError) as info:
+            _profile(**overrides)
+        assert (str(info.value), info.value.line) == (message, None)
+        ((key, value),) = overrides.items()
+        lines = (fixtures / "profiles" / "csic.profile").read_text().splitlines()
+        at = next((i for i, line in enumerate(lines) if line.startswith(f"{key} =")), len(lines))
+        lines[at : at + 1] = [f"{key} = {_file_value(value)}"]
+        with pytest.raises(ProfileError) as info:
+            parse_cluster_profile("\n".join(lines) + "\n")
+        assert (str(info.value), info.value.line) == (f"line {at + 1}: {message}", at + 1)
 
-    def test_issues_in_value_order(self):
-        profile = _profile(
-            module_loads=("sudo", "", "a b"),
-            container_runtime_path="",
-            default_mounts=(("/a", "/b;su"),),
-            partition="p;doas",
-            account="a;pkexec",
-            extra=(("site", "x"),),
-        )
-        assert [i.message for i in validate_profile(profile)] == [
-            "module_loads entry 'sudo' names a privileged command",
-            "module_loads entries must be non-empty",
-            "module_loads entry 'a b' must not contain whitespace",
+    def test_first_fault_in_reader_order_is_reported(self):
+        faults = {
+            "default_mounts": (("/a", "/b;su"),),
+            "account": "a;pkexec",
+            "partition": "p;doas",
+            "module_loads": ("sudo", "", "a b"),
+            "container_runtime_path": "",
+            "name": "",
+        }
+        # a file is read in reader order too, not in line order
+        text = "[cluster]\nscheduler = slurm\ngpus_per_node = 1\ngpu_nodes = 1\n"
+        text += "openmpi_version = 4.0\n"
+        text += "".join(f"{key} = {_file_value(value)}\n" for key, value in faults.items())
+        with pytest.raises(ProfileError, match="^line 11: name must be non-empty$"):
+            parse_cluster_profile(text)
+        reported = []
+        while faults:
+            with pytest.raises(ProfileError) as info:
+                _profile(**faults)
+            reported.append(str(info.value))
+            del faults[str(info.value).partition(" ")[0]]
+        assert reported == [
+            "name must be non-empty",
             "container_runtime_path must be non-empty",
-            "default_mounts entry '/a:/b;su' names a privileged command",
+            "module_loads entry 'sudo' names a privileged command",
             "partition 'p;doas' names a privileged command",
             "account 'a;pkexec' names a privileged command",
-            "unknown key 'site' ignored",
+            "default_mounts entry '/a:/b;su' names a privileged command",
+        ]
+
+    def test_warnings_in_order(self):
+        profile = _profile(
+            container_runtime_path="bin/udocker", extra=(("site", "x"), ("future_key", "y"))
+        )
+        assert validate_profile(profile) == [
+            ValidationIssue("warning", "container_runtime_path 'bin/udocker' is not absolute"),
+            ValidationIssue("warning", "unknown key 'site' ignored"),
+            ValidationIssue("warning", "unknown key 'future_key' ignored"),
         ]
 
 
