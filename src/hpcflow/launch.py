@@ -21,7 +21,7 @@ from hpcflow.profiles import (
     CONTROL_CHAR_RE,
     PRIVILEGED_TOKENS,
     ClusterProfile,
-    find_privileged_tokens,  # noqa: F401  (the scan of what this module writes)
+    find_privileged_tokens,  # noqa: F401  (re-exported: tests import the scan from here)
 )
 
 # The annotation ``ReconcilePlan`` is ``hpcflow.recon.ReconcilePlan``, not
