@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import re
+import shlex
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hpcflow.errors import ProfileError
+from hpcflow.launch import _sh_word
 from hpcflow.profiles import (
     SCHEDULERS,
     ClusterProfile,
@@ -14,6 +16,7 @@ from hpcflow.profiles import (
     ImageRef,
     SemVer,
     ValidationIssue,
+    find_privileged_tokens,
     parse_cluster_profile,
     parse_env_spec,
     render_cluster_profile,
@@ -236,6 +239,27 @@ def test_render_is_a_fixed_point_of_parse(text):
     rendered = render_cluster_profile(profile)
     assert parse_cluster_profile(rendered) == profile
     assert render_cluster_profile(parse_cluster_profile(rendered)) == rendered
+
+
+# pieces of a value a profile could hold: quotes, operators, expansions and
+# the privileged command, bare and as a path
+_SCRIPT_PIECE = st.sampled_from(
+    [*"ab/$(){}`'\";&|^ =:-_.@%+,\\", "sudo", "$HOME", "${X}", "$(", "/usr/bin/sudo"]
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_SCRIPT_PIECE, max_size=8).map("".join))
+@example("$HOME/bin/sudo")
+@example("a^sudo")
+@example("$('sudo')")
+@example("/usr/bin/sudo")
+def test_scan_of_the_script_word_agrees_with_the_quoted_word(value):
+    # the job script writes a plain word bare and any other word quoted;
+    # a plain word has no quote, operator, parenthesis, backtick or ``$(``,
+    # so the scan reads it alike either way
+    for word in (value, f"--volume={value}:{value}", f"--volume=/a:{value}"):
+        assert find_privileged_tokens(_sh_word(word)) == find_privileged_tokens(shlex.quote(word))
 
 
 def _profile(**overrides) -> ClusterProfile:
