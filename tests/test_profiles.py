@@ -195,7 +195,15 @@ class TestRoundTrip:
 _CLEAN_LINE = st.text(
     st.characters(blacklist_categories=("Cc",), blacklist_characters="\u2028\u2029"), max_size=8
 )
-_MOUNT_WORD = st.text(st.sampled_from("ab/._- "), max_size=4)
+# a line that is not empty once stripped, as a name or a runtime path must be
+_LINE_WITH_WORD = st.tuples(
+    _CLEAN_LINE, st.characters(blacklist_categories=("Cc", "Z")), _CLEAN_LINE
+).map("".join)
+# module names without whitespace, as a list value
+_MODULE = st.characters(blacklist_categories=("Cc", "Z"), blacklist_characters=",")
+_MODULES = st.lists(st.text(_MODULE, min_size=1, max_size=4), max_size=3).map(", ".join)
+_MOUNT_PAD = st.text(st.sampled_from("ab/._- "), max_size=2)
+_MOUNT_WORD = st.tuples(_MOUNT_PAD, st.sampled_from("ab/._-"), _MOUNT_PAD).map("".join)
 _COUNT = st.integers(1, 10**6).map(str) | st.sampled_from(["+3", "007", "1_000", "\u0663"])
 
 
@@ -205,15 +213,15 @@ def _profile_text(draw) -> str:
     part = st.integers(0, 20)
     version = draw(st.tuples(part, part, st.none() | part))
     values = {
-        "name": draw(_CLEAN_LINE),
+        "name": draw(_LINE_WITH_WORD),
         "scheduler": draw(st.sampled_from(SCHEDULERS)),
         "gpus_per_node": draw(_COUNT),
         "gpu_nodes": draw(_COUNT),
         "openmpi_version": ".".join(str(n) for n in version if n is not None),
-        "container_runtime_path": draw(_CLEAN_LINE),
+        "container_runtime_path": draw(_LINE_WITH_WORD),
     }
     optional = {
-        "module_loads": _CLEAN_LINE,
+        "module_loads": _MODULES,
         "interconnect": _CLEAN_LINE,
         "partition": _CLEAN_LINE,
         "account": _CLEAN_LINE,
@@ -234,7 +242,7 @@ def _profile_text(draw) -> str:
 def test_render_is_a_fixed_point_of_parse(text):
     try:
         profile = parse_cluster_profile(text)
-    except ProfileError:  # an empty mount word
+    except ProfileError:  # a value that names a privileged command
         assume(False)
     rendered = render_cluster_profile(profile)
     assert parse_cluster_profile(rendered) == profile
