@@ -42,7 +42,6 @@ __all__ = [
     "ProfileError",
     "ReconcileError",
     "SemVer",
-    "ValidationIssue",
     "parse_cluster_profile",
     "parse_env_spec",
     "render_cluster_profile",

@@ -125,10 +125,10 @@ def cmd_profile_validate(args: SimpleNamespace) -> int:
     from hpcflow.profiles import validate_profile
 
     profile = _load_profile(args.path)
-    issues = validate_profile(profile)
-    for issue in issues:
-        print(f"{issue.severity}: {issue.message}")
-    if not issues and not args.machine:
+    warnings = validate_profile(profile)
+    for warning in warnings:
+        print(f"warning: {warning}")
+    if not warnings and not args.machine:
         print(f"profile {profile.name}: OK")
     return EXIT_OK
 

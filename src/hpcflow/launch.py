@@ -16,11 +16,11 @@ from hpcflow.profiles import (
     _ENV_KEY_RE,
     _IDENTIFIER_RE,
     _NAME_CHARS,
-    _PLAIN_WORD_RE,
     _WALLTIME_RE,
     CONTROL_CHAR_RE,
     PRIVILEGED_TOKENS,
     ClusterProfile,
+    _sh_word,
     find_privileged_tokens,  # noqa: F401  (re-exported: tests import the scan from here)
 )
 
@@ -160,8 +160,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
 
     udocker_run_args = [
         *_USER_MAP_ARGS,
-        f"--volume={req.workdir_mount[0]}:{req.workdir_mount[1]}",
-        *(f"--volume={src}:{dst}" for src, dst in cluster.default_mounts),
+        *(f"--volume={src}:{dst}" for src, dst in (req.workdir_mount, *cluster.default_mounts)),
         req.container_name,
         *recon.runtime_args,
     ]
@@ -205,10 +204,6 @@ def grid_plan(
         udocker_run_args=(),
         scheduler_directives=(),
     )
-
-
-def _sh_word(word: str) -> str:
-    return word if _PLAIN_WORD_RE.fullmatch(word) else shlex.quote(word)
 
 
 def render_job_script(

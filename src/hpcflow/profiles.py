@@ -51,6 +51,13 @@ _SAFE_CHAR = r"[\w@%+=:,./^-]"
 # a launcher word written as it is: safe characters, and $NAME or ${NAME}
 # references, which the batch job expands
 _PLAIN_WORD_RE = re.compile("(?:" + _SAFE_CHAR + r"|\$[A-Za-z_]\w*|\$\{[A-Za-z_]\w*\})+", re.ASCII)
+
+
+def _sh_word(word: str) -> str:
+    """``word`` as a job script writes it: as it is when plain, else shell-quoted."""
+    return word if _PLAIN_WORD_RE.fullmatch(word) else shlex.quote(word)
+
+
 # a plain word without $, and no Dockerfile flag; an image's letters may be any letter
 _PATH_RE = re.compile("(?!-)" + _SAFE_CHAR + "+", re.ASCII)
 _IMAGE_RE = re.compile("(?!-)" + _SAFE_CHAR + "+")
@@ -158,11 +165,6 @@ class EnvironmentSpec(Record):
         fault = _strategy_fault(vars(self))
         if fault is not None:
             raise ProfileError(fault[1])
-
-
-class ValidationIssue(Record):
-    severity: str  # "warning": a faulty profile is refused when built
-    message: str
 
 
 def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
@@ -277,7 +279,7 @@ def _non_empty(value: str) -> str:
 
 def _unprivileged(value: str, text: str, what: str = "") -> str:
     """``value``, unless the token scan finds a privileged command in ``text``,
-    the words the job script holds ``value`` as."""
+    the word or directive the job script writes for ``value``."""
     if find_privileged_tokens(text):
         raise ValueError(f"{what}{value!r} names a privileged command")
     return value
@@ -288,26 +290,27 @@ def _module(entry: str) -> str:
         raise ValueError("entries must be non-empty")
     if any(c.isspace() for c in entry):
         raise ValueError(f"entry {entry!r} must not contain whitespace")
-    return _unprivileged(entry, shlex.quote(entry), "entry ")
+    return _unprivileged(entry, _sh_word(entry), "entry ")
 
 
 def _mount(pair: tuple[str, str]) -> tuple[str, str]:
     mount = ":".join(pair)
-    _unprivileged(mount, shlex.quote(f"--volume={mount}"), "entry ")
+    _unprivileged(mount, _sh_word(f"--volume={mount}"), "entry ")
     return pair
 
 
 # key -> reader of its value, in file order; a key without a default in
-# the record is mandatory.  A value that reaches the job script is read as
-# the script holds it: a module, the runtime path or a mount is one word,
-# quoted unless plain, and the partition and account are directives.
+# the record is mandatory.  A value that reaches the job script is scanned
+# as the script writes it: a module, the runtime path or a mount's
+# ``--volume=`` word as ``_sh_word`` writes it, and the partition and
+# account as their directives.
 _CLUSTER_READERS = {
     "name": _non_empty,
     "scheduler": _one_of(SCHEDULERS),
     "gpus_per_node": _positive_int,
     "gpu_nodes": _positive_int,
     "openmpi_version": SemVer.parse,
-    "container_runtime_path": lambda value: _unprivileged(_non_empty(value), shlex.quote(value)),
+    "container_runtime_path": lambda value: _unprivileged(_non_empty(value), _sh_word(value)),
     "module_loads": lambda value: tuple(map(_module, _split_list(value))),
     "interconnect": str,
     "partition": lambda value: _unprivileged(value, f"--partition={value}") if value else None,
@@ -399,17 +402,17 @@ def find_privileged_tokens(text: str) -> list[str]:
     return sorted(found)
 
 
-def validate_profile(profile: ClusterProfile) -> list[ValidationIssue]:
-    """The warnings about a profile that a cluster can still use.
+def validate_profile(profile: ClusterProfile) -> list[str]:
+    """The warnings about a profile that a cluster can still use, as text.
 
     Every fault is refused when the profile is built, by the readers, so
-    the issues are warnings only: a container runtime path that is not
-    absolute, and each unknown key.
+    only warnings are left: a container runtime path that is not absolute,
+    and each unknown key, in that order.
     """
     path = profile.container_runtime_path
     relative = [] if path.startswith("/") else [f"container_runtime_path {path!r} is not absolute"]
     unknown = [f"unknown key {key!r} ignored" for key, _ in profile.extra]
-    return [ValidationIssue("warning", message) for message in relative + unknown]
+    return relative + unknown
 
 
 def _word(pattern: re.Pattern, what: str):

@@ -131,6 +131,8 @@ def reconcile(
 ) -> ReconcilePlan:
     """Produce the image reference and run arguments for one cluster.
 
+    The plan's ``strategy_used`` is the spec's strategy:
+
     * ``tags``: resolve the tag encoding the cluster's OpenMPI major.minor
       (``available_tags`` is required); nothing to pass at run time.
     * ``ngc``: keep the image as-is but check its pinned OpenMPI against
@@ -142,46 +144,34 @@ def reconcile(
         ReconcileError: on a version mismatch, a missing tag, or missing
             ``available_tags`` for the tags strategy.
     """
+    tag, runtime_args = None, ()
     if spec.strategy == "tags":
         if available_tags is None:
             raise ReconcileError("strategy 'tags' needs the list of available image tags")
         tag = select_tag(available_tags, cluster.openmpi_version)
-        return ReconcilePlan(
-            image_ref=resolve_image_ref(spec, tag=tag),
-            runtime_args=(),
-            strategy_used="tags",
-            match_note=(
-                f"tag {tag} encodes OpenMPI "
-                f"{cluster.openmpi_version.major}.{cluster.openmpi_version.minor}, "
-                f"matching cluster {cluster.name}"
-            ),
+        note = (
+            f"tag {tag} encodes OpenMPI "
+            f"{cluster.openmpi_version.major}.{cluster.openmpi_version.minor}, "
+            f"matching cluster {cluster.name}"
         )
-    if spec.strategy == "ngc":
+    elif spec.strategy == "ngc":
         if not versions_match(spec.openmpi_version, cluster.openmpi_version):
             raise ReconcileError(
                 f"image OpenMPI {spec.openmpi_version} does not match cluster "
                 f"{cluster.name} OpenMPI {cluster.openmpi_version} "
                 "(prebuilt images only work where their versions match)"
             )
-        return ReconcilePlan(
-            image_ref=resolve_image_ref(spec),
-            runtime_args=(),
-            strategy_used="ngc",
-            match_note=(
-                f"image OpenMPI {spec.openmpi_version} vs cluster "
-                f"{cluster.openmpi_version}: major.minor match"
-            ),
+        note = (
+            f"image OpenMPI {spec.openmpi_version} vs cluster "
+            f"{cluster.openmpi_version}: major.minor match"
         )
-    # entrypoint: the script inside the image installs what the cluster has
-    return ReconcilePlan(
-        image_ref=resolve_image_ref(spec),
-        runtime_args=(str(cluster.openmpi_version), spec.horovod_version),
-        strategy_used="entrypoint",
-        match_note=(
+    else:  # entrypoint: the script inside the image installs what the cluster has
+        runtime_args = (str(cluster.openmpi_version), spec.horovod_version)
+        note = (
             f"entrypoint installs OpenMPI {cluster.openmpi_version} and "
             f"Horovod {spec.horovod_version} on first start"
-        ),
-    )
+        )
+    return ReconcilePlan(resolve_image_ref(spec, tag), runtime_args, spec.strategy, note)
 
 
 def default_cmd_args(spec: EnvironmentSpec) -> tuple[str, str]:

@@ -15,7 +15,6 @@ from hpcflow.profiles import (
     EnvironmentSpec,
     ImageRef,
     SemVer,
-    ValidationIssue,
     find_privileged_tokens,
     parse_cluster_profile,
     parse_env_spec,
@@ -107,8 +106,7 @@ class TestParseClusterProfile:
         )
         profile = parse_cluster_profile(text)
         assert profile.extra == (("future_field", "whatever"),)
-        warnings = [i for i in validate_profile(profile) if i.severity == "warning"]
-        assert any("future_field" in i.message for i in warnings)
+        assert validate_profile(profile) == ["unknown key 'future_field' ignored"]
 
 
     @pytest.mark.parametrize(
@@ -309,8 +307,8 @@ class TestValidateProfile:
         assert validate_profile(_profile(**overrides)) == []
 
     def test_relative_runtime_path_warns(self):
-        issues = validate_profile(_profile(container_runtime_path="bin/udocker"))
-        assert [i.severity for i in issues] == ["warning"]
+        warnings = validate_profile(_profile(container_runtime_path="bin/udocker"))
+        assert warnings == ["container_runtime_path 'bin/udocker' is not absolute"]
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -403,9 +401,9 @@ class TestValidateProfile:
             container_runtime_path="bin/udocker", extra=(("site", "x"), ("future_key", "y"))
         )
         assert validate_profile(profile) == [
-            ValidationIssue("warning", "container_runtime_path 'bin/udocker' is not absolute"),
-            ValidationIssue("warning", "unknown key 'site' ignored"),
-            ValidationIssue("warning", "unknown key 'future_key' ignored"),
+            "container_runtime_path 'bin/udocker' is not absolute",
+            "unknown key 'site' ignored",
+            "unknown key 'future_key' ignored",
         ]
 
 

@@ -8,7 +8,7 @@ from hpcflow.dockerfile import DockerfileAst, Instruction
 from hpcflow.launch import JobRequest, JobScript, LaunchPlan
 from hpcflow.lint import SmellFinding, SmellReport
 from hpcflow.perf import BenchRun, BenchSummary, ModelSpec, ScalingEstimate, ScalingInputs
-from hpcflow.profiles import ClusterProfile, EnvironmentSpec, ImageRef, SemVer, ValidationIssue
+from hpcflow.profiles import ClusterProfile, EnvironmentSpec, ImageRef, SemVer
 from hpcflow.recon import DEFAULT_INSTALLERS, InstallerConfig, ReconcilePlan
 from hpcflow.runner import RankResult
 
@@ -58,7 +58,6 @@ RECORDS = [
             registry="docker.io",
         ),
     ),
-    (ValidationIssue, dict(severity="warning", message="unknown key")),
     (
         JobRequest,
         dict(
@@ -204,7 +203,7 @@ class TestDefaults:
         assert repr(SemVer(1, 2)) == "SemVer(major=1, minor=2, patch=0, patch_specified=True)"
 
     def test_job_requests_do_not_share_extra_env(self):
-        base = {k: v for k, v in RECORDS[7][1].items() if k != "extra_env"}
+        base = {k: v for k, v in dict(RECORDS)[JobRequest].items() if k != "extra_env"}
         a, b = JobRequest(**base), JobRequest(**base)
         assert a.extra_env == {} and b.extra_env == {}
         a.extra_env["FOO"] = "bar"
