@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import shutil
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hpcflow
 from conftest import FIXTURES
 from hpcflow.errors import LaunchError, ProfileError
 from hpcflow.launch import (
@@ -864,3 +869,22 @@ class TestGridPlan:
     def test_rejects_env_key_not_identifier(self, key):
         with pytest.raises(LaunchError, match="not a shell identifier"):
             grid_plan(1, 1, {key: "x"})
+
+
+def test_readme_library_example_prints_a_clean_script(tmp_path):
+    # the README's "Library use" code as written, beside the files it opens
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = readme.partition("## Library use")[2].partition("```python\n")[2].partition("```")[0]
+    shutil.copy(FIXTURES / "profiles" / "csic.profile", tmp_path)
+    shutil.copy(FIXTURES / "specs" / "entrypoint.spec", tmp_path)
+    path = [str(Path(hpcflow.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    child = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("#!/bin/sh\n#SBATCH ")
+    (tmp_path / "job.sh").write_text(child.stdout)
+    assert subprocess.run(["/bin/sh", "-n", str(tmp_path / "job.sh")]).returncode == 0
+    assert find_privileged_tokens(child.stdout) == []
