@@ -84,6 +84,19 @@ class TestProfileValidate:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("flags", [[], ["--machine"]])
+    def test_warnings_print_one_line_each_and_exit_zero(self, flags, tmp_path, capsys):
+        profile = tmp_path / "warn.profile"
+        text = (PROFILES / "csic.profile").read_text()
+        text = text.replace("/home/researcher/.local/udocker/udocker", "bin/udocker")
+        profile.write_text(text + "site_note = x\n")
+        code, out, err = run_cli(["profile", "validate", *flags, str(profile)], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "warning: container_runtime_path 'bin/udocker' is not absolute\n"
+            "warning: unknown key 'site_note' ignored\n"
+        )
+
     def test_machine_mode_emits_issue_lines_only(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["profile", "validate", "--machine", str(PROFILES / "csic.profile")], capsys

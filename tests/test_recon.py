@@ -11,6 +11,7 @@ from hpcflow.errors import ReconcileError
 from hpcflow.profiles import SemVer
 from hpcflow.recon import (
     InstallerConfig,
+    ReconcilePlan,
     default_cmd_args,
     generate_entrypoint,
     reconcile,
@@ -44,6 +45,42 @@ class TestReconcile:
         assert plan.strategy_used == "entrypoint"
         assert plan.runtime_args == ("4.0.1", "0.21.3")
         assert plan.image_ref == entrypoint_spec.base_image
+
+    @pytest.mark.parametrize(
+        "spec_name, expected",
+        [
+            (
+                "entrypoint_spec",
+                ReconcilePlan(
+                    "nvidia/cuda:10.1-cudnn7-devel-ubuntu18.04",
+                    ("4.0.1", "0.21.3"),
+                    "entrypoint",
+                    "entrypoint installs OpenMPI 4.0.1 and Horovod 0.21.3 on first start",
+                ),
+            ),
+            (
+                "ngc_spec",
+                ReconcilePlan(
+                    "nvcr.io/nvidia/tensorflow:21.02-tf2-py3",
+                    (),
+                    "ngc",
+                    "image OpenMPI 4.0.1 vs cluster 4.0.1: major.minor match",
+                ),
+            ),
+            (
+                "tags_spec",
+                ReconcilePlan(
+                    "example/multigpu-horovod:ompi4.0",
+                    (),
+                    "tags",
+                    "tag ompi4.0 encodes OpenMPI 4.0, matching cluster csic-dl",
+                ),
+            ),
+        ],
+    )
+    def test_whole_plan_per_strategy(self, spec_name, expected, csic_profile, request):
+        spec = request.getfixturevalue(spec_name)
+        assert reconcile(spec, csic_profile, available_tags=["ompi3.0", "ompi4.0"]) == expected
 
     def test_entrypoint_ignores_available_tags(self, entrypoint_spec, csic_profile):
         with_tags = reconcile(entrypoint_spec, csic_profile, available_tags=["bogus"])
