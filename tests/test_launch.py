@@ -101,12 +101,11 @@ class TestPlanLaunch:
     def test_env_exports_each_forwarded_once(self, csic_profile, csic_plan):
         req = make_request(2, 2, extra_env={"FOO": "1", "BAR": "x"})
         plan = plan_launch(csic_profile, csic_plan, req)
-        args = list(plan.mpirun_args)
-        for key in plan.env_exports:
-            positions = [
-                i for i, a in enumerate(args) if a == "-x" and args[i + 1] == key
-            ]
-            assert len(positions) == 1, key
+        text = render_job_script(plan, csic_profile, req).text
+        (launcher,) = [l for l in text.splitlines() if l.startswith("mpirun ")]
+        words = shlex.split(launcher)
+        forwarded = [words[i + 1] for i, word in enumerate(words) if word == "-x"]
+        assert forwarded == list(plan.env_exports)
         assert plan.env_exports["NCCL_DEBUG"] == "INFO"
         assert plan.env_exports["PATH"] is None
         assert plan.env_exports["LD_LIBRARY_PATH"] is None
@@ -175,6 +174,39 @@ class TestPlanLaunch:
         # the entrypoint image falls back to a shell, so empty is fine there
         plan = plan_launch(csic_profile, csic_plan, make_request(1, 1, user_command=()))
         assert plan.total_ranks == 1
+
+
+_TAGS = ["ompi3.0", "ompi4.0"]
+
+
+@pytest.mark.parametrize(
+    "spec_path", sorted((FIXTURES / "specs").glob("*.spec")), ids=lambda p: p.name
+)
+@pytest.mark.parametrize(
+    "profile_path", sorted((FIXTURES / "profiles").glob("*.profile")), ids=lambda p: p.name
+)
+def test_first_run_and_empty_command_follow_runtime_args(spec_path, profile_path):
+    """The setup's fourth command and the empty-command rule go with
+    ``runtime_args`` for every fixture spec and profile that reconcile."""
+    from hpcflow.errors import ReconcileError
+    from hpcflow.profiles import parse_cluster_profile, parse_env_spec
+
+    cluster = parse_cluster_profile(profile_path.read_text())
+    spec = parse_env_spec(spec_path.read_text())
+    try:
+        plan = reconcile(spec, cluster, available_tags=_TAGS if spec.strategy == "tags" else None)
+    except ReconcileError:
+        # the one pair refused: the ngc image pins 4.0.1, forhlr2 has 4.0.2
+        assert (spec_path.name, profile_path.name) == ("ngc.spec", "forhlr2.profile")
+        return
+    setup = render_udocker_setup(plan, "tfbench")
+    if plan.runtime_args:
+        assert setup[3:] == [["udocker", "run", "tfbench", *plan.runtime_args]]
+        assert plan_launch(cluster, plan, make_request(1, 1, user_command=())).total_ranks == 1
+    else:
+        assert len(setup) == 3
+        with pytest.raises(LaunchError, match="^user command is empty"):
+            plan_launch(cluster, plan, make_request(1, 1, user_command=()))
 
 
 class TestRenderJobScript:
