@@ -166,12 +166,12 @@ def cmd_image_lint(args: SimpleNamespace) -> int:
                 f"[{finding.severity}] {finding.message}"
             )
             print(f"    fix: {finding.suggestion}")
-        counts = report.counts
+        severities = [finding.severity for finding in report.findings]
         print(
-            f"{counts['error']} error(s), {counts['warning']} warning(s), "
-            f"{counts['info']} info"
+            f"{severities.count('error')} error(s), {severities.count('warning')} warning(s), "
+            f"{severities.count('info')} info"
         )
-    return EXIT_LINT if report.counts["error"] else EXIT_OK
+    return EXIT_LINT if any(f.severity == "error" for f in report.findings) else EXIT_OK
 
 
 def _reconcile_from_args(args: SimpleNamespace):
@@ -292,7 +292,7 @@ def cmd_bench_report(args: SimpleNamespace) -> int:
         raise HpcflowError(str(exc)) from None
     print("gpus,mean,ci95,speedup")
     for summary, (gpus, speedup) in zip(summaries, speedups):
-        ci95 = "" if summary.ci_undefined else f"{summary.ci95_half_width:.6g}"
+        ci95 = "" if summary.n == 1 else f"{summary.ci95_half_width:.6g}"
         print(f"{gpus},{summary.mean:.6g},{ci95},{speedup:.6g}")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from hpcflow.profiles import (
     PRIVILEGED_TOKENS,
     ClusterProfile,
     _sh_word,
+    _volume,
     find_privileged_tokens,  # noqa: F401  (re-exported: tests import the scan from here)
 )
 
@@ -58,10 +59,10 @@ class JobRequest(Record):
 class LaunchPlan(Record):
     """Concrete process layout and argument lists for one job.
 
-    ``env_exports`` maps variable names to values; a value of ``None``
-    means the variable is forwarded from the submitting environment
-    (``-x NAME`` only, no export line).  ``udocker_run_args`` ends at the
-    runtime arguments; the user's command comes from the ``JobRequest``.
+    ``env_exports`` maps variable names to values; the job script forwards
+    every key with ``-x NAME`` and writes an export line for each value not
+    ``None``.  ``udocker_run_args`` ends at the runtime arguments; the
+    user's command comes from the ``JobRequest``.
 
     Building one raises ``LaunchError`` unless it has at least one rank and
     one slot per node, every ``env_exports`` key is a shell identifier, and
@@ -111,9 +112,9 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
 
     Raises:
         LaunchError: when the request exceeds the cluster's capacity, the
-            container name is refused, the walltime is not
-            HH:MM:SS, or the user command is empty for a strategy whose image
-            has no entrypoint to fall back on.  ``LaunchPlan`` checks the
+            container name is refused, the walltime is not HH:MM:SS, or
+            the user command is empty and the plan has no ``runtime_args``
+            (no entrypoint to fall back on).  ``LaunchPlan`` checks the
             counts, the ``extra_env`` keys and the directives, the job name
             among them; the cluster profile was checked when built.
     """
@@ -130,7 +131,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
     _check_container_name(req.container_name)
     if not _WALLTIME_RE.fullmatch(req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")
-    if not req.user_command and recon.strategy_used != "entrypoint":
+    if not req.user_command and not recon.runtime_args:
         raise LaunchError(
             "user command is empty and the image has no version-installing "
             "entrypoint to fall back on"
@@ -146,7 +147,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
     for key in sorted(req.extra_env):
         env_exports[key] = req.extra_env[key]
 
-    mpirun_args = [
+    mpirun_args = (
         "-np",
         str(total_ranks),
         "--map-by",
@@ -154,13 +155,11 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
         "-bind-to",
         "none",
         *_TRANSPORT_ARGS,
-    ]
-    for key in env_exports:
-        mpirun_args.extend(("-x", key))
+    )
 
     udocker_run_args = [
         *_USER_MAP_ARGS,
-        *(f"--volume={src}:{dst}" for src, dst in (req.workdir_mount, *cluster.default_mounts)),
+        *map(_volume, (req.workdir_mount, *cluster.default_mounts)),
         req.container_name,
         *recon.runtime_args,
     ]
@@ -180,7 +179,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
     return LaunchPlan(
         total_ranks=total_ranks,
         slots_per_node=req.gpus_per_node,
-        mpirun_args=tuple(mpirun_args),
+        mpirun_args=mpirun_args,
         env_exports=env_exports,
         udocker_run_args=tuple(udocker_run_args),
         scheduler_directives=tuple(directives),
@@ -211,9 +210,10 @@ def render_job_script(
 ) -> JobScript:
     """Render the batch script: directives, module loads, exports, launcher.
 
-    The launcher line is the plan's words followed by the request's
-    command.  Export values and the command are shell-quoted, so the script
-    passes them through unchanged.  Every plan word, and each module name,
+    The launcher line is ``mpirun``, the plan's ``mpirun_args``, ``-x NAME``
+    per ``env_exports`` key, the run words and the request's command.
+    Export values and the command are shell-quoted, so the script passes
+    them through unchanged.  Every word of the plan, and each module name,
     is written as it is when it holds only safe characters and $NAME
     references, so ``$PWD`` and ``$USER`` still expand, and is shell-quoted
     otherwise.
@@ -235,8 +235,9 @@ def render_job_script(
     for key, value in plan.env_exports.items():
         if value is not None:
             lines.append(f"export {key}={shlex.quote(value)}")
+    forwarded = [word for key in plan.env_exports for word in ("-x", key)]
     udocker_run = [cluster.container_runtime_path, "run", *plan.udocker_run_args]
-    launcher = " ".join(_sh_word(word) for word in ["mpirun", *plan.mpirun_args, *udocker_run])
+    launcher = " ".join(map(_sh_word, ["mpirun", *plan.mpirun_args, *forwarded, *udocker_run]))
     if req.user_command:
         launcher += " " + shlex.join(req.user_command)
     lines.append(launcher)
@@ -246,9 +247,9 @@ def render_job_script(
 def render_udocker_setup(recon: ReconcilePlan, container_name: str) -> list[list[str]]:
     """Command sequence that pulls, creates, and configures a container.
 
-    For the entrypoint strategy a fourth command performs the first run,
-    which installs the cluster's versions; other strategies need no
-    install run.
+    When the plan has ``runtime_args`` (the entrypoint strategy's version
+    words) a fourth command performs the first run, which installs the
+    cluster's versions; a plan without them needs no install run.
 
     Raises:
         LaunchError: for a container name that breaks the name rule or is a
@@ -260,7 +261,7 @@ def render_udocker_setup(recon: ReconcilePlan, container_name: str) -> list[list
         ["udocker", "create", f"--name={container_name}", recon.image_ref],
         ["udocker", "setup", "--nvidia", container_name],
     ]
-    if recon.strategy_used == "entrypoint":
+    if recon.runtime_args:
         commands.append(["udocker", "run", container_name, *recon.runtime_args])
     return commands
 

@@ -76,7 +76,6 @@ class SmellFinding(Record):
 
 class SmellReport(Record):
     findings: tuple[SmellFinding, ...]
-    counts: dict[str, int]
 
 
 def _words(instr: Instruction) -> list[str]:
@@ -363,10 +362,7 @@ def lint(ast: DockerfileAst) -> SmellReport:
             has_cmd = True
     findings += _e1(entrypoint_line, has_cmd)
     findings.sort(key=lambda f: (f.line, f.rule_id))
-    counts = {"error": 0, "warning": 0, "info": 0}
-    for finding in findings:
-        counts[finding.severity] += 1
-    return SmellReport(tuple(findings), counts)
+    return SmellReport(tuple(findings))
 
 
 def machine_report(report: SmellReport) -> str:

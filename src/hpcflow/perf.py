@@ -102,7 +102,6 @@ class BenchSummary(Record):
     mean: float
     ci95_half_width: float
     n: int
-    ci_undefined: bool = False
 
 
 def allreduce_bytes(p: int, payload: float) -> float:
@@ -274,8 +273,7 @@ def summarize(run: BenchRun) -> BenchSummary:
     """Mean and 95% Student-t confidence half-width of a run.
 
     Uses the n-1 sample standard deviation and the t quantile with n-1
-    degrees of freedom.  A single-sample run has no defined interval; it
-    is reported as 0 with ``ci_undefined`` set.
+    degrees of freedom; a single-sample run, with no interval, gets 0.
 
     Raises:
         ValueError: on a run with no samples, or when the mean or the
@@ -298,7 +296,7 @@ def summarize(run: BenchRun) -> BenchSummary:
         sd = math.sqrt(max(h - a, 0.0)) * math.sqrt(h + a) / math.sqrt(n - 1)
         ci = _t_quantile(0.975, n - 1) * sd / math.sqrt(n)
         _require_finite(f"the {run.gpus}-GPU run", ci95=ci)
-    return BenchSummary(mean=mean, ci95_half_width=ci, n=n, ci_undefined=n == 1)
+    return BenchSummary(mean=mean, ci95_half_width=ci, n=n)
 
 
 def speedup_table(runs: list[BenchRun]) -> list[tuple[int, float]]:

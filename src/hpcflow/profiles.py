@@ -58,6 +58,11 @@ def _sh_word(word: str) -> str:
     return word if _PLAIN_WORD_RE.fullmatch(word) else shlex.quote(word)
 
 
+def _volume(mount: tuple[str, str]) -> str:
+    """The runtime's ``--volume=`` word for a ``(host, container)`` mount."""
+    return "--volume={}:{}".format(*mount)
+
+
 # a plain word without $, and no Dockerfile flag; an image's letters may be any letter
 _PATH_RE = re.compile("(?!-)" + _SAFE_CHAR + "+", re.ASCII)
 _IMAGE_RE = re.compile("(?!-)" + _SAFE_CHAR + "+")
@@ -294,8 +299,7 @@ def _module(entry: str) -> str:
 
 
 def _mount(pair: tuple[str, str]) -> tuple[str, str]:
-    mount = ":".join(pair)
-    _unprivileged(mount, _sh_word(f"--volume={mount}"), "entry ")
+    _unprivileged(":".join(pair), _sh_word(_volume(pair)), "entry ")
     return pair
 
 

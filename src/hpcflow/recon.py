@@ -60,7 +60,6 @@ class ReconcilePlan(Record):
 
     image_ref: str
     runtime_args: tuple[str, ...]
-    strategy_used: str
     match_note: str
 
 
@@ -131,7 +130,8 @@ def reconcile(
 ) -> ReconcilePlan:
     """Produce the image reference and run arguments for one cluster.
 
-    The plan's ``strategy_used`` is the spec's strategy:
+    Only the entrypoint strategy sets ``runtime_args``; the container
+    setup's first run and a job without a command follow them:
 
     * ``tags``: resolve the tag encoding the cluster's OpenMPI major.minor
       (``available_tags`` is required); nothing to pass at run time.
@@ -171,7 +171,7 @@ def reconcile(
             f"entrypoint installs OpenMPI {cluster.openmpi_version} and "
             f"Horovod {spec.horovod_version} on first start"
         )
-    return ReconcilePlan(resolve_image_ref(spec, tag), runtime_args, spec.strategy, note)
+    return ReconcilePlan(resolve_image_ref(spec, tag), runtime_args, note)
 
 
 def default_cmd_args(spec: EnvironmentSpec) -> tuple[str, str]:

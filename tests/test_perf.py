@@ -254,12 +254,12 @@ class TestSummarize:
         summary = summarize(BenchRun("x", 1, (50.0,) * 10))
         assert summary.mean == 50.0
         assert summary.ci95_half_width == 0.0
-        assert not summary.ci_undefined
+        assert summary.n == 10
 
     def test_single_sample_flagged(self):
         summary = summarize(BenchRun("x", 1, (42.0,)))
         assert summary.ci95_half_width == 0.0
-        assert summary.ci_undefined
+        assert summary.n == 1
 
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError, match="run has no samples"):
@@ -291,7 +291,7 @@ class TestSummarize:
         # fsum / n rounds three samples of 0.1 to 0.10000000000000002
         summary = summarize(BenchRun("x", 1, (value,) * n))
         assert summary.ci95_half_width == 0.0
-        assert not summary.ci_undefined
+        assert summary.n == n
 
     def test_deviations_beyond_the_square_range(self):
         # a square of 1e200 overflows; the half-width does not

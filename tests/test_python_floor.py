@@ -28,9 +28,3 @@ def _declared_floor() -> tuple[int, int]:
 def test_module_parses_at_the_declared_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_declared_floor())
 
-
-def test_newer_syntax_is_refused_at_the_floor():
-    # ``except*`` came in 3.11: read as 3.10 it is a syntax error, so the
-    # check above does hold the source to the floor's grammar
-    with pytest.raises(SyntaxError):
-        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -42,7 +42,6 @@ class TestSelectTag:
 class TestReconcile:
     def test_entrypoint_passes_cluster_versions(self, entrypoint_spec, csic_profile):
         plan = reconcile(entrypoint_spec, csic_profile)
-        assert plan.strategy_used == "entrypoint"
         assert plan.runtime_args == ("4.0.1", "0.21.3")
         assert plan.image_ref == entrypoint_spec.base_image
 
@@ -54,7 +53,6 @@ class TestReconcile:
                 ReconcilePlan(
                     "nvidia/cuda:10.1-cudnn7-devel-ubuntu18.04",
                     ("4.0.1", "0.21.3"),
-                    "entrypoint",
                     "entrypoint installs OpenMPI 4.0.1 and Horovod 0.21.3 on first start",
                 ),
             ),
@@ -63,7 +61,6 @@ class TestReconcile:
                 ReconcilePlan(
                     "nvcr.io/nvidia/tensorflow:21.02-tf2-py3",
                     (),
-                    "ngc",
                     "image OpenMPI 4.0.1 vs cluster 4.0.1: major.minor match",
                 ),
             ),
@@ -72,7 +69,6 @@ class TestReconcile:
                 ReconcilePlan(
                     "example/multigpu-horovod:ompi4.0",
                     (),
-                    "tags",
                     "tag ompi4.0 encodes OpenMPI 4.0, matching cluster csic-dl",
                 ),
             ),
@@ -89,7 +85,6 @@ class TestReconcile:
 
     def test_ngc_match_major_minor(self, ngc_spec, csic_profile):
         plan = reconcile(ngc_spec, csic_profile)
-        assert plan.strategy_used == "ngc"
         assert plan.image_ref == ngc_spec.base_image
         assert plan.runtime_args == ()
         assert "match" in plan.match_note
@@ -107,7 +102,7 @@ class TestReconcile:
             "horovod_version = 0.21.0\nopenmpi_version = 4.0\n"
         )
         plan = reconcile(spec, csic_profile)  # cluster has 4.0.1
-        assert plan.strategy_used == "ngc"
+        assert (plan.image_ref, plan.runtime_args) == ("a/b:1", ())
 
     def test_ngc_major_mismatch(self, csic_profile):
         from hpcflow.profiles import parse_env_spec

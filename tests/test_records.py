@@ -88,7 +88,7 @@ RECORDS = [
         SmellFinding,
         dict(rule_id="P1", severity="warning", line=1, message="m", suggestion="s"),
     ),
-    (SmellReport, dict(findings=(), counts={"error": 0})),
+    (SmellReport, dict(findings=())),
     (ModelSpec, MODEL),
     (ScalingInputs, SCALING),
     (
@@ -101,16 +101,16 @@ RECORDS = [
         ),
     ),
     (BenchRun, dict(label="2 GPUs", gpus=2, samples=(1.0, 2.0), warmup_count=1)),
-    (BenchSummary, dict(mean=1.5, ci95_half_width=0.5, n=2, ci_undefined=False)),
+    (BenchSummary, dict(mean=1.5, ci95_half_width=0.5, n=2)),
     (InstallerConfig, dict(openmpi_install="a", horovod_install="b")),
     (
         ReconcilePlan,
-        dict(image_ref="x:ompi4.0", runtime_args=(), strategy_used="tags", match_note="n"),
+        dict(image_ref="x:ompi4.0", runtime_args=(), match_note="n"),
     ),
     (RankResult, dict(rank=0, exit_code=0, env={"RANK": "0"}, stdout="", error=None)),
 ]
 # records with a dict field cannot be hashed
-UNHASHABLE = {JobRequest, LaunchPlan, SmellReport, RankResult}
+UNHASHABLE = {JobRequest, LaunchPlan, RankResult}
 # every field has a default
 ALL_DEFAULTED = {InstallerConfig}
 IDS = [cls.__name__ for cls, _ in RECORDS]
@@ -195,7 +195,6 @@ class TestDefaults:
         assert DockerfileAst(()).source_name is None
         assert SemVer(1, 2) == SemVer(1, 2, 0)
         assert ImageRef("ubuntu") == ImageRef("ubuntu", None, None)
-        assert BenchSummary(1.0, 0.0, 1).ci_undefined is False
         assert RankResult(0, 0, {}).stdout == ""
         assert InstallerConfig() == DEFAULT_INSTALLERS
 
