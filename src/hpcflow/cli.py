@@ -22,7 +22,6 @@ from hpcflow.errors import HpcflowError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 EXIT_LINT = 3
 
 
@@ -175,23 +174,24 @@ def cmd_image_lint(args: SimpleNamespace) -> int:
 
 
 def _reconcile_from_args(args: SimpleNamespace):
-    """The profile and the plan that reconciles the spec with it.  The profile's
-    readers refuse a fault with its line, as for ``profile validate``; the
-    warnings of ``validate_profile`` are not printed."""
-    from hpcflow import recon
+    """The profile, the plan that reconciles the spec with it, and the container
+    name, ``--container-name`` or the image's default.  The profile's readers
+    refuse a fault with its line, as for ``profile validate``; the warnings of
+    ``validate_profile`` are not printed."""
+    from hpcflow import launch, recon
     from hpcflow.profiles import parse_env_spec
 
     profile = _load_profile(args.profile)
     spec = parse_env_spec(_read_text(args.spec))
     tags = _tag_list(args.tags) if args.tags else None
-    return profile, recon.reconcile(spec, profile, available_tags=tags)
+    plan = recon.reconcile(spec, profile, available_tags=tags)
+    return profile, plan, args.container_name or launch.default_container_name(plan.image_ref)
 
 
 def cmd_job_gen(args: SimpleNamespace) -> int:
     from hpcflow import launch, runner
 
-    profile, plan = _reconcile_from_args(args)
-    container_name = args.container_name or launch.default_container_name(plan.image_ref)
+    profile, plan, container_name = _reconcile_from_args(args)
     request = launch.JobRequest(
         nodes=args.nodes,
         gpus_per_node=args.gpus_per_node,
@@ -215,8 +215,7 @@ def cmd_job_gen(args: SimpleNamespace) -> int:
 def cmd_run_dry(args: SimpleNamespace) -> int:
     from hpcflow import launch, runner
 
-    _, plan = _reconcile_from_args(args)
-    container_name = args.container_name or launch.default_container_name(plan.image_ref)
+    _, plan, container_name = _reconcile_from_args(args)
     for line in runner.dry_run(launch.render_udocker_setup(plan, container_name)):
         print(line)
     return EXIT_OK

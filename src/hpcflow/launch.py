@@ -20,6 +20,7 @@ from hpcflow.profiles import (
     CONTROL_CHAR_RE,
     PRIVILEGED_TOKENS,
     ClusterProfile,
+    _directive,
     _sh_word,
     _volume,
     find_privileged_tokens,  # noqa: F401  (re-exported: tests import the scan from here)
@@ -83,7 +84,7 @@ class LaunchPlan(Record):
             if not _ENV_KEY_RE.fullmatch(key):
                 raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
         for key, value in self.scheduler_directives:
-            line = f"--{key}={value}"
+            line = _directive(key, value)
             if CONTROL_CHAR_RE.search(line):
                 raise LaunchError(f"directive {line!r} contains a line break or control character")
 
@@ -229,7 +230,7 @@ def render_job_script(
         )
     lines = ["#!/bin/sh"]
     for key, value in plan.scheduler_directives:
-        lines.append(f"#SBATCH --{key}={value}")
+        lines.append(f"#SBATCH {_directive(key, value)}")
     for module in cluster.module_loads:
         lines.append(f"module load {_sh_word(module)}")
     for key, value in plan.env_exports.items():

@@ -41,12 +41,9 @@ import re
 from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
 from hpcflow.errors import ImageRef, Record, shell_words
 
-RULES: dict[str, tuple[str, str]] = {
-    "TF1": ("error", "file downloaded/extracted in one layer and deleted in a later one"),
-    "TF2": ("warning", "local archive copied then extracted in a separate layer"),
-    "TF3": ("warning", "package-manager cache left behind in the layer"),
-    "P1": ("warning", "base image tag not pinned"),
-    "E1": ("info", "ENTRYPOINT without default CMD arguments"),
+# each rule's severity; the module docstring describes the rules
+RULES: dict[str, str] = {
+    "TF1": "error", "TF2": "warning", "TF3": "warning", "P1": "warning", "E1": "info"
 }
 
 _ARCHIVE_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".zip")
@@ -200,7 +197,7 @@ _RULE_WORDS = _PATH_WORDS | _MANAGERS  # a RUN without one of these has no findi
 
 
 def _finding(rule_id: str, line: int, message: str, suggestion: str) -> SmellFinding:
-    return SmellFinding(rule_id, RULES[rule_id][0], line, message, suggestion)
+    return SmellFinding(rule_id, RULES[rule_id], line, message, suggestion)
 
 
 def _check_run(

@@ -224,22 +224,16 @@ def _t_density(t: float, df: int) -> float:
     )
 
 
-def _t_quantile(prob: float, df: int) -> float:
-    """The ``prob`` quantile of Student's t with ``df`` degrees of freedom, prob >= 0.5.
+def _t_quantile(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` degrees of freedom.
 
     Newton's method on the upper tail, started at t = 0.  The tail is
     convex and decreasing for t > 0, so from any start at or below the
-    root, as 0 is for prob >= 0.5, the iterates rise monotonically to it.
-
-    The tail is formed as 1 - P(|T| <= t), which cancels far out: against
-    scipy the relative error is about 1e-12 at prob = 1 - 1e-5, 1e-10 at
-    1 - 1e-7 and 1e-8 at 1 - 1e-9.  From 1 - 1e-9 on Newton may not
-    converge (ArithmeticError): at 1 - 1e-9 it fails for df = 2, near
-    1 - 1e-13 for about half of df.  The one caller, ``summarize``, passes 0.975.
+    root, as 0 is, the iterates rise monotonically to it.
     """
-    if not 0.5 <= prob < 1.0 or df < 1:
-        raise ValueError(f"need 0.5 <= prob < 1 and df >= 1, got prob={prob}, df={df}")
-    tail = 1.0 - prob
+    if df < 1:
+        raise ValueError(f"need df >= 1, got df={df}")
+    tail = 1.0 - 0.975  # not the literal 0.025, so every half-width stays the same float
     t = 0.0
     for _ in range(100):
         step = (_t_upper_tail(t, df) - tail) / _t_density(t, df)
@@ -248,7 +242,7 @@ def _t_quantile(prob: float, df: int) -> float:
         # error left is of order 1e-16, under the rounding noise of the tail
         if abs(step) <= 1e-8 * t:
             return t
-    raise ArithmeticError(f"t quantile did not converge (prob={prob}, df={df})")
+    raise ArithmeticError(f"t quantile did not converge (df={df})")
 
 
 def _require_finite(what: str, **values: float) -> None:
@@ -294,7 +288,7 @@ def summarize(run: BenchRun) -> BenchSummary:
         except OverflowError:  # deviations near the float range; their sum is negligible
             a = 0.0
         sd = math.sqrt(max(h - a, 0.0)) * math.sqrt(h + a) / math.sqrt(n - 1)
-        ci = _t_quantile(0.975, n - 1) * sd / math.sqrt(n)
+        ci = _t_quantile(n - 1) * sd / math.sqrt(n)
         _require_finite(f"the {run.gpus}-GPU run", ci95=ci)
     return BenchSummary(mean=mean, ci95_half_width=ci, n=n)
 

@@ -63,6 +63,11 @@ def _volume(mount: tuple[str, str]) -> str:
     return "--volume={}:{}".format(*mount)
 
 
+def _directive(key: str, value: str) -> str:
+    """The scheduler's ``--key=value`` word, which a ``#SBATCH`` line holds."""
+    return f"--{key}={value}"
+
+
 # a plain word without $, and no Dockerfile flag; an image's letters may be any letter
 _PATH_RE = re.compile("(?!-)" + _SAFE_CHAR + "+", re.ASCII)
 _IMAGE_RE = re.compile("(?!-)" + _SAFE_CHAR + "+")
@@ -317,8 +322,8 @@ _CLUSTER_READERS = {
     "container_runtime_path": lambda value: _unprivileged(_non_empty(value), _sh_word(value)),
     "module_loads": lambda value: tuple(map(_module, _split_list(value))),
     "interconnect": str,
-    "partition": lambda value: _unprivileged(value, f"--partition={value}") if value else None,
-    "account": lambda value: _unprivileged(value, f"--account={value}") if value else None,
+    "partition": lambda value: _unprivileged(value, _directive("partition", value)) if value else None,
+    "account": lambda value: _unprivileged(value, _directive("account", value)) if value else None,
     "default_mounts": lambda value: tuple(map(_mount, _split_pairs(value))),
 }
 

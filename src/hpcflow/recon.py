@@ -9,14 +9,8 @@ from __future__ import annotations
 
 import re
 
-from hpcflow.errors import ReconcileError, Record
-from hpcflow.profiles import (
-    DEFAULT_REGISTRY,
-    ClusterProfile,
-    EnvironmentSpec,
-    ImageRef,
-    SemVer,
-)
+from hpcflow.errors import ImageRef, ReconcileError, Record
+from hpcflow.profiles import DEFAULT_REGISTRY, ClusterProfile, EnvironmentSpec, SemVer
 
 _TAG_RE = re.compile(r"ompi(\d+)\.(\d+)(?:-[A-Za-z0-9._-]+)?")
 

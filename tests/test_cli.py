@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import json
 import os
 import re
 import shlex
@@ -1047,6 +1048,19 @@ class TestArgvReader:
             args = cli._read_args(head)
             assert args is not None, argv
             assert vars(args) == vars(_parse(head)), argv
+
+
+def test_every_benchmark_library_chain_runs(monkeypatch):
+    # the benchmark's warm worker calls the library directly: every name and
+    # field its chains use must still be there and give the expected output
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = pytest.importorskip("workloads")
+    import libworker  # an import error fails: a name it takes from hpcflow is gone
+    ops, expected = workloads.library_plan(1)
+    assert {op["kind"] for op in ops} == {"lint", "job", "bench", "predict"}
+    for op, want in zip(ops, expected):
+        output = json.loads(json.dumps(libworker.call(op)))  # as the worker sends it
+        assert workloads.check_library_output(want, output) == [], op["kind"]
 
 
 # Argument text a process can receive: no NUL, and bytes that are not UTF-8

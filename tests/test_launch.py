@@ -590,16 +590,22 @@ class TestPrivilegedScanProperty:
         argv=st.lists(_SHELL_TEXT, min_size=1, max_size=4),
         env_value=_SHELL_TEXT,
         job_name=_SHELL_TEXT,
+        workdir=st.tuples(_SHELL_TEXT, _SHELL_TEXT),
     )
     def test_scan_finds_every_privileged_command(
-        self, tmp_path_factory, argv, env_value, job_name
+        self, tmp_path_factory, argv, env_value, job_name, workdir
     ):
         from hpcflow.profiles import parse_cluster_profile, parse_env_spec
 
         cluster = parse_cluster_profile((FIXTURES / "profiles" / "csic.profile").read_text())
         spec = parse_env_spec((FIXTURES / "specs" / "entrypoint.spec").read_text())
         req = make_request(
-            1, 1, extra_env={"V": env_value}, user_command=tuple(argv), job_name=job_name
+            1,
+            1,
+            extra_env={"V": env_value},
+            user_command=tuple(argv),
+            job_name=job_name,
+            workdir_mount=workdir,
         )
         plan = plan_launch(cluster, reconcile(spec, cluster), req)
         text = render_job_script(plan, cluster, req).text

@@ -311,7 +311,7 @@ class TestStructure:
         for path in corpus_paths():
             for finding in _findings(path).findings:
                 assert finding.rule_id in RULES
-                assert finding.severity == RULES[finding.rule_id][0]
+                assert finding.severity == RULES[finding.rule_id]
 
     def test_ordering_by_line_then_rule(self):
         report = _findings(CORPUS / "12_multiple_smells.dockerfile")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracle_stats
 from conftest import FIXTURES
+from hpcflow import perf
 from hpcflow.errors import BenchLogError
 from hpcflow.perf import (
     BenchRun,
@@ -282,7 +283,7 @@ class TestSummarize:
                 samples = tuple(rng.uniform(centre, centre + spread) for _ in range(n))
             summary = summarize(BenchRun("x", 1, samples))
             assert summary.mean == statistics.fmean(samples)
-            expected = _t_quantile(0.975, n - 1) * statistics.stdev(samples) / math.sqrt(n)
+            expected = _t_quantile(n - 1) * statistics.stdev(samples) / math.sqrt(n)
             assert summary.ci95_half_width == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("value", [0.1, 1e-300, 7.3, 1e300])
@@ -308,7 +309,7 @@ class TestSummarize:
                    -8e307)
         mean = math.fsum(samples) / 15
         sd = math.hypot(*[x - mean for x in samples]) / math.sqrt(14)
-        expected = _t_quantile(0.975, 14) * sd / math.sqrt(15)
+        expected = _t_quantile(14) * sd / math.sqrt(15)
         assert summarize(BenchRun("x", 1, samples)).ci95_half_width == pytest.approx(
             expected, rel=1e-12
         )
@@ -355,10 +356,7 @@ T_975 = {
 class TestTQuantile:
     @pytest.mark.parametrize("df", sorted(T_975))
     def test_matches_reference_values(self, df):
-        assert _t_quantile(0.975, df) == pytest.approx(T_975[df], rel=1e-9)
-
-    def test_median_is_zero(self):
-        assert _t_quantile(0.5, 7) == 0.0
+        assert _t_quantile(df) == pytest.approx(T_975[df], rel=1e-9)
 
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 2.0, 4.0, 10.0, 1e3])
     def test_tail_closed_forms(self, t):
@@ -375,10 +373,25 @@ class TestTQuantile:
             expected = 0.5 - oracle_stats._t_cdf_upper_half(t, df)
             assert _t_upper_tail(t, df) == pytest.approx(expected, rel=1e-9, abs=1e-15), t
 
-    @pytest.mark.parametrize("prob, df", [(0.025, 5), (1.0, 5), (math.nan, 5), (0.975, 0)])
-    def test_rejects_out_of_range(self, prob, df):
+    def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            _t_quantile(prob, df)
+            _t_quantile(0)
+
+    def test_inverts_the_upper_tail(self):
+        for df in range(1, 61):
+            assert _t_upper_tail(_t_quantile(df), df) == pytest.approx(0.025, rel=1e-9), df
+
+    def test_falls_toward_the_normal_quantile(self):
+        quantiles = [_t_quantile(df) for df in range(1, 201)]
+        assert all(a > b for a, b in zip(quantiles, quantiles[1:]))
+        assert quantiles[-1] > 1.959963984540054  # the normal 0.975 quantile
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        # a density 1e12 times too large makes each step so small that the
+        # 100 iterations end far below the root, with no step under 1e-8 * t
+        monkeypatch.setattr(perf, "_t_density", lambda t, df: 1e12)
+        with pytest.raises(ArithmeticError, match="df=5"):
+            _t_quantile(5)
 
     def test_bench_report_does_not_import_scipy(self):
         logs = FIXTURES / "logs"
