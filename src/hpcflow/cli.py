@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -476,9 +477,27 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    # what is loaded by now lives until exit: frozen, no collection scans it again
-    gc.freeze()
-    sys.exit(main())
+    """The console script: ``main`` with no collector and no interpreter teardown.
+
+    A run is short and leaves few reference cycles, so no collection runs.
+    When ``main`` returns, each file it wrote is closed and each rank it
+    spawned is reaped, so once stdout and stderr are flushed the process
+    ends at once.  A failed flush, as on a closed pipe, is reported like any
+    other ``OSError``.  A ``SystemExit`` from argparse, or an uncaught
+    exception, takes the normal exit path.
+    """
+    gc.disable()
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_ERROR:  # else main has reported an error already
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_ERROR
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ reports can point at real line numbers.
 A JSON list of strings after RUN, CMD, ENTRYPOINT, COPY or ADD is kept in
 exec form, as canonical JSON; so the ``["src", ..., "dest"]`` form of COPY
 and ADD reaches lint as words, like the shell form.  Only the functions that
-read or write such a list import ``json``, so a Dockerfile without one is
-parsed and linted without loading it.
+read or write such a list import ``json``; the parser does not load it for a
+list already written as ``json.dumps`` writes one of plain ASCII words, so a
+typical Dockerfile is parsed without it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import posixpath
 import re
 from collections.abc import Iterator
+from operator import itemgetter
 
 from hpcflow.errors import DockerfileError, Record
 
@@ -47,15 +49,15 @@ _EXEC_KINDS = frozenset({"RUN", "CMD", "ENTRYPOINT", "COPY", "ADD"})
 # tolerated before the first FROM
 _PREAMBLE_KINDS = frozenset({"ARG", "COMMENT", "UNKNOWN"})
 
-_ESCAPE_DIRECTIVE_RE = re.compile(r"^#\s*escape\s*=", re.IGNORECASE)
-# instructions that may open a heredoc, and their words with quotes kept: a
-# word reading [fd]<<[-]NAME (NAME possibly quoted) opens one, as in BuildKit
+# instructions that may open a heredoc
 _HEREDOC_KINDS = frozenset({"RUN", "COPY", "ADD"})
-_RAW_WORD_RE = re.compile(r"""(?:[^\s'"\\]+|'[^']*'|"(?:[^"\\]|\\.)*"|\\.|['"\\])+""", re.DOTALL)
-_HEREDOC_WORD_RE = re.compile(r"\d*<<-?[^<]+")
+# compiled on first use, as ``errors._WORD_PIECE_RE`` is: most files need none of them
+_ESCAPE_DIRECTIVE_RE: re.Pattern | None = None
+_RAW_WORD_RE: re.Pattern | None = None
+_HEREDOC_WORD_RE: re.Pattern | None = None
 
 
-class Instruction(Record):
+class Instruction(tuple):
     """One Dockerfile instruction (or comment/blank/unknown line).
 
     ``args`` holds the argument text with continuations collapsed; for
@@ -66,19 +68,44 @@ class Instruction(Record):
     ``UNKNOWN`` keep their raw line verbatim in ``args``.  ``line_span``
     records source lines and is excluded from equality, since rendering
     collapses continuations.
+
+    One is built per source line, so it is a tuple, as a namedtuple is: it
+    unpacks as ``kind, args, exec_form, line_span``, and the parser builds
+    it with ``tuple.__new__``, running no Python code.  Otherwise it acts
+    as a ``Record``; it equals no plain tuple.
     """
 
-    kind: str
-    args: str
-    exec_form: bool = False
-    line_span: tuple[int, int] = (0, 0)
-    _uncompared = ("line_span",)
+    __slots__ = ()
+    _fields = ("kind", "args", "exec_form", "line_span")
 
-    # one per source line, so a plain constructor
-    def __init__(
-        self, kind: str, args: str, exec_form: bool = False, line_span: tuple[int, int] = (0, 0)
-    ) -> None:
-        self.__dict__.update(kind=kind, args=args, exec_form=exec_form, line_span=line_span)
+    def __new__(
+        cls, kind: str, args: str, exec_form: bool = False, line_span: tuple[int, int] = (0, 0)
+    ) -> Instruction:
+        return tuple.__new__(cls, (kind, args, exec_form, line_span))
+
+    kind = property(itemgetter(0))
+    args = property(itemgetter(1))
+    exec_form = property(itemgetter(2))
+    line_span = property(itemgetter(3))
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self[:3] == other[:3]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    def __repr__(self) -> str:
+        return "Instruction(kind=%r, args=%r, exec_form=%r, line_span=%r)" % self
+
+    def __getnewargs__(self) -> tuple:  # so copy and pickle pass the fields, not one tuple
+        return tuple(self)
+
+    def replace(self, **changes: object) -> Instruction:
+        """A copy with ``changes`` applied."""
+        return Instruction(**{**dict(zip(self._fields, self)), **changes})
 
 
 class DockerfileAst(Record):
@@ -105,6 +132,12 @@ def make_exec(kind: str, tokens: list[str], line: int = 0) -> Instruction:
 
 def _canonical_exec(text: str) -> str | None:
     """``text`` rewritten as canonical JSON if it is a JSON list of strings, else None."""
+    # words of printable ASCII, with no quote or backslash, between '["', '", "'
+    # and '"]' are a list that json.dumps writes as it stands: json is not loaded
+    if len(text) > 3 and text.startswith('["') and text.endswith('"]'):
+        words = text[2:-2].split('", "')
+        if all(w.isascii() and w.isprintable() and '"' not in w and "\\" not in w for w in words):
+            return text
     import json
 
     try:
@@ -114,6 +147,25 @@ def _canonical_exec(text: str) -> str | None:
     if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
         return json.dumps(tokens)
     return None
+
+
+def _is_escape_directive(comment: str) -> bool:
+    global _ESCAPE_DIRECTIVE_RE
+    if _ESCAPE_DIRECTIVE_RE is None:
+        _ESCAPE_DIRECTIVE_RE = re.compile(r"^#\s*escape\s*=", re.IGNORECASE)
+    return _ESCAPE_DIRECTIVE_RE.match(comment) is not None
+
+
+def _opens_heredoc(args: str) -> bool:
+    """Whether a word of ``args``, quotes kept, reads [fd]<<[-]NAME (NAME
+    possibly quoted): such a word opens a heredoc, as in BuildKit."""
+    global _RAW_WORD_RE, _HEREDOC_WORD_RE
+    if _RAW_WORD_RE is None:
+        _RAW_WORD_RE = re.compile(
+            r"""(?:[^\s'"\\]+|'[^']*'|"(?:[^"\\]|\\.)*"|\\.|['"\\])+""", re.DOTALL
+        )
+        _HEREDOC_WORD_RE = re.compile(r"\d*<<-?[^<]+")
+    return any(_HEREDOC_WORD_RE.fullmatch(w) for w in _RAW_WORD_RE.findall(args))
 
 
 def _join_continuation(
@@ -159,18 +211,19 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
 
     instructions: list[Instruction] = []
     append = instructions.append
+    new = tuple.__new__  # each record built as namedtuple's _make builds one
     seen_from = False
     directive_zone = True  # parser directives may only precede everything else
     numbered = enumerate(lines, 1)
     for start, raw in numbered:
         stripped = raw.strip()
         if not stripped or stripped[0] == "#":
-            if directive_zone and stripped and _ESCAPE_DIRECTIVE_RE.match(stripped):
+            if directive_zone and stripped and _is_escape_directive(stripped):
                 raise DockerfileError(
                     "escape directives are not supported (backslash continuation only)",
                     line=start,
                 )
-            append(Instruction("COMMENT", raw, False, (start, start)))
+            append(new(Instruction, ("COMMENT", raw, False, (start, start))))
             continue
 
         directive_zone = False
@@ -192,11 +245,7 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
             else:
                 kind, args = "UNKNOWN", raw
 
-        if (
-            "<<" in args
-            and kind in _HEREDOC_KINDS
-            and any(_HEREDOC_WORD_RE.fullmatch(w) for w in _RAW_WORD_RE.findall(args))
-        ):
+        if "<<" in args and kind in _HEREDOC_KINDS and _opens_heredoc(args):
             raise DockerfileError(f"{kind} heredocs are not supported", line=start)
         if kind == "FROM":
             seen_from = True
@@ -209,7 +258,7 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
             if canonical is not None:
                 args, exec_form = canonical, True
 
-        append(Instruction(kind, args, exec_form, (start, end)))
+        append(new(Instruction, (kind, args, exec_form, (start, end))))
 
     return DockerfileAst(tuple(instructions), source_name=source_name)
 

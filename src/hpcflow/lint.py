@@ -50,11 +50,10 @@ _ARCHIVE_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".zip")
 _SHELL_OPERATORS = frozenset({"&&", "||", ";", "|"})
 # the command words whose arguments are paths
 _PATH_WORDS = frozenset({"wget", "curl", "tar", "rm", "unzip"})
-_ASSIGNMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
-_ARG_REF_RE = re.compile(r"\$(?:\{([A-Za-z_][A-Za-z0-9_]*)\}|([A-Za-z_][A-Za-z0-9_]*))")
-# shell words without quotes or backslashes: only space, tab, CR and LF
-# separate words, and a run of ``; & |`` is a word of its own
-_PLAIN_WORD_RE = re.compile(r"[^ \t\r\n;&|]+|[;&|]+")
+# compiled on first use, as ``errors._WORD_PIECE_RE`` is: most files need few of them
+_ASSIGNMENT_RE: re.Pattern | None = None
+_ARG_REF_RE: re.Pattern | None = None
+_PLAIN_WORD_RE: re.Pattern | None = None
 
 
 class SmellFinding(Record):
@@ -77,9 +76,10 @@ class SmellReport(Record):
 
 def _words(instr: Instruction) -> list[str]:
     """The instruction's shell words, tokenized once."""
-    if instr.exec_form:
+    global _PLAIN_WORD_RE
+    _, text, exec_form, _ = instr
+    if exec_form:
         return exec_tokens(instr)
-    text = instr.args
     if "'" in text or '"' in text or "\\" in text:
         try:
             return shell_words(text)
@@ -89,11 +89,15 @@ def _words(instr: Instruction) -> list[str]:
         text.isprintable()
         and ";" not in text
         and "|" not in text
-        and text.count("&") == 2 * text.count(" && ")
+        and ("&" not in text or text.count("&") == 2 * text.count(" && "))
     ):
         # the space is the only whitespace in printable text, and each
         # operator is an ``&&`` between spaces
         return text.split()
+    if _PLAIN_WORD_RE is None:
+        # shell words without quotes or backslashes: only space, tab, CR and
+        # LF separate words, and a run of ``; & |`` is a word of its own
+        _PLAIN_WORD_RE = re.compile(r"[^ \t\r\n;&|]+|[;&|]+")
     return _PLAIN_WORD_RE.findall(text)
 
 
@@ -109,6 +113,9 @@ def _norm(path: str) -> str:
 
 def _command_word_index(command: list[str]) -> int:
     """Index of the command word: past ``NAME=value`` words and one ``env``."""
+    global _ASSIGNMENT_RE
+    if _ASSIGNMENT_RE is None:
+        _ASSIGNMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
     i = 0
     while i < len(command) and _ASSIGNMENT_RE.match(command[i]):
         i += 1
@@ -131,14 +138,11 @@ def _run_paths(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     created: list[str] = []
     removed: list[str] = []
     extracted: list[str] = []
-    if _SHELL_OPERATORS.isdisjoint(words):
-        ends = [len(words)]
-    else:
-        ends = [i for i, word in enumerate(words) if word in _SHELL_OPERATORS]
-        ends.append(len(words))
-    start = 0
-    for end in ends:
-        i = start
+    start, count = 0, len(words)
+    while start < count:
+        i = end = start
+        while end < count and words[end] not in _SHELL_OPERATORS:
+            end += 1
         start = end + 1
         if i < end and ("=" in words[i] or words[i] == "env"):
             i += _command_word_index(words[i:end])
@@ -176,7 +180,9 @@ def _run_paths(words: list[str]) -> tuple[list[str], list[str], list[str]]:
                 for arg in args:
                     if arg and arg[0] != "-" and arg not in outputs:
                         created.append(arg.rpartition("/")[2])
-    return [_norm(c) for c in created if c], removed, extracted
+    if created:
+        created = [_norm(c) for c in created if c]
+    return created, removed, extracted
 
 
 # manager -> (install words, clean-up word sets, cache directory whose ``rm``
@@ -268,16 +274,19 @@ def _arg_defaults(args: str) -> dict[str, str]:
 
 
 def _p1(
-    instr: Instruction, stage_names: set[str], arg_defaults: dict[str, str]
+    args: str, line: int, stage_names: set[str], arg_defaults: dict[str, str]
 ) -> SmellFinding | None:
-    """P1 for one FROM; adds the stage it names to ``stage_names``."""
+    """P1 for the FROM on ``line``; adds the stage it names to ``stage_names``."""
+    global _ARG_REF_RE
     # FROM flags, ``scratch`` and the names of earlier stages are not image
     # references; stage names compare case-insensitively, as in Docker
-    words = [w for w in instr.args.split() if not w.startswith("--")]
+    words = [w for w in args.split() if not w.startswith("--")]
     if not words:
         return None
     image = words[0]
     if "$" in image:  # resolved only if every reference has a default
+        if _ARG_REF_RE is None:
+            _ARG_REF_RE = re.compile(r"\$(?:\{([A-Za-z_][A-Za-z0-9_]*)\}|([A-Za-z_][A-Za-z0-9_]*))")
         resolved = _ARG_REF_RE.sub(lambda m: arg_defaults.get(m[1] or m[2], m[0]), image)
         if "$" not in resolved:
             image = resolved
@@ -290,7 +299,7 @@ def _p1(
     problem = "has no tag" if ref.tag is None else "uses the floating tag 'latest'"
     return _finding(
         "P1",
-        instr.line_span[0],
+        line,
         f"base image {ref} {problem}; the build environment is not reproducible",
         "pin an exact version tag for the base image",
     )
@@ -329,32 +338,36 @@ def lint(ast: DockerfileAst) -> SmellReport:
     entrypoint_line: int | None = None
     has_cmd = False
     for instr in ast.instructions:
-        kind = instr.kind
+        kind, args, _, (line, _) = instr
         if kind == "RUN":
             words = _words(instr)
             if not _RULE_WORDS.isdisjoint(words):
-                _check_run(words, instr.line_span[0], created, archives, flagged, findings)
-        elif kind == "COPY":
+                _check_run(words, line, created, archives, flagged, findings)
+        elif kind == "COPY" and (
+            # a word ending in an archive suffix holds ".t" or ".z", or a quote
+            # or backslash splits the pair in the text
+            ".t" in args or ".z" in args or "'" in args or '"' in args or "\\" in args
+        ):
             words = _words(instr)
             for src in words[:-1]:
                 if src.endswith(_ARCHIVE_SUFFIXES):
                     dst = words[-1]
                     path = dst + src.rpartition("/")[2] if dst.endswith("/") else dst
-                    archives.setdefault(_norm(path), []).append(instr.line_span[0])
+                    archives.setdefault(_norm(path), []).append(line)
         elif kind == "FROM":
             if has_from:  # a new stage
                 findings += _e1(entrypoint_line, has_cmd)
                 created, archives, flagged = {}, {}, set()
                 entrypoint_line, has_cmd = None, False
             has_from = True
-            finding = _p1(instr, stage_names, arg_defaults)
+            finding = _p1(args, line, stage_names, arg_defaults)
             if finding is not None:
                 findings.append(finding)
         elif kind == "ARG" and not has_from:
-            arg_defaults.update(_arg_defaults(instr.args))
+            arg_defaults.update(_arg_defaults(args))
         elif kind == "ENTRYPOINT":
             if entrypoint_line is None:
-                entrypoint_line = instr.line_span[0]
+                entrypoint_line = line
         elif kind == "CMD":
             has_cmd = True
     findings += _e1(entrypoint_line, has_cmd)

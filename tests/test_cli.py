@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -1287,6 +1288,12 @@ _VERBS = {
         {"errors", "dockerfile", "lint"},
         {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
+    "image lint, canonical JSON lists": (
+        ["image", "lint", "--machine", str(LINT / "10_clean.dockerfile")],
+        {"errors", "dockerfile", "lint"},
+        # its ENTRYPOINT and CMD lists are written as json.dumps writes them
+        {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
+    ),
     "job gen": (
         ["job", "gen", *_RECONCILE_ARGS, "--nodes", "2", "--gpus-per-node", "2",
          "--out", "{tmp}/job.sh", "--", "python", "train.py"],
@@ -1318,13 +1325,20 @@ _VERBS = {
 }
 
 
-def _run_python(code: str, argv: list[str] = ()) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports hpcflow from this tree."""
-    env = dict(os.environ)
+def _run_python(
+    code: str, argv: list[str] = (), env: dict[str, str] | None = None, **options
+) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports hpcflow from this tree.
+
+    ``env`` adds variables, and ``options`` go to ``subprocess.run``;
+    stdout and stderr are captured unless an option says otherwise.
+    """
+    env = {**os.environ, **(env or {})}
     src = str(Path(hpcflow.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options}
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *argv], env=env, text=True, timeout=60, **options
     )
 
 
@@ -1376,29 +1390,6 @@ class TestColdStartImports:
         assert "hpcflow.cli" in modules
         assert modules & {"typing", *forbidden} == set()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["profile", "validate", str(PROFILES / "csic.profile")],
-            ["profile", "validate", str(PROFILES / "missing.profile")],
-            ["image", "lint", "--machine", str(LINT / "12_multiple_smells.dockerfile")],
-        ],
-        ids=["ok", "error", "lint errors"],
-    )
-    def test_entry_freezes_the_start_up_heap(self, argv):
-        # an atexit hook registered first runs last, after hpcflow's own
-        hook = (
-            "import atexit, gc, sys\n"
-            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
-        )
-        runs = {}
-        for call in ("from hpcflow.cli import entry\nentry()",
-                     "from hpcflow.cli import main\nsys.exit(main())"):
-            child = _run_python(hook + call, argv)
-            runs[call.split()[3]] = (child.returncode, child.stdout, child.stderr.splitlines()[-1])
-        code, out, _ = runs["main"]
-        assert runs == {"entry": (code, out, "frozen True"), "main": (code, out, "frozen False")}
-
     @pytest.mark.parametrize("module", ["hpcflow.cli", "hpcflow.errors"])
     def test_import_loads_no_layer(self, module):
         modules = _modules_after(f"import sys\nimport {module}")
@@ -1432,6 +1423,90 @@ class TestColdStartImports:
             if not callable(getattr(importlib.import_module(f"hpcflow.{module}"), function, None)):
                 missing.append(layer)
         assert missing == []
+
+
+# the console script's body, and ``main`` on the normal exit path
+_ENTRY = "from hpcflow.cli import entry\nentry()"
+_MAIN = "import sys\nfrom hpcflow.cli import main\nsys.exit(main())"
+_CLI_ARGVS = {
+    "ok": ["profile", "validate", str(PROFILES / "csic.profile")],
+    "error": ["profile", "validate", str(PROFILES / "missing.profile")],
+    "lint errors": ["image", "lint", "--machine", str(LINT / "12_multiple_smells.dockerfile")],
+}
+
+
+class TestEntry:
+    @pytest.mark.parametrize("argv", list(_CLI_ARGVS.values()), ids=list(_CLI_ARGVS))
+    def test_entry_runs_main_without_the_collector(self, argv):
+        # a wrapped main reports the collector's state, since entry() ends
+        # the process with os._exit and no exit hook runs
+        wrap = (
+            "import gc, sys\nimport hpcflow.cli\nmain = hpcflow.cli.main\n"
+            "def observed(*args):\n"
+            "    print('collector on', gc.isenabled(), file=sys.stderr)\n"
+            "    return main(*args)\n"
+            "hpcflow.cli.main = observed\n"
+        )
+        runs = {}
+        calls = {"entry": "hpcflow.cli.entry()", "main": "sys.exit(hpcflow.cli.main())"}
+        for name, call in calls.items():
+            child = _run_python(wrap + call, argv)
+            observed, *err = child.stderr.splitlines()
+            runs[name] = (child.returncode, child.stdout, err, observed)
+        code, out, err, _ = runs["main"]
+        assert runs == {
+            "entry": (code, out, err, "collector on False"),
+            "main": (code, out, err, "collector on True"),
+        }
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [_CLI_ARGVS["ok"], _CLI_ARGVS["lint errors"]], ids=["ok", "lint errors"]
+    )
+    def test_closed_stdout_is_one_error(self, argv, unbuffered):
+        # a pipe whose read end is closed; buffered, the write fails at the
+        # flush after main, unbuffered inside it
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = _run_python(_ENTRY, argv, {"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
+        finally:
+            os.close(write_end)
+        broken = f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        assert (child.returncode, child.stderr) == (1, broken)
+
+    def test_long_report_is_written_whole(self, tmp_path):
+        # os._exit ends the process, so every byte must be out by then: to a
+        # pipe (which fills and blocks) and to a file, in one write (--machine)
+        # or one print per line, with stdout buffered as it is by default
+        from hpcflow.dockerfile import parse_dockerfile
+        from hpcflow.lint import lint, machine_report
+
+        path = tmp_path / "long.dockerfile"
+        path.write_text("FROM ubuntu:22.04\n" + "RUN pip install a && rm -rf b\n" * 3000)
+        machine = machine_report(lint(parse_dockerfile(path.read_text())))
+        assert machine.count("\n") == 3000
+        buffered = {"PYTHONUNBUFFERED": ""}
+        for argv in (["image", "lint", "--machine", str(path)], ["image", "lint", str(path)]):
+            outputs = []
+            for call in (_ENTRY, _MAIN):
+                piped = _run_python(call, argv, buffered)
+                with open(tmp_path / "report", "w") as out:
+                    filed = _run_python(call, argv, buffered, stdout=out)
+                assert (piped.returncode, piped.stderr, filed.returncode, filed.stderr) == (
+                    0, "", 0, ""
+                )
+                outputs += [piped.stdout, (tmp_path / "report").read_text()]
+            assert outputs == [outputs[0]] * 4
+            assert "--machine" not in argv or outputs[0] == machine
+
+    @pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])
+    def test_missing_stream_is_no_error(self, closed):
+        # started with descriptor 1 or 2 closed, the interpreter has no
+        # sys.stdout or sys.stderr, and print writes nothing
+        child = _run_python(_ENTRY, _CLI_ARGVS["ok"], preexec_fn=lambda: os.close(closed))
+        out = "" if closed == 1 else "profile csic-dl: OK\n"
+        assert (child.returncode, child.stdout, child.stderr) == (0, out, "")
 
 
 class TestNoRuntimeDependencies:

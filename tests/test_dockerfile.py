@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import json
 import random
 import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_paths
 from hpcflow.dockerfile import (
     DockerfileAst,
     Instruction,
+    _canonical_exec,
     exec_tokens,
     generate_dockerfile,
     make_exec,
@@ -308,6 +312,35 @@ class TestRender:
         assert copy.exec_form and exec_tokens(copy) == tokens
         assert parse_dockerfile(render_dockerfile(ast)) == ast
 
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.one_of(
+            st.text(st.sampled_from('[]", \\au\x7f\x1f\u00e9')),
+            st.lists(st.text(st.sampled_from('[]", \\a\x7f\x1f\u00e9'))).flatmap(
+                lambda tokens: st.sampled_from(
+                    [json.dumps(tokens), json.dumps(tokens, ensure_ascii=False),
+                     json.dumps(tokens, separators=(",", ":"))]
+                )
+            ),
+        )
+    )
+    @example('["]')
+    @example('[""]')
+    @example('["a"b"]')
+    @example('["\x7f"]')
+    @example('["\\u0061"]')
+    def test_exec_form_is_what_json_reads(self, text):
+        # the parser reads a list that json.dumps would write as it stands
+        # without json; what it keeps must be what json would give
+        try:
+            tokens = json.loads(text)
+        except ValueError:
+            tokens = None
+        if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
+            assert _canonical_exec(text) == json.dumps(tokens)
+        else:
+            assert _canonical_exec(text) is None
+
     def test_corpus_fixed_point(self):
         for path in corpus_paths():
             first = parse_dockerfile(path.read_text(), source_name=path.name)
@@ -357,6 +390,16 @@ class TestRandomizedRoundTrip:
             first = parse_dockerfile(render_dockerfile(ast))
             second = parse_dockerfile(render_dockerfile(first))
             assert first == second, f"mismatch at sample {i}"
+
+    def test_parsed_instructions_are_whole_records(self):
+        # the parser builds each record with tuple.__new__, not the constructor
+        rng = random.Random(20261020)
+        for _ in range(200):
+            for instr in parse_dockerfile(render_dockerfile(random_ast(rng))).instructions:
+                rebuilt = Instruction(*instr)
+                assert type(instr) is Instruction
+                assert rebuilt == instr and hash(rebuilt) == hash(instr)
+                assert rebuilt.line_span == instr.line_span
 
 
 class TestGenerate:

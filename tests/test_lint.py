@@ -219,6 +219,15 @@ class TestTf2:
             "leaving the archive in its own layer\n"
         )
 
+    @pytest.mark.parametrize(
+        "source", ["a.tgz", "a.'t'gz", 'a."tgz"', "a.''tgz", "a.\\tgz", "a.\\zip", "'a'.zip"]
+    )
+    def test_quoted_archive_suffix(self, source):
+        # the shell word names the archive whether or not the text holds ".t" or ".z"
+        name = source.replace("'", "").replace('"', "").replace("\\", "")
+        text = f"FROM a:1\nCOPY {source} /d/\nRUN tar xf /d/{name}\n"
+        assert [(f.rule_id, f.line) for f in lint(parse_dockerfile(text)).findings] == [("TF2", 2)]
+
     def test_copy_archive_then_extract(self):
         report = _findings(CORPUS / "04_copy_archive_extract.dockerfile")
         (finding,) = report.findings

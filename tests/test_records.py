@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from hpcflow.dockerfile import DockerfileAst, Instruction
@@ -138,6 +141,12 @@ class TestEveryRecord:
         else:
             assert hash(a) == hash(b)
             assert {a: 1}[b] == 1
+
+    def test_copy_and_pickle_keep_every_field(self, cls, values):
+        record = cls(**values)
+        for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls
+            assert {name: getattr(twin, name) for name in values} == values
 
     def test_fields_are_frozen(self, cls, values):
         record = cls(**values)
