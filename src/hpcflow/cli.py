@@ -230,8 +230,9 @@ def cmd_run_mock(args: SimpleNamespace) -> int:
     results = runner.mock_run_ranks(plan, command)
     print("rank node local exit")
     for result in results:
-        node = result.env.get("NODE_INDEX", "?")
-        local = result.env.get("LOCAL_RANK", "?")
+        env = result.env
+        node = env.get("NODE_INDEX", "?")
+        local = env.get("LOCAL_RANK", "?")
         print(f"{result.rank} {node} {local} {result.exit_code}")
     failed = [result for result in results if result.exit_code != 0]
     for result in failed:

@@ -6,20 +6,21 @@ their instruction, unrecognized directives become lossless ``UNKNOWN``
 nodes, and comments and blank lines are kept as ``COMMENT`` nodes so rule
 reports can point at real line numbers.
 
-A JSON list of strings after RUN, CMD, ENTRYPOINT, COPY or ADD is kept in
-exec form, as canonical JSON; so the ``["src", ..., "dest"]`` form of COPY
+A JSON list of strings after RUN, CMD, ENTRYPOINT, COPY or ADD is exec
+form, kept as canonical JSON; so the ``["src", ..., "dest"]`` form of COPY
 and ADD reaches lint as words, like the shell form.  Only the functions that
-read or write such a list import ``json``; the parser does not load it for a
-list already written as ``json.dumps`` writes one of plain ASCII words, so a
-typical Dockerfile is parsed without it.
+read or write such a list import ``json``; neither the parser nor
+``exec_tokens`` loads it for a list already written as ``json.dumps`` writes
+one of plain ASCII words, so a typical Dockerfile is parsed and linted
+without it.
 """
 
 from __future__ import annotations
 
+import collections
 import posixpath
 import re
 from collections.abc import Iterator
-from operator import itemgetter
 
 from hpcflow.errors import DockerfileError, Record
 
@@ -57,55 +58,37 @@ _RAW_WORD_RE: re.Pattern | None = None
 _HEREDOC_WORD_RE: re.Pattern | None = None
 
 
-class Instruction(tuple):
+class Instruction(collections.namedtuple("Instruction", "kind args line_span", defaults=((0, 0),))):
     """One Dockerfile instruction (or comment/blank/unknown line).
 
-    ``args`` holds the argument text with continuations collapsed; for
-    exec-form instructions it is normalized to a canonical bracketed,
-    double-quoted token list.  Exec form is a JSON list of strings after
-    RUN, CMD or ENTRYPOINT, and also after COPY or ADD, whose sources and
-    destination ``exec_tokens`` then gives as words.  ``COMMENT`` and
-    ``UNKNOWN`` keep their raw line verbatim in ``args``.  ``line_span``
-    records source lines and is excluded from equality, since rendering
-    collapses continuations.
+    ``args`` holds the argument text with continuations collapsed.  After
+    RUN, CMD, ENTRYPOINT, COPY or ADD, text that is a JSON list of strings
+    is exec form, which ``exec_tokens`` reads as words; the parser writes
+    such a list as ``json.dumps`` writes it.  So whether an instruction is
+    in exec form is read from its kind and ``args``, not held beside them.
+    ``COMMENT`` and ``UNKNOWN`` keep their raw line verbatim in ``args``.
+    ``line_span`` records source lines and is excluded from equality, since
+    rendering collapses continuations.
 
-    One is built per source line, so it is a tuple, as a namedtuple is: it
-    unpacks as ``kind, args, exec_form, line_span``, and the parser builds
-    it with ``tuple.__new__``, running no Python code.  Otherwise it acts
-    as a ``Record``; it equals no plain tuple.
+    One is built per source line, so it is a namedtuple, which the parser
+    builds with ``tuple.__new__``, running no Python code.  Otherwise it
+    acts as a ``Record``; it equals no plain tuple.
     """
 
     __slots__ = ()
-    _fields = ("kind", "args", "exec_form", "line_span")
-
-    def __new__(
-        cls, kind: str, args: str, exec_form: bool = False, line_span: tuple[int, int] = (0, 0)
-    ) -> Instruction:
-        return tuple.__new__(cls, (kind, args, exec_form, line_span))
-
-    kind = property(itemgetter(0))
-    args = property(itemgetter(1))
-    exec_form = property(itemgetter(2))
-    line_span = property(itemgetter(3))
 
     def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and self[:3] == other[:3]
+        return other.__class__ is self.__class__ and self[:2] == other[:2]
 
     def __ne__(self, other: object) -> bool:
         return not self == other
 
     def __hash__(self) -> int:
-        return hash(self[:3])
-
-    def __repr__(self) -> str:
-        return "Instruction(kind=%r, args=%r, exec_form=%r, line_span=%r)" % self
-
-    def __getnewargs__(self) -> tuple:  # so copy and pickle pass the fields, not one tuple
-        return tuple(self)
+        return hash(self[:2])
 
     def replace(self, **changes: object) -> Instruction:
         """A copy with ``changes`` applied."""
-        return Instruction(**{**dict(zip(self._fields, self)), **changes})
+        return Instruction(**{**self._asdict(), **changes})
 
 
 class DockerfileAst(Record):
@@ -115,37 +98,44 @@ class DockerfileAst(Record):
 
 
 def exec_tokens(instr: Instruction) -> list[str] | None:
-    """Return the token list of an exec-form instruction, else None."""
-    if not instr.exec_form:
+    """The words of an instruction in exec form, else None.
+
+    An instruction is in exec form when its kind takes a JSON list and its
+    ``args`` read as a JSON list of strings; text too deeply nested for
+    ``json`` is no such list.
+    """
+    kind, text, _ = instr
+    if kind not in _EXEC_KINDS or text[:1] != "[":
         return None
+    words = _dumped_words(text)
+    if words is not None:
+        return words
     import json
 
-    return json.loads(instr.args)
+    try:
+        tokens = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
+        return tokens
+    return None
 
 
 def make_exec(kind: str, tokens: list[str], line: int = 0) -> Instruction:
     """Build an exec-form instruction with canonical argument text."""
     import json
 
-    return Instruction(kind, json.dumps(tokens), exec_form=True, line_span=(line, line))
+    return Instruction(kind, json.dumps(tokens), line_span=(line, line))
 
 
-def _canonical_exec(text: str) -> str | None:
-    """``text`` rewritten as canonical JSON if it is a JSON list of strings, else None."""
-    # words of printable ASCII, with no quote or backslash, between '["', '", "'
-    # and '"]' are a list that json.dumps writes as it stands: json is not loaded
+def _dumped_words(text: str) -> list[str] | None:
+    """The words of ``text`` if ``json.dumps`` writes it as it stands, from
+    words of printable ASCII without a quote or backslash; else None."""
+    # such words between '["', '", "' and '"]' are read without json
     if len(text) > 3 and text.startswith('["') and text.endswith('"]'):
         words = text[2:-2].split('", "')
         if all(w.isascii() and w.isprintable() and '"' not in w and "\\" not in w for w in words):
-            return text
-    import json
-
-    try:
-        tokens = json.loads(text)
-    except ValueError:
-        return None
-    if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
-        return json.dumps(tokens)
+            return words
     return None
 
 
@@ -223,7 +213,7 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
                     "escape directives are not supported (backslash continuation only)",
                     line=start,
                 )
-            append(new(Instruction, ("COMMENT", raw, False, (start, start))))
+            append(new(Instruction, ("COMMENT", raw, (start, start))))
             continue
 
         directive_zone = False
@@ -252,13 +242,14 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
         elif not seen_from and kind not in _PREAMBLE_KINDS:
             raise DockerfileError(f"{kind} instruction before any FROM", line=start)
 
-        exec_form = False
-        if args[:1] == "[" and kind in _EXEC_KINDS:
-            canonical = _canonical_exec(args)
-            if canonical is not None:
-                args, exec_form = canonical, True
+        if args[:1] == "[" and kind in _EXEC_KINDS and _dumped_words(args) is None:
+            tokens = exec_tokens(Instruction(kind, args))
+            if tokens is not None:  # a list of strings, written as json.dumps writes it
+                import json
 
-        append(new(Instruction, (kind, args, exec_form, (start, end))))
+                args = json.dumps(tokens)
+
+        append(new(Instruction, (kind, args, (start, end))))
 
     return DockerfileAst(tuple(instructions), source_name=source_name)
 

@@ -58,16 +58,18 @@ _PLAIN_WORD_RE: re.Pattern | None = None
 
 class SmellFinding(Record):
     rule_id: str
-    severity: str
     line: int
     message: str
     suggestion: str
 
     # over a thousand on a large file, so a plain constructor
-    def __init__(self, rule_id: str, severity: str, line: int, message: str, suggestion: str):
-        self.__dict__.update(
-            rule_id=rule_id, severity=severity, line=line, message=message, suggestion=suggestion
-        )
+    def __init__(self, rule_id: str, line: int, message: str, suggestion: str):
+        self.__dict__.update(rule_id=rule_id, line=line, message=message, suggestion=suggestion)
+
+    @property
+    def severity(self) -> str:
+        """Its rule's severity in ``RULES``."""
+        return RULES[self.rule_id]
 
 
 class SmellReport(Record):
@@ -77,9 +79,11 @@ class SmellReport(Record):
 def _words(instr: Instruction) -> list[str]:
     """The instruction's shell words, tokenized once."""
     global _PLAIN_WORD_RE
-    _, text, exec_form, _ = instr
-    if exec_form:
-        return exec_tokens(instr)
+    text = instr[1]
+    if text[:1] == "[":
+        tokens = exec_tokens(instr)
+        if tokens is not None:
+            return tokens
     if "'" in text or '"' in text or "\\" in text:
         try:
             return shell_words(text)
@@ -202,8 +206,10 @@ _MANAGERS = frozenset(_CACHE_CLEANERS)
 _RULE_WORDS = _PATH_WORDS | _MANAGERS  # a RUN without one of these has no finding
 
 
-def _finding(rule_id: str, line: int, message: str, suggestion: str) -> SmellFinding:
-    return SmellFinding(rule_id, RULES[rule_id], line, message, suggestion)
+def _shown(path: str) -> str:
+    """``path`` as a message writes it: as ``repr`` gives it unless printable,
+    so that a line break in a path cannot start a line of the report."""
+    return path if path.isprintable() else repr(path)
 
 
 def _check_run(
@@ -219,10 +225,10 @@ def _check_run(
         made, removed, extracted = _run_paths(words)
         for path in dict.fromkeys(removed):
             for creating_line in created.get(path, ()):
-                findings.append(_finding(
+                findings.append(SmellFinding(
                     "TF1",
                     line,
-                    f"{path} was created on line {creating_line} and removed "
+                    f"{_shown(path)} was created on line {creating_line} and removed "
                     "in a later layer; the space is not freed, only the "
                     "reference is removed",
                     f"merge the removal into the RUN on line {creating_line} "
@@ -234,10 +240,10 @@ def _check_run(
             for copy_line in archives.get(path, ()):
                 if copy_line not in flagged:
                     flagged.add(copy_line)
-                    findings.append(_finding(
+                    findings.append(SmellFinding(
                         "TF2",
                         copy_line,
-                        f"archive {path} is copied here and extracted on "
+                        f"archive {_shown(path)} is copied here and extracted on "
                         f"line {line}, leaving the archive in its own layer",
                         "use ADD instead of COPY; it extracts local archives "
                         "in a single layer",
@@ -252,7 +258,7 @@ def _check_run(
                 # the paths hold no space, so the words joined show them whole
                 and not (cache and "rm" in word_set and cache in " ".join(words))
             ):
-                findings.append(_finding(
+                findings.append(SmellFinding(
                     "TF3",
                     line,
                     f"{manager} runs without a cache cleanup in the same RUN",
@@ -297,7 +303,7 @@ def _p1(
     if names_stage or ref.pinned:
         return None
     problem = "has no tag" if ref.tag is None else "uses the floating tag 'latest'"
-    return _finding(
+    return SmellFinding(
         "P1",
         line,
         f"base image {ref} {problem}; the build environment is not reproducible",
@@ -309,7 +315,7 @@ def _e1(entrypoint_line: int | None, has_cmd: bool) -> list[SmellFinding]:
     if entrypoint_line is None or has_cmd:
         return []
     return [
-        _finding(
+        SmellFinding(
             "E1",
             entrypoint_line,
             "ENTRYPOINT is set but no CMD provides default arguments",
@@ -338,7 +344,7 @@ def lint(ast: DockerfileAst) -> SmellReport:
     entrypoint_line: int | None = None
     has_cmd = False
     for instr in ast.instructions:
-        kind, args, _, (line, _) = instr
+        kind, args, (line, _) = instr
         if kind == "RUN":
             words = _words(instr)
             if not _RULE_WORDS.isdisjoint(words):

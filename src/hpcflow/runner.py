@@ -28,9 +28,18 @@ def dry_run(commands: list[list[str]]) -> list[str]:
 class RankResult(Record):
     rank: int
     exit_code: int
-    env: dict[str, str]
     stdout: str = ""
     error: str | None = None
+
+    @property
+    def env(self) -> dict[str, str]:
+        """The ``KEY=VALUE`` lines of ``stdout``; a later line wins."""
+        env = {}
+        for line in self.stdout.splitlines():
+            key, eq, value = line.partition("=")
+            if eq:
+                env[key] = value
+        return env
 
 
 def env_dump_command() -> list[str]:
@@ -42,15 +51,6 @@ def env_dump_command() -> list[str]:
     return ["/bin/sh", "-c", f"printf '%s\\n' {words}"]
 
 
-def _parse_env_lines(text: str) -> dict[str, str]:
-    env = {}
-    for line in text.splitlines():
-        if "=" in line:
-            key, _, value = line.partition("=")
-            env[key] = value
-    return env
-
-
 def mock_run_ranks(
     plan: LaunchPlan,
     rank_command: list[str],
@@ -60,7 +60,7 @@ def mock_run_ranks(
 
     Each rank gets RANK (0-based), SIZE, LOCAL_RANK (rank mod GPUs/node),
     NODE_INDEX (rank div GPUs/node) plus the plan's valued exports.  The
-    result's ``env`` holds the KEY=VALUE lines the rank printed.  Spawn
+    result's ``env`` reads the KEY=VALUE lines the rank printed.  Spawn
     failures are reported per rank; the full list is always returned.
 
     ``timeout`` is one deadline for the whole call, not one per rank: each
@@ -108,7 +108,7 @@ def mock_run_ranks(
                 )
             )
         except OSError as exc:
-            spawned.append(RankResult(rank=rank, exit_code=127, env={}, error=str(exc)))
+            spawned.append(RankResult(rank=rank, exit_code=127, error=str(exc)))
 
     results = []
     for rank, proc in enumerate(spawned):
@@ -128,12 +128,6 @@ def mock_run_ranks(
                 pass
             stdout, _ = proc.communicate()
         results.append(
-            RankResult(
-                rank=rank,
-                exit_code=proc.returncode,
-                env=_parse_env_lines(stdout or ""),
-                stdout=stdout or "",
-                error=error,
-            )
+            RankResult(rank=rank, exit_code=proc.returncode, stdout=stdout or "", error=error)
         )
     return results

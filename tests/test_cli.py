@@ -234,6 +234,40 @@ class TestImageLint:
             assert severity in {"error", "warning"}
             assert lineno.isdigit()
 
+    @pytest.mark.parametrize("kind", ["RUN", "COPY"])
+    @pytest.mark.parametrize("args", ["[" * 100_000, '["a", ' + "[" * 5000], ids=["open", "list"])
+    def test_deeply_nested_brackets_are_shell_form(self, kind, args, tmp_path, capsys):
+        dockerfile = tmp_path / "Dockerfile"
+        dockerfile.write_text(f"FROM a:1\n{kind} {args}\n")
+        assert run_cli(["image", "lint", "--machine", str(dockerfile)], capsys) == (0, "", "")
+
+    def test_path_with_a_line_break_stays_in_its_finding(self, tmp_path, capsys):
+        dockerfile = tmp_path / "Dockerfile"
+        dockerfile.write_text(
+            "FROM a:1\n"
+            'RUN ["wget", "-O", "a\\nb:9:x", "u"]\n'
+            'RUN ["rm", "a\\nb:9:x"]\n'
+            'COPY ["a\\nb.tgz", "/x/"]\n'
+            'RUN ["tar", "xf", "/x/a\\nb.tgz"]\n'
+            "RUN wget -O c\u2028d u\n"
+            "RUN rm c\u2028d\n"
+        )
+        code, out, err = run_cli(["image", "lint", "--machine", str(dockerfile)], capsys)
+        assert (code, err) == (3, "")
+        findings = [line.split(":", 3) for line in out.splitlines()]
+        assert [f[:3] for f in findings] == [
+            ["TF1", "error", "3"], ["TF2", "warning", "4"], ["TF1", "error", "7"]
+        ]
+        assert findings[0][3].startswith("'a\\nb:9:x' was created on line 2 and removed")
+        assert findings[1][3].startswith("archive '/x/a\\nb.tgz' is copied here and")
+        assert findings[2][3].startswith("'c\\u2028d' was created on line 6 and removed")
+        code, out, err = run_cli(["image", "lint", str(dockerfile)], capsys)
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert [line.startswith(f"{dockerfile}:") for line in lines[:-1:2]] == [True] * 3
+        assert [line.startswith("    fix: ") for line in lines[1::2]] == [True] * 3
+        assert lines[6:] == ["2 error(s), 1 warning(s), 0 info"]
+
 
 class TestJobGen:
     def test_csic_2x2_script(self, tmp_path, capsys):
@@ -614,8 +648,8 @@ class TestRun:
         from hpcflow import runner
 
         def hung(plan, command):
-            env = {"NODE_INDEX": "0", "LOCAL_RANK": "0"}
-            return [runner.RankResult(0, -9, env, error="timeout")]
+            stdout = "NODE_INDEX=0\nLOCAL_RANK=0\n"
+            return [runner.RankResult(0, -9, stdout=stdout, error="timeout")]
 
         monkeypatch.setattr(runner, "mock_run_ranks", hung)
         code, out, err = run_cli(["run", "mock", "--nodes", "1", "--gpus-per-node", "1"], capsys)
@@ -1294,6 +1328,12 @@ _VERBS = {
         # its ENTRYPOINT and CMD lists are written as json.dumps writes them
         {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
+    "image lint, canonical JSON RUN and COPY": (
+        ["image", "lint", "--machine", "{tmp}/Dockerfile"],
+        {"errors", "dockerfile", "lint"},
+        # lint reads their words as json.dumps writes them, too
+        {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
+    ),
     "job gen": (
         ["job", "gen", *_RECONCILE_ARGS, "--nodes", "2", "--gpus-per-node", "2",
          "--out", "{tmp}/job.sh", "--", "python", "train.py"],
@@ -1323,6 +1363,20 @@ _VERBS = {
         {"subprocess", *_RECORD_MODULES, *_STATISTICS_MODULES, *_PARSER_MODULES},
     ),
 }
+# the input files a verb's argv names in its folder ``{tmp}``, which the
+# outputs manifest does not cover
+_VERB_FILES = {
+    "image lint, canonical JSON RUN and COPY": {
+        "Dockerfile": 'FROM a:1\nRUN ["echo", "a"]\nCOPY ["a.tgz", "/x/"]\n'
+    },
+}
+
+
+def _verb_argv(verb: str, tmp_path: Path) -> list[str]:
+    """The argv of ``verb`` with ``{tmp}`` as ``tmp_path``, its input files written there."""
+    for name, text in _VERB_FILES.get(verb, {}).items():
+        (tmp_path / name).write_text(text)
+    return [a.replace("{tmp}", str(tmp_path)) for a in _VERBS[verb][0]]
 
 
 def _run_python(
@@ -1358,8 +1412,8 @@ def _modules_at_start() -> frozenset[str]:
 class TestColdStartImports:
     @pytest.mark.parametrize("verb", list(_VERBS))
     def test_verb_loads_only_its_layers(self, verb, tmp_path):
-        argv, layers, forbidden = _VERBS[verb]
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        _, layers, forbidden = _VERBS[verb]
+        argv = _verb_argv(verb, tmp_path)
         code = "import sys\nfrom hpcflow.cli import main\nmain(sys.argv[1:])"
         modules = _modules_after(code, argv)
         # ``site`` may load a forbidden module (a .pth file can load random);
@@ -1372,8 +1426,8 @@ class TestColdStartImports:
     def test_verb_loads_no_typing_without_site(self, verb, tmp_path):
         # where ``site`` imports ``typing`` (as a .pth file can), the test
         # above cannot see it; so run with -I -S and put src on the path
-        argv, _, forbidden = _VERBS[verb]
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        forbidden = _VERBS[verb][2]
+        argv = _verb_argv(verb, tmp_path)
         src = str(Path(hpcflow.__file__).parents[1])
         code = (
             f"import sys\nsys.path.insert(0, {src!r})\nfrom hpcflow.cli import main\n"

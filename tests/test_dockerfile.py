@@ -12,7 +12,6 @@ from conftest import corpus_paths
 from hpcflow.dockerfile import (
     DockerfileAst,
     Instruction,
-    _canonical_exec,
     exec_tokens,
     generate_dockerfile,
     make_exec,
@@ -31,7 +30,6 @@ class TestParse:
         ast = parse_dockerfile(FIG2_TEXT)
         kinds = [i.kind for i in ast.instructions]
         assert kinds == ["FROM", "ENTRYPOINT", "CMD"]
-        assert ast.instructions[1].exec_form and ast.instructions[2].exec_form
         assert exec_tokens(ast.instructions[1]) == ["ls"]
         assert exec_tokens(ast.instructions[2]) == ["-la"]
 
@@ -63,7 +61,7 @@ class TestParse:
 
     def test_bracket_that_is_not_json_stays_shell_form(self):
         run = parse_dockerfile("FROM a:1\nRUN [not json\n").instructions[1]
-        assert (run.args, run.exec_form) == ("[not json", False)
+        assert run.args == "[not json"
         assert exec_tokens(run) is None
 
     def test_every_line_attributed_to_one_instruction(self):
@@ -148,7 +146,7 @@ class TestParse:
 
 
 class TestWhitespace:
-    # (kind, args, exec_form, line_span) pinned from the regex-based parser:
+    # (kind, args, whether it is in exec form, line_span) pinned from the regex-based parser:
     # every str.isspace character separates the keyword from its arguments
     # and is stripped, while JSON reads only its own four whitespace characters
     @pytest.mark.parametrize(
@@ -278,7 +276,8 @@ class TestWhitespace:
     )
     def test_pinned_instructions(self, text, expected):
         ast = parse_dockerfile(text)
-        assert [(i.kind, i.args, i.exec_form, i.line_span) for i in ast.instructions] == expected
+        got = [(i.kind, i.args, exec_tokens(i) is not None, i.line_span) for i in ast.instructions]
+        assert got == expected
 
 
 class TestRender:
@@ -309,7 +308,7 @@ class TestRender:
     def test_json_copy_and_add_round_trip(self, line, tokens):
         ast = parse_dockerfile(f"FROM a:1\n{line}\n")
         copy = ast.instructions[1]
-        assert copy.exec_form and exec_tokens(copy) == tokens
+        assert exec_tokens(copy) == tokens
         assert parse_dockerfile(render_dockerfile(ast)) == ast
 
     @settings(max_examples=1000, deadline=None)
@@ -329,17 +328,19 @@ class TestRender:
     @example('["a"b"]')
     @example('["\x7f"]')
     @example('["\\u0061"]')
+    @example("[" * 100_000)
+    @example('["a", ' + "[" * 5000)
     def test_exec_form_is_what_json_reads(self, text):
-        # the parser reads a list that json.dumps would write as it stands
-        # without json; what it keeps must be what json would give
+        # exec_tokens reads a list that json.dumps would write as it stands
+        # without json; what it reads must be what json would give
         try:
             tokens = json.loads(text)
-        except ValueError:
+        except (ValueError, RecursionError):  # nested too deeply for json: not a list
             tokens = None
         if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
-            assert _canonical_exec(text) == json.dumps(tokens)
+            assert exec_tokens(Instruction("RUN", text)) == tokens
         else:
-            assert _canonical_exec(text) is None
+            assert exec_tokens(Instruction("RUN", text)) is None
 
     def test_corpus_fixed_point(self):
         for path in corpus_paths():

@@ -7,9 +7,9 @@ import pickle
 
 import pytest
 
-from hpcflow.dockerfile import DockerfileAst, Instruction
+from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
 from hpcflow.launch import JobRequest, JobScript, LaunchPlan
-from hpcflow.lint import SmellFinding, SmellReport
+from hpcflow.lint import RULES, SmellFinding, SmellReport
 from hpcflow.perf import BenchRun, BenchSummary, ModelSpec, ScalingEstimate, ScalingInputs
 from hpcflow.profiles import ClusterProfile, EnvironmentSpec, ImageRef, SemVer
 from hpcflow.recon import DEFAULT_INSTALLERS, InstallerConfig, ReconcilePlan
@@ -27,7 +27,7 @@ SCALING = dict(
 
 # every record class with one value per field, in declaration order
 RECORDS = [
-    (Instruction, dict(kind="RUN", args="echo hi", exec_form=False, line_span=(3, 4))),
+    (Instruction, dict(kind="RUN", args="echo hi", line_span=(3, 4))),
     (DockerfileAst, dict(instructions=(Instruction("FROM", "ubuntu"),), source_name="Dockerfile")),
     (SemVer, dict(major=4, minor=0, patch=1, patch_specified=True)),
     (ImageRef, dict(repo="nvidia/cuda", tag="10.1", digest=None)),
@@ -89,7 +89,7 @@ RECORDS = [
     (JobScript, dict(text="#!/bin/sh\n")),
     (
         SmellFinding,
-        dict(rule_id="P1", severity="warning", line=1, message="m", suggestion="s"),
+        dict(rule_id="P1", line=1, message="m", suggestion="s"),
     ),
     (SmellReport, dict(findings=())),
     (ModelSpec, MODEL),
@@ -110,10 +110,10 @@ RECORDS = [
         ReconcilePlan,
         dict(image_ref="x:ompi4.0", runtime_args=(), match_note="n"),
     ),
-    (RankResult, dict(rank=0, exit_code=0, env={"RANK": "0"}, stdout="", error=None)),
+    (RankResult, dict(rank=0, exit_code=0, stdout="RANK=0\n", error=None)),
 ]
 # records with a dict field cannot be hashed
-UNHASHABLE = {JobRequest, LaunchPlan, RankResult}
+UNHASHABLE = {JobRequest, LaunchPlan}
 # every field has a default
 ALL_DEFAULTED = {InstallerConfig}
 IDS = [cls.__name__ for cls, _ in RECORDS]
@@ -192,19 +192,35 @@ class TestUncomparedFields:
 
     def test_compared_fields_still_count(self):
         assert Instruction("RUN", "x") != Instruction("RUN", "y")
-        assert Instruction("RUN", "x") != Instruction("RUN", "x", exec_form=True)
         assert DockerfileAst(()) != DockerfileAst((Instruction("FROM", "a"),))
         assert SemVer(4, 0, 1) != SemVer(4, 0, 2)
+
+
+class TestDerivedFacts:
+    """A fact that one field holds is read from it, not held in a second field."""
+
+    def test_exec_form_is_read_from_args(self):
+        assert exec_tokens(Instruction("CMD", '["a", "b"]')) == ["a", "b"]
+        assert exec_tokens(Instruction("CMD", "[a")) is None
+        assert exec_tokens(Instruction("LABEL", '["a"]')) is None
+
+    def test_severity_is_the_rules(self):
+        assert [SmellFinding(r, 1, "m", "s").severity for r in RULES] == list(RULES.values())
+
+    def test_env_is_read_from_stdout(self):
+        stdout = "A=1\nnot a pair\nB=x=y\r\nA=2\n"
+        assert RankResult(0, 0, stdout).env == {"A": "2", "B": "x=y"}
+        assert RankResult(0, 127, error="spawn failed").env == {}
 
 
 class TestDefaults:
     def test_declared_defaults(self):
         instr = Instruction("RUN", "x")
-        assert (instr.exec_form, instr.line_span) == (False, (0, 0))
+        assert instr.line_span == (0, 0)
         assert DockerfileAst(()).source_name is None
         assert SemVer(1, 2) == SemVer(1, 2, 0)
         assert ImageRef("ubuntu") == ImageRef("ubuntu", None, None)
-        assert RankResult(0, 0, {}).stdout == ""
+        assert RankResult(0, 0).stdout == ""
         assert InstallerConfig() == DEFAULT_INSTALLERS
 
     def test_semver_repr(self):

@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 from hpcflow.errors import LaunchError
 from hpcflow.launch import LaunchPlan, grid_plan
 from hpcflow.recon import reconcile
-from hpcflow.runner import (
-    MAX_MOCK_RANKS,
-    _parse_env_lines,
-    dry_run,
-    env_dump_command,
-    mock_run_ranks,
-)
+from hpcflow.runner import MAX_MOCK_RANKS, RankResult, dry_run, env_dump_command, mock_run_ranks
 
 # the Python rank program that the default ``/bin/sh`` command replaced,
 # kept as the reference for what the rank prints
@@ -187,7 +181,7 @@ class TestMockRunRanks:
         def dump(command):
             child = subprocess.run(command, env=env, capture_output=True, text=True, timeout=30)
             assert (child.returncode, child.stderr) == (0, "")
-            return _parse_env_lines(child.stdout)
+            return RankResult(0, 0, child.stdout).env
 
         expected = dump(_PYTHON_ENV_DUMP)
         assert expected == {k: v for k, v in env.items() if k in _GRID_ENV}
