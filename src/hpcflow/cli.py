@@ -160,9 +160,10 @@ def cmd_image_lint(args: SimpleNamespace) -> int:
     if args.machine:
         sys.stdout.write(lint.machine_report(report))
     else:
+        path = lint._shown(args.path)  # a line break in the path would split a finding
         for finding in report.findings:
             print(
-                f"{args.path}:{finding.line}: {finding.rule_id} "
+                f"{path}:{finding.line}: {finding.rule_id} "
                 f"[{finding.severity}] {finding.message}"
             )
             print(f"    fix: {finding.suggestion}")

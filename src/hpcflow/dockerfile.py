@@ -52,10 +52,10 @@ _PREAMBLE_KINDS = frozenset({"ARG", "COMMENT", "UNKNOWN"})
 
 # instructions that may open a heredoc
 _HEREDOC_KINDS = frozenset({"RUN", "COPY", "ADD"})
-# compiled on first use, as ``errors._WORD_PIECE_RE`` is: most files need none of them
-_ESCAPE_DIRECTIVE_RE: re.Pattern | None = None
-_RAW_WORD_RE: re.Pattern | None = None
-_HEREDOC_WORD_RE: re.Pattern | None = None
+_ESCAPE_DIRECTIVE = r"(?i)#\s*escape\s*="
+# a word with its quotes kept, and a word that opens a heredoc
+_RAW_WORD = r"""(?s)(?:[^\s'"\\]+|'[^']*'|"(?:[^"\\]|\\.)*"|\\.|['"\\])+"""
+_HEREDOC_WORD = r"\d*<<-?[^<]+"
 
 
 class Instruction(collections.namedtuple("Instruction", "kind args line_span", defaults=((0, 0),))):
@@ -139,23 +139,10 @@ def _dumped_words(text: str) -> list[str] | None:
     return None
 
 
-def _is_escape_directive(comment: str) -> bool:
-    global _ESCAPE_DIRECTIVE_RE
-    if _ESCAPE_DIRECTIVE_RE is None:
-        _ESCAPE_DIRECTIVE_RE = re.compile(r"^#\s*escape\s*=", re.IGNORECASE)
-    return _ESCAPE_DIRECTIVE_RE.match(comment) is not None
-
-
 def _opens_heredoc(args: str) -> bool:
     """Whether a word of ``args``, quotes kept, reads [fd]<<[-]NAME (NAME
     possibly quoted): such a word opens a heredoc, as in BuildKit."""
-    global _RAW_WORD_RE, _HEREDOC_WORD_RE
-    if _RAW_WORD_RE is None:
-        _RAW_WORD_RE = re.compile(
-            r"""(?:[^\s'"\\]+|'[^']*'|"(?:[^"\\]|\\.)*"|\\.|['"\\])+""", re.DOTALL
-        )
-        _HEREDOC_WORD_RE = re.compile(r"\d*<<-?[^<]+")
-    return any(_HEREDOC_WORD_RE.fullmatch(w) for w in _RAW_WORD_RE.findall(args))
+    return any(re.fullmatch(_HEREDOC_WORD, w) for w in re.findall(_RAW_WORD, args))
 
 
 def _join_continuation(
@@ -208,7 +195,7 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
     for start, raw in numbered:
         stripped = raw.strip()
         if not stripped or stripped[0] == "#":
-            if directive_zone and stripped and _is_escape_directive(stripped):
+            if directive_zone and stripped and re.match(_ESCAPE_DIRECTIVE, stripped):
                 raise DockerfileError(
                     "escape directives are not supported (backslash continuation only)",
                     line=start,

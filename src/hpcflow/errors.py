@@ -3,9 +3,9 @@ and ``shell_words``.
 
 Every verb loads this module.  ``ImageRef`` lives here, not in ``profiles``
 (which re-exports it), so that ``image lint`` reads image references
-without loading the profile layer; ``shell_words`` lives here because
-``lint`` and the privileged-command scan in ``profiles`` both read shell
-words, and neither layer loads the other.
+without loading the profile layer; ``shell_words`` and the shell character
+classes live here because ``lint`` and the privileged-command scan in
+``profiles`` both read shell words, and neither layer loads the other.
 """
 
 from __future__ import annotations
@@ -14,7 +14,22 @@ import re
 
 _MISSING = object()  # the default of a field that has none
 
-_WORD_PIECE_RE: re.Pattern | None = None  # compiled on first use: most verbs read no shell text
+# Every pattern of the package is a string that ``re`` compiles on first
+# use, so a verb compiles only the patterns it runs.  Each shell character
+# class that more than one pattern spells is written here; the blanks and
+# the operators without brackets, so that a pattern can also negate them.
+_VAR_NAME = "[A-Za-z_][A-Za-z0-9_]*"  # a shell variable name
+_BLANKS = r" \t\r\n"  # the characters that separate words
+_OPERATOR_CHARS = ";&|"  # a run of them is a word of its own
+
+_WORD_PIECE = (
+    rf"(?s)([{_BLANKS}]+)"  # 1: whitespace, which ends a word
+    rf"|([{_OPERATOR_CHARS}]+)"  # 2: operators, a word of their own
+    r"|'([^']*)'"  # 3: single-quoted
+    r'|"([^"\\]*(?:\\.[^"\\]*)*)"'  # 4: double-quoted, escapes kept
+    r"|\\(.)"  # 5: an escaped character
+    rf"|([^{_BLANKS}{_OPERATOR_CHARS}'\"\\]+)"  # 6: plain
+)
 
 
 def shell_words(text: str) -> list[str]:
@@ -28,21 +43,10 @@ def shell_words(text: str) -> list[str]:
     Raises:
         ValueError: on an unbalanced quote or a trailing backslash.
     """
-    global _WORD_PIECE_RE
-    if _WORD_PIECE_RE is None:
-        _WORD_PIECE_RE = re.compile(
-            r"([ \t\r\n]+)"  # 1: whitespace, which ends a word
-            r"|([;&|]+)"  # 2: operators, a word of their own
-            r"|'([^']*)'"  # 3: single-quoted
-            r'|"([^"\\]*(?:\\.[^"\\]*)*)"'  # 4: double-quoted, escapes kept
-            r"|\\(.)"  # 5: an escaped character
-            r"|([^ \t\r\n;&|'\"\\]+)",  # 6: plain
-            re.DOTALL,
-        )
     words: list[str] = []
     word: list[str] | None = None  # the pieces of the word being read
     end = 0
-    for m in _WORD_PIECE_RE.finditer(text):
+    for m in re.finditer(_WORD_PIECE, text):
         if m.start() != end:
             break
         end = m.end()

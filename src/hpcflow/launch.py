@@ -11,13 +11,12 @@ from __future__ import annotations
 import re
 import shlex
 
-from hpcflow.errors import ImageRef, LaunchError, Record
+from hpcflow.errors import _VAR_NAME, ImageRef, LaunchError, Record
 from hpcflow.profiles import (
-    _ENV_KEY_RE,
-    _IDENTIFIER_RE,
+    _IDENTIFIER,
     _NAME_CHARS,
-    _WALLTIME_RE,
-    CONTROL_CHAR_RE,
+    _WALLTIME,
+    CONTROL_CHAR,
     PRIVILEGED_TOKENS,
     ClusterProfile,
     _directive,
@@ -29,7 +28,7 @@ from hpcflow.profiles import (
 # The annotation ``ReconcilePlan`` is ``hpcflow.recon.ReconcilePlan``, not
 # imported so that ``run mock`` does not load the reconcile layer.
 
-_NOT_NAME_CHAR_RE = re.compile(f"[^{_NAME_CHARS}]")
+_NOT_NAME_CHAR = f"[^{_NAME_CHARS}]"
 
 # mpirun transport flags: NCCL carries GPU collectives, MPI the rest (the
 # common Horovod launch pattern)
@@ -81,11 +80,11 @@ class LaunchPlan(Record):
         if self.total_ranks < 1 or self.slots_per_node < 1:
             raise LaunchError("nodes and gpus_per_node must be >= 1")
         for key in self.env_exports:
-            if not _ENV_KEY_RE.fullmatch(key):
+            if not re.fullmatch(_VAR_NAME, key):
                 raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
         for key, value in self.scheduler_directives:
             line = _directive(key, value)
-            if CONTROL_CHAR_RE.search(line):
+            if re.search(CONTROL_CHAR, line):
                 raise LaunchError(f"directive {line!r} contains a line break or control character")
 
 
@@ -97,12 +96,12 @@ def default_container_name(image_ref: str) -> str:
     """The image's name, each character a container name may not hold made
     ``-`` and a leading ``._-`` dropped; ``container`` if none is left or it
     is a privileged command."""
-    name = _NOT_NAME_CHAR_RE.sub("-", ImageRef.parse(image_ref).name).lstrip("._-")
+    name = re.sub(_NOT_NAME_CHAR, "-", ImageRef.parse(image_ref).name).lstrip("._-")
     return "container" if not name or name in PRIVILEGED_TOKENS else name
 
 
 def _check_container_name(name: str) -> None:
-    if not _IDENTIFIER_RE.fullmatch(name):
+    if not re.fullmatch(_IDENTIFIER, name):
         raise LaunchError(f"container name {name!r} is not an identifier")
     if name in PRIVILEGED_TOKENS:
         raise LaunchError(f"container name {name!r} names a privileged command")
@@ -130,7 +129,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
             f"{cluster.name} has {cluster.gpus_per_node}"
         )
     _check_container_name(req.container_name)
-    if not _WALLTIME_RE.fullmatch(req.walltime):
+    if not re.fullmatch(_WALLTIME, req.walltime):
         raise LaunchError(f"walltime {req.walltime!r} is not HH:MM:SS")
     if not req.user_command and not recon.runtime_args:
         raise LaunchError(

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 
 from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
-from hpcflow.errors import ImageRef, Record, shell_words
+from hpcflow.errors import _BLANKS, _OPERATOR_CHARS, _VAR_NAME, ImageRef, Record, shell_words
 
 # each rule's severity; the module docstring describes the rules
 RULES: dict[str, str] = {
@@ -50,10 +50,11 @@ _ARCHIVE_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".zip")
 _SHELL_OPERATORS = frozenset({"&&", "||", ";", "|"})
 # the command words whose arguments are paths
 _PATH_WORDS = frozenset({"wget", "curl", "tar", "rm", "unzip"})
-# compiled on first use, as ``errors._WORD_PIECE_RE`` is: most files need few of them
-_ASSIGNMENT_RE: re.Pattern | None = None
-_ARG_REF_RE: re.Pattern | None = None
-_PLAIN_WORD_RE: re.Pattern | None = None
+_ASSIGNMENT = _VAR_NAME + "="  # a NAME=value word
+_ARG_REF = r"\$(?:\{(" + _VAR_NAME + r")\}|(" + _VAR_NAME + "))"  # $NAME or ${NAME}
+# shell words without quotes or backslashes: only space, tab, CR and LF
+# separate words, and a run of ``; & |`` is a word of its own
+_PLAIN_WORD = f"[^{_BLANKS}{_OPERATOR_CHARS}]+|[{_OPERATOR_CHARS}]+"
 
 
 class SmellFinding(Record):
@@ -78,7 +79,6 @@ class SmellReport(Record):
 
 def _words(instr: Instruction) -> list[str]:
     """The instruction's shell words, tokenized once."""
-    global _PLAIN_WORD_RE
     text = instr[1]
     if text[:1] == "[":
         tokens = exec_tokens(instr)
@@ -98,11 +98,7 @@ def _words(instr: Instruction) -> list[str]:
         # the space is the only whitespace in printable text, and each
         # operator is an ``&&`` between spaces
         return text.split()
-    if _PLAIN_WORD_RE is None:
-        # shell words without quotes or backslashes: only space, tab, CR and
-        # LF separate words, and a run of ``; & |`` is a word of its own
-        _PLAIN_WORD_RE = re.compile(r"[^ \t\r\n;&|]+|[;&|]+")
-    return _PLAIN_WORD_RE.findall(text)
+    return re.findall(_PLAIN_WORD, text)
 
 
 def _flag_value(args: list[str], flag: str) -> str | None:
@@ -117,15 +113,13 @@ def _norm(path: str) -> str:
 
 def _command_word_index(command: list[str]) -> int:
     """Index of the command word: past ``NAME=value`` words and one ``env``."""
-    global _ASSIGNMENT_RE
-    if _ASSIGNMENT_RE is None:
-        _ASSIGNMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
+    assignment = re.compile(_ASSIGNMENT).match
     i = 0
-    while i < len(command) and _ASSIGNMENT_RE.match(command[i]):
+    while i < len(command) and assignment(command[i]):
         i += 1
     if i < len(command) and command[i] == "env":
         i += 1
-        while i < len(command) and _ASSIGNMENT_RE.match(command[i]):
+        while i < len(command) and assignment(command[i]):
             i += 1
     return i
 
@@ -283,7 +277,6 @@ def _p1(
     args: str, line: int, stage_names: set[str], arg_defaults: dict[str, str]
 ) -> SmellFinding | None:
     """P1 for the FROM on ``line``; adds the stage it names to ``stage_names``."""
-    global _ARG_REF_RE
     # FROM flags, ``scratch`` and the names of earlier stages are not image
     # references; stage names compare case-insensitively, as in Docker
     words = [w for w in args.split() if not w.startswith("--")]
@@ -291,9 +284,7 @@ def _p1(
         return None
     image = words[0]
     if "$" in image:  # resolved only if every reference has a default
-        if _ARG_REF_RE is None:
-            _ARG_REF_RE = re.compile(r"\$(?:\{([A-Za-z_][A-Za-z0-9_]*)\}|([A-Za-z_][A-Za-z0-9_]*))")
-        resolved = _ARG_REF_RE.sub(lambda m: arg_defaults.get(m[1] or m[2], m[0]), image)
+        resolved = re.sub(_ARG_REF, lambda m: arg_defaults.get(m[1] or m[2], m[0]), image)
         if "$" not in resolved:
             image = resolved
     ref = ImageRef.parse(image)

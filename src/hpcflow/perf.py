@@ -20,7 +20,7 @@ import re
 
 from hpcflow.errors import BenchLogError, Record
 
-_LOG_LINE_RE = re.compile(r"iter\s+(\d+):\s*([0-9]*\.?[0-9]+(?:[eE][+-]?\d+)?)\s+images/sec")
+_LOG_LINE = r"iter\s+(\d+):\s*([0-9]*\.?[0-9]+(?:[eE][+-]?\d+)?)\s+images/sec"
 
 
 class ModelSpec(Record):
@@ -171,11 +171,12 @@ def parse_bench_log(text: str, warmup_count: int, gpus: int = 1) -> BenchRun:
     if warmup_count < 0:
         raise BenchLogError("warmup_count must be non-negative")
     values: list[float] = []
+    log_line = re.compile(_LOG_LINE).fullmatch
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
-        m = _LOG_LINE_RE.fullmatch(line)
+        m = log_line(line)
         if m is None:
             raise BenchLogError(f"malformed log line {line!r}", line=lineno)
         value = float(m.group(2))

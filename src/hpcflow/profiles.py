@@ -28,11 +28,13 @@ import posixpath
 import re
 import shlex
 
-from hpcflow.errors import _MISSING, ImageRef, ProfileError, Record, shell_words
+from hpcflow.errors import (
+    _MISSING, _OPERATOR_CHARS, _VAR_NAME, ImageRef, ProfileError, Record, shell_words
+)
 
-_VERSION_RE = re.compile(r"(\d+)\.(\d+)(?:\.(\d+))?")
-_KEY_RE = re.compile(r"[a-z_]+")
-_SECTION_RE = re.compile(r"\[([a-z_]+)\]")
+_VERSION = r"(\d+)\.(\d+)(?:\.(\d+))?"
+_KEY = "[a-z_]+"
+_SECTION = r"\[([a-z_]+)\]"
 
 DEFAULT_REGISTRY = "docker.io"
 
@@ -41,21 +43,20 @@ DEFAULT_REGISTRY = "docker.io"
 
 # C0, DEL and C1 controls plus the Unicode line and paragraph separators:
 # every character str.splitlines breaks at, so no value can start a new line
-CONTROL_CHAR_RE = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+CONTROL_CHAR = "[\x00-\x1f\x7f-\x9f\u2028\u2029]"
 _NAME_CHARS = "A-Za-z0-9_.-"  # a container name's, as a character class
-_IDENTIFIER_RE = re.compile(f"[A-Za-z0-9][{_NAME_CHARS}]*")  # a container name
-_ENV_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a shell variable name
-_WALLTIME_RE = re.compile(r"\d{1,3}:\d{2}:\d{2}", re.ASCII)  # Slurm reads ASCII digits only
+_IDENTIFIER = f"[A-Za-z0-9][{_NAME_CHARS}]*"  # a container name
+_WALLTIME = r"(?a)\d{1,3}:\d{2}:\d{2}"  # Slurm reads ASCII digits only
 # shlex's safe characters and ``^``: no shell or Dockerfile splits or expands them
 _SAFE_CHAR = r"[\w@%+=:,./^-]"
 # a launcher word written as it is: safe characters, and $NAME or ${NAME}
 # references, which the batch job expands
-_PLAIN_WORD_RE = re.compile("(?:" + _SAFE_CHAR + r"|\$[A-Za-z_]\w*|\$\{[A-Za-z_]\w*\})+", re.ASCII)
+_PLAIN_WORD = "(?a)(?:" + _SAFE_CHAR + r"|\$" + _VAR_NAME + r"|\$\{" + _VAR_NAME + r"\})+"
 
 
 def _sh_word(word: str) -> str:
     """``word`` as a job script writes it: as it is when plain, else shell-quoted."""
-    return word if _PLAIN_WORD_RE.fullmatch(word) else shlex.quote(word)
+    return word if re.fullmatch(_PLAIN_WORD, word) else shlex.quote(word)
 
 
 def _volume(mount: tuple[str, str]) -> str:
@@ -69,19 +70,20 @@ def _directive(key: str, value: str) -> str:
 
 
 # a plain word without $, and no Dockerfile flag; an image's letters may be any letter
-_PATH_RE = re.compile("(?!-)" + _SAFE_CHAR + "+", re.ASCII)
-_IMAGE_RE = re.compile("(?!-)" + _SAFE_CHAR + "+")
+_IMAGE = "(?!-)" + _SAFE_CHAR + "+"
+_PATH = "(?a)" + _IMAGE
 _VERSION_WORD = r"[A-Za-z0-9][A-Za-z0-9.+_-]*"
-_PACKAGE_RE = re.compile(r"[a-z0-9][a-z0-9+.-]*(?:=" + _VERSION_WORD + ")?")  # Debian-style
+_PACKAGE = r"[a-z0-9][a-z0-9+.-]*(?:=" + _VERSION_WORD + ")?"  # Debian-style
 
 # commands that would need elevated rights; generated scripts must never
 # contain any of these as a shell word, or a path to one
 PRIVILEGED_TOKENS = frozenset({"sudo", "su", "doas", "pkexec", "setcap", "visudo"})
 # where a shell word can end without whitespace: operators, parentheses
 # (a subshell or ``$(``) and backticks
-_WORD_BREAK_RE = re.compile(r"[;&|`()]")
+_BREAK_CHARS = _OPERATOR_CHARS + "`()"
+_WORD_BREAK = f"[{_BREAK_CHARS}]"
 # the first word after each ``$(`` or backtick, even inside quotes
-_SUBSTITUTED_WORD_RE = re.compile(r"(?:\$\(|`)\s*[\"']?([^\s;&|`()\"']+)")
+_SUBSTITUTED_WORD = r"(?:\$\(|`)\s*[\"']?([^\s" + _BREAK_CHARS + r"\"']+)"
 
 SCHEDULERS = ("slurm", "none")
 STRATEGIES = ("tags", "ngc", "entrypoint")
@@ -107,7 +109,7 @@ class SemVer(Record):
 
     @classmethod
     def parse(cls, text: str) -> "SemVer":
-        m = _VERSION_RE.fullmatch(text.strip())
+        m = re.fullmatch(_VERSION, text.strip())
         if m is None:
             raise ProfileError(f"unparseable version {text!r} (expected MAJOR.MINOR[.PATCH])")
         major, minor, patch = m.group(1), m.group(2), m.group(3)
@@ -149,7 +151,7 @@ class ClusterProfile(Record):
         # unknown keys, as a file holds them: distinct, and no field's key
         keys = set(_CLUSTER_READERS)
         for key, value in self.extra:
-            if not _KEY_RE.fullmatch(key):
+            if not re.fullmatch(_KEY, key):
                 raise ProfileError(f"invalid key {key!r} (keys match [a-z_]+)")
             if key in keys:
                 raise ProfileError(f"duplicate key {key!r}")
@@ -187,11 +189,13 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
     """
     entries: dict[str, tuple[str, int]] = {}
     section: str | None = None
+    header, key_match = re.compile(_SECTION).fullmatch, re.compile(_KEY).fullmatch
+    control = re.compile(CONTROL_CHAR).search
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _SECTION_RE.fullmatch(line)
+        m = header(line)
         if m is not None:
             if section is not None:
                 raise ProfileError("only one section per file is allowed", line=lineno)
@@ -206,13 +210,13 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not _KEY_RE.fullmatch(key):
+        if not key_match(key):
             raise ProfileError(f"invalid key {key!r} (keys match [a-z_]+)", line=lineno)
         if section is None:
             raise ProfileError(f"key {key!r} appears before any [section] header", line=lineno)
         if key in entries:
             raise ProfileError(f"duplicate key {key!r}", line=lineno)
-        if CONTROL_CHAR_RE.search(value):
+        if control(value):
             raise ProfileError(
                 f"{key} must not contain line breaks or control characters", line=lineno
             )
@@ -244,7 +248,7 @@ def _check_value(key: str, value: object, read, default: object = _MISSING) -> N
     if value == default:  # a default is never written, so never read
         return
     text = _text(value)
-    if CONTROL_CHAR_RE.search(text):
+    if re.search(CONTROL_CHAR, text):
         raise ProfileError(f"{key} must not contain line breaks or control characters")
     try:
         read_back = read(text.strip())
@@ -399,14 +403,15 @@ def find_privileged_tokens(text: str) -> list[str]:
     whitespace alone.
     """
     found = set()
+    substituted, split = re.compile(_SUBSTITUTED_WORD).findall, re.compile(_WORD_BREAK).split
     for line in text.splitlines():
-        found.update(map(_privileged, _SUBSTITUTED_WORD_RE.findall(line)))
+        found.update(map(_privileged, substituted(line)))
         try:
             words = shell_words(line)
         except ValueError:
             words = line.split()
         for word in words:
-            found.update(map(_privileged, _WORD_BREAK_RE.split(word)))
+            found.update(map(_privileged, split(word)))
     found.discard(None)
     return sorted(found)
 
@@ -424,12 +429,12 @@ def validate_profile(profile: ClusterProfile) -> list[str]:
     return relative + unknown
 
 
-def _word(pattern: re.Pattern, what: str):
+def _word(pattern: str, what: str):
     """A reader of one word of ``pattern`` whose last path component names no
     privileged command."""
 
     def read(value: str) -> str:
-        if not pattern.fullmatch(value):
+        if not re.fullmatch(pattern, value):
             raise ValueError(f"{value!r} is not {what}")
         if posixpath.basename(value) in PRIVILEGED_TOKENS:
             raise ValueError(f"{value!r} names a privileged command")
@@ -439,8 +444,8 @@ def _word(pattern: re.Pattern, what: str):
 
 
 _CHARS = "letters, digits and @%+=:,./^_-, not starting with -"
-_path = _word(_PATH_RE, f"a path of {_CHARS}")
-_package = _word(_PACKAGE_RE, "a package name ([a-z0-9][a-z0-9+.-]*, optionally =version)")
+_path = _word(_PATH, f"a path of {_CHARS}")
+_package = _word(_PACKAGE, "a package name ([a-z0-9][a-z0-9+.-]*, optionally =version)")
 
 
 def _script_path(value: str) -> str | None:
@@ -454,9 +459,9 @@ def _script_path(value: str) -> str | None:
 
 
 _SPEC_READERS = {
-    "base_image": _word(_IMAGE_RE, f"an image reference of {_CHARS}"),
+    "base_image": _word(_IMAGE, f"an image reference of {_CHARS}"),
     "strategy": _one_of(STRATEGIES),
-    "horovod_version": _word(re.compile(_VERSION_WORD), f"one version word ({_VERSION_WORD})"),
+    "horovod_version": _word(_VERSION_WORD, f"one version word ({_VERSION_WORD})"),
     "openmpi_version": SemVer.parse,
     "system_packages": lambda value: tuple(_package(p) for p in _split_list(value) if p),
     "code_copies": lambda value: tuple(

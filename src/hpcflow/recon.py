@@ -12,7 +12,7 @@ import re
 from hpcflow.errors import ImageRef, ReconcileError, Record
 from hpcflow.profiles import DEFAULT_REGISTRY, ClusterProfile, EnvironmentSpec, SemVer
 
-_TAG_RE = re.compile(r"ompi(\d+)\.(\d+)(?:-[A-Za-z0-9._-]+)?")
+_TAG = r"(?a)ompi(\d+)\.(\d+)(?:-[A-Za-z0-9._-]+)?"  # Docker tags are ASCII
 
 STATE_DIR_ENV = "HPCFLOW_STATE_DIR"
 DEFAULT_STATE_DIR = "/opt/.hpcflow"
@@ -73,7 +73,7 @@ def versions_match(image_version: SemVer, cluster_version: SemVer) -> bool:
 
 def encoded_tag_version(tag: str) -> tuple[int, int] | None:
     """Extract the (major, minor) encoded in an ``ompiM.m[-variant]`` tag."""
-    m = _TAG_RE.fullmatch(tag)
+    m = re.fullmatch(_TAG, tag)
     if m is None:
         return None
     return (int(m.group(1)), int(m.group(2)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import errno
 import functools
@@ -267,6 +268,16 @@ class TestImageLint:
         assert [line.startswith(f"{dockerfile}:") for line in lines[:-1:2]] == [True] * 3
         assert [line.startswith("    fix: ") for line in lines[1::2]] == [True] * 3
         assert lines[6:] == ["2 error(s), 1 warning(s), 0 info"]
+
+    def test_file_name_with_a_line_break_stays_in_its_finding(self, tmp_path, capsys):
+        dockerfile = tmp_path / "x\ny"
+        dockerfile.write_text("FROM a:latest\n")
+        code, out, err = run_cli(["image", "lint", str(dockerfile)], capsys)
+        assert (code, err) == (0, "")
+        finding, fix, summary = out.splitlines()
+        assert finding.startswith(f"{str(dockerfile)!r}:1: P1 [warning] base image a:latest ")
+        assert fix.startswith("    fix: ")
+        assert summary == "0 error(s), 1 warning(s), 0 info"
 
 
 class TestJobGen:
@@ -585,6 +596,11 @@ class TestRun:
                 1,
                 "error: no tag for OpenMPI 4.0 (encoded versions available: 3.1)\n",
             ),
+            (
+                ["--tags", "ompi\u0664.\u0660"],  # Arabic-Indic digits
+                1,
+                "error: no tag for OpenMPI 4.0 (encoded versions available: none)\n",
+            ),
         ],
     )
     def test_dry_run_tags_list(self, tags, code, expected, capsys):
@@ -708,10 +724,10 @@ def test_non_utf8_input_is_an_error_naming_the_file(argv, tmp_path, capsys):
 
 @given(st.one_of(st.text(), st.sampled_from(sorted(PRIVILEGED_TOKENS)).map("reg/{}:1".format)))
 def test_default_container_name_passes_the_identifier_rule(image_ref):
-    from hpcflow.profiles import _IDENTIFIER_RE, ImageRef
+    from hpcflow.profiles import _IDENTIFIER, ImageRef
 
     name = default_container_name(image_ref)
-    assert _IDENTIFIER_RE.fullmatch(name)
+    assert re.fullmatch(_IDENTIFIER, name)
     assert name not in PRIVILEGED_TOKENS
     # a name that already starts with a letter or digit keeps its text,
     # unless it is a privileged command
@@ -1449,6 +1465,33 @@ class TestColdStartImports:
         modules = _modules_after(f"import sys\nimport {module}")
         assert {f"hpcflow.{layer}" for layer in _LAYERS} & modules == set()
 
+    def test_import_compiles_no_pattern(self):
+        # each pattern is a string that ``re`` compiles on first use, so a
+        # verb compiles only the patterns it runs: with the standard library
+        # loaded first, importing every module calls no ``re.compile``
+        package = Path(hpcflow.__file__).parent
+        paths = sorted(package.glob("*.py"))
+        needed = set()
+        for path in paths:
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.Import):
+                    needed.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] not in (
+                    "hpcflow", "__future__"
+                ):
+                    needed.add(node.module)
+        modules = [f"hpcflow.{path.stem}" for path in paths if path.stem != "__init__"]
+        code = (
+            f"import importlib, re\nfor name in {sorted(needed)!r}:\n"
+            "    importlib.import_module(name)\n"
+            "def refused(*args, **kwargs):\n"
+            "    raise AssertionError(f're.compile{args!r} at import')\n"
+            f"re.compile = refused\nfor name in {['hpcflow', *modules]!r}:\n"
+            "    importlib.import_module(name)\n"
+        )
+        child = _run_python(code)
+        assert child.returncode == 0, child.stderr
+
     def test_every_public_name_resolves(self):
         from hpcflow import errors, profiles
 
@@ -1477,6 +1520,51 @@ class TestColdStartImports:
             if not callable(getattr(importlib.import_module(f"hpcflow.{module}"), function, None)):
                 missing.append(layer)
         assert missing == []
+
+
+_PATTERN_FUNCTIONS = {
+    "compile", "match", "fullmatch", "search", "findall", "finditer", "sub", "subn", "split"
+}
+
+
+class TestPatterns:
+    def test_every_pattern_compiles(self):
+        # patterns compile on first use, so a typo in one that few inputs reach
+        # (the escape directive, the heredoc word) would show only in a user's
+        # run; compile each pattern a ``re`` call names by a literal or a
+        # module-level name
+        import importlib
+
+        checked, failed = set(), []
+        for path in sorted(Path(hpcflow.__file__).parent.glob("*.py")):
+            module = importlib.import_module(f"hpcflow.{path.stem}".removesuffix(".__init__"))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "re"
+                    and node.func.attr in _PATTERN_FUNCTIONS
+                ):
+                    continue
+                arg = node.args[0]
+                if isinstance(arg, ast.Constant):
+                    pattern = arg.value
+                elif isinstance(arg, ast.Name) and isinstance(getattr(module, arg.id, None), str):
+                    pattern = getattr(module, arg.id)
+                else:  # a parameter, as in profiles._word
+                    continue
+                name = f"{path.stem}.{ast.unparse(arg)}"
+                checked.add(name)
+                try:
+                    re.compile(pattern)
+                except re.error as exc:
+                    failed.append((name, str(exc)))
+        assert failed == []
+        assert {
+            "dockerfile._ESCAPE_DIRECTIVE", "dockerfile._RAW_WORD", "dockerfile._HEREDOC_WORD",
+            "errors._WORD_PIECE", "lint._ARG_REF", "recon._TAG", "perf._LOG_LINE",
+        } <= checked
 
 
 # the console script's body, and ``main`` on the normal exit path

@@ -13,6 +13,7 @@ from hpcflow.recon import (
     InstallerConfig,
     ReconcilePlan,
     default_cmd_args,
+    encoded_tag_version,
     generate_entrypoint,
     reconcile,
     select_tag,
@@ -37,6 +38,11 @@ class TestSelectTag:
     def test_tag_with_trailing_newline_is_unconventional(self):
         with pytest.raises(ReconcileError):
             select_tag(["ompi4.0\n"], SemVer(4, 0))
+
+    def test_tag_with_non_ascii_digits_is_unconventional(self):
+        # Docker's tag grammar is ASCII, so no registry holds such a tag
+        assert encoded_tag_version("ompi\u0664.\u0660") is None
+        assert encoded_tag_version("ompi4.0") == (4, 0)
 
 
 class TestReconcile:
