@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 # Each command imports the layers it runs, so a cold start loads only those.
-from hpcflow.errors import HpcflowError
+from hpcflow.errors import HpcflowError, read_float, read_int
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -33,20 +33,20 @@ def _type_error(message: str) -> Exception:
     return argparse.ArgumentTypeError(message)
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
+def _argument(read, *bounds: int):
+    """``read`` as an argument type: the ``ValueError`` it raises is a usage error."""
+
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise _type_error(f"{text!r} is not an integer") from None
-        if value < minimum:
-            raise _type_error(f"{text!r} must be >= {minimum}")
-        return value
+            return read(text, *bounds)
+        except ValueError as exc:
+            raise _type_error(str(exc)) from None
 
     return parse
 
 
-_positive_int = _int_at_least(1)
+_positive_int = _argument(read_int, 1)
+_number = _argument(read_float)
 
 
 def _env_pair(text: str) -> tuple[str, str]:
@@ -68,12 +68,9 @@ def _gpus_log_pair(text: str) -> tuple[int, str]:
     if not sep:
         raise _type_error(f"{text!r} is not GPUS:PATH")
     try:
-        count = int(gpus)
-    except ValueError:
-        raise _type_error(f"{gpus!r} is not an integer GPU count") from None
-    if count < 1:
-        raise _type_error("GPU count must be >= 1")
-    return count, path
+        return read_int(gpus, 1), path
+    except ValueError as exc:
+        raise _type_error(f"GPU count {exc}") from None
 
 
 def _tag_list(text: str) -> list[str]:
@@ -245,6 +242,10 @@ def cmd_run_mock(args: SimpleNamespace) -> int:
 def cmd_perf_predict(args: SimpleNamespace) -> int:
     from hpcflow import perf
 
+    if args.p_max > perf.MAX_PREDICTED_WORKERS:
+        raise HpcflowError(
+            f"--p-max {args.p_max} is above {perf.MAX_PREDICTED_WORKERS}, the most workers predicted"
+        )
     if args.ideal:
         link_bandwidth = intra_bandwidth = math.inf
         link_latency = 0.0
@@ -356,12 +357,12 @@ _COMMANDS = {
         "predict": ("CSV speedup table for 1..P workers", cmd_perf_predict, (
             _arg("--params", type=_positive_int, required=True),
             _arg("--batch-per-gpu", type=_positive_int, required=True),
-            _arg("--single-gpu-ips", type=float, required=True),
+            _arg("--single-gpu-ips", type=_number, required=True),
             _arg("--bytes-per-param", type=_positive_int, default=4),
-            _arg("--link-bandwidth", type=float, default=1.25e9),
-            _arg("--link-latency", type=float, default=5e-6),
+            _arg("--link-bandwidth", type=_number, default=1.25e9),
+            _arg("--link-latency", type=_number, default=5e-6),
             _arg("--gpus-per-node", type=_positive_int, default=2),
-            _arg("--intra-bandwidth", type=float, default=None),
+            _arg("--intra-bandwidth", type=_number, default=None),
             _arg("--p-max", type=_positive_int, default=6),
             _arg("--ideal", action="store_true", help="zero communication cost (ideal speedup)"),
         )),
@@ -369,7 +370,7 @@ _COMMANDS = {
     "bench": ("benchmark statistics", {
         "report": ("summarize runs as CSV", cmd_bench_report, (
             _arg("runs", nargs="+", type=_gpus_log_pair, metavar="GPUS:LOGPATH"),
-            _arg("--warmup", type=_int_at_least(0), default=0),
+            _arg("--warmup", type=_argument(read_int, 0), default=0),
         )),
     }),
 }

@@ -52,10 +52,13 @@ _PREAMBLE_KINDS = frozenset({"ARG", "COMMENT", "UNKNOWN"})
 
 # instructions that may open a heredoc
 _HEREDOC_KINDS = frozenset({"RUN", "COPY", "ADD"})
-_ESCAPE_DIRECTIVE = r"(?i)#\s*escape\s*="
+# BuildKit's directive and heredoc patterns are Go regexps, whose \s and \d
+# are ASCII; its word splitter breaks at Unicode white space, as \s and
+# str.split do here
+_ESCAPE_DIRECTIVE = r"(?ai)#\s*escape\s*="
 # a word with its quotes kept, and a word that opens a heredoc
 _RAW_WORD = r"""(?s)(?:[^\s'"\\]+|'[^']*'|"(?:[^"\\]|\\.)*"|\\.|['"\\])+"""
-_HEREDOC_WORD = r"\d*<<-?[^<]+"
+_HEREDOC_WORD = r"(?a)\d*<<-?[^<]+"
 
 
 class Instruction(collections.namedtuple("Instruction", "kind args line_span", defaults=((0, 0),))):

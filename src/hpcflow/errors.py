@@ -1,11 +1,13 @@
-"""Exception types, the ``Record`` base of the data classes, ``ImageRef``
-and ``shell_words``.
+"""Exception types, the ``Record`` base of the data classes, ``ImageRef``,
+``shell_words`` and the number readers ``read_int`` and ``read_float``.
 
 Every verb loads this module.  ``ImageRef`` lives here, not in ``profiles``
 (which re-exports it), so that ``image lint`` reads image references
 without loading the profile layer; ``shell_words`` and the shell character
 classes live here because ``lint`` and the privileged-command scan in
-``profiles`` both read shell words, and neither layer loads the other.
+``profiles`` both read shell words, and neither layer loads the other.  The
+number readers live here because the CLI reads counts without loading the
+profile layer, and a profile's counts must be read the same way.
 """
 
 from __future__ import annotations
@@ -69,6 +71,49 @@ def shell_words(text: str) -> list[str]:
     if word is not None:
         words.append("".join(word))
     return words
+
+
+# the text ``str`` writes for an int: ASCII digits, no leading zero, ``-`` if negative
+_INT = "0|-?[1-9][0-9]*"
+# the text ``float`` reads, without blanks, ``_`` or digits other than ASCII
+_FLOAT = r"(?ai)[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)"
+
+
+def read_int(text: str, minimum: int) -> int:
+    """``text`` as an integer of at least ``minimum``.
+
+    Every count hpcflow reads, in a profile or on the command line, is read
+    here, as the text that ``str`` writes for its value: ASCII digits, with
+    a ``-`` before a negative value (so ``-1`` is refused as below the
+    minimum, not as text).  So ``+2``, ``1_0``, non-ASCII digits and padded
+    text are refused, and so is ``007``: a value is always written back as
+    the text it was read from.  Text with more digits than ``int`` converts
+    (4,300 unless the interpreter is set otherwise) is refused as too long.
+
+    Raises:
+        ValueError: ``must be an integer, got 'x'``, ``must be >= 1, got 0``,
+            or ``has 5000 digits, more than Python reads as an integer``.
+    """
+    if not re.fullmatch(_INT, text):
+        raise ValueError(f"must be an integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() converts
+        digits = len(text.lstrip("-"))
+        raise ValueError(f"has {digits} digits, more than Python reads as an integer") from None
+    if value < minimum:
+        raise ValueError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def read_float(text: str) -> float:
+    """``text`` as ``float`` reads it, but refused with ``must be a number, got
+    'x'`` (a ``ValueError``) if it holds a blank, ``_`` or a non-ASCII digit.
+    Every ``repr`` form (``5e-06``), ``inf`` and ``nan`` are read; the caller
+    decides whether an infinite or NaN value is allowed."""
+    if not re.fullmatch(_FLOAT, text):
+        raise ValueError(f"must be a number, got {text!r}")
+    return float(text)
 
 
 class Record:

@@ -65,8 +65,11 @@ class LaunchPlan(Record):
     user's command comes from the ``JobRequest``.
 
     Building one raises ``LaunchError`` unless it has at least one rank and
-    one slot per node, every ``env_exports`` key is a shell identifier, and
-    each scheduler directive is one line: no control character in it.
+    one slot per node, each layout word it holds (``-np``, ``--map-by``, and
+    the ``nodes``, ``ntasks-per-node`` and ``gres`` directives) is the one
+    ``_layout_words`` writes for the counts, every ``env_exports`` key is a
+    shell identifier, and each scheduler directive is one line: no control
+    character in it.
     """
 
     total_ranks: int
@@ -79,6 +82,21 @@ class LaunchPlan(Record):
     def __post_init__(self) -> None:
         if self.total_ranks < 1 or self.slots_per_node < 1:
             raise LaunchError("nodes and gpus_per_node must be >= 1")
+        nodes, rest = divmod(self.total_ranks, self.slots_per_node)
+        # no nodes word fits a partial node
+        layout = _layout_words(self.total_ranks, self.slots_per_node, None if rest else nodes)
+        args = self.mpirun_args
+        present = [(f"{k} {v}", k, v) for k, v in zip(args, args[1:]) if k in ("-np", "--map-by")]
+        present += [
+            (_directive(k, v), k, v) for k, v in self.scheduler_directives
+            if k in ("nodes", "ntasks-per-node", "gres")
+        ]
+        for shown, key, word in present:
+            if word != layout[key]:
+                raise LaunchError(
+                    f"{shown!r} disagrees with {self.total_ranks} ranks at "
+                    f"{self.slots_per_node} per node"
+                )
         for key in self.env_exports:
             if not re.fullmatch(_VAR_NAME, key):
                 raise LaunchError(f"environment variable name {key!r} is not a shell identifier")
@@ -86,6 +104,18 @@ class LaunchPlan(Record):
             line = _directive(key, value)
             if re.search(CONTROL_CHAR, line):
                 raise LaunchError(f"directive {line!r} contains a line break or control character")
+
+
+def _layout_words(total_ranks: int, slots_per_node: int, nodes: int | None) -> dict:
+    """The word a plan writes for its layout after each ``mpirun`` flag and
+    directive key that holds it; None where no word fits."""
+    return {
+        "-np": str(total_ranks),
+        "--map-by": f"ppr:{slots_per_node}:node",
+        "nodes": None if nodes is None else str(nodes),
+        "ntasks-per-node": str(slots_per_node),
+        "gres": f"gpu:{slots_per_node}",
+    }
 
 
 class JobScript(Record):
@@ -138,6 +168,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
         )
 
     total_ranks = req.nodes * req.gpus_per_node
+    layout = _layout_words(total_ranks, req.gpus_per_node, req.nodes)
 
     env_exports: dict[str, str | None] = {
         "NCCL_DEBUG": "INFO",
@@ -149,9 +180,9 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
 
     mpirun_args = (
         "-np",
-        str(total_ranks),
+        layout["-np"],
         "--map-by",
-        f"ppr:{req.gpus_per_node}:node",
+        layout["--map-by"],
         "-bind-to",
         "none",
         *_TRANSPORT_ARGS,
@@ -166,9 +197,7 @@ def plan_launch(cluster: ClusterProfile, recon: ReconcilePlan, req: JobRequest) 
 
     directives = [
         ("job-name", req.job_name),
-        ("nodes", str(req.nodes)),
-        ("ntasks-per-node", str(req.gpus_per_node)),
-        ("gres", f"gpu:{req.gpus_per_node}"),
+        *((key, layout[key]) for key in ("nodes", "ntasks-per-node", "gres")),
         ("time", req.walltime),
     ]
     if cluster.partition is not None:

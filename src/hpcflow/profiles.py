@@ -29,10 +29,10 @@ import re
 import shlex
 
 from hpcflow.errors import (
-    _MISSING, _OPERATOR_CHARS, _VAR_NAME, ImageRef, ProfileError, Record, shell_words
+    _MISSING, _OPERATOR_CHARS, _VAR_NAME, ImageRef, ProfileError, Record, read_int, shell_words
 )
 
-_VERSION = r"(\d+)\.(\d+)(?:\.(\d+))?"
+_VERSION = r"(?a)(\d+)\.(\d+)(?:\.(\d+))?"
 _KEY = "[a-z_]+"
 _SECTION = r"\[([a-z_]+)\]"
 
@@ -69,9 +69,8 @@ def _directive(key: str, value: str) -> str:
     return f"--{key}={value}"
 
 
-# a plain word without $, and no Dockerfile flag; an image's letters may be any letter
-_IMAGE = "(?!-)" + _SAFE_CHAR + "+"
-_PATH = "(?a)" + _IMAGE
+# a plain word without $, and no Dockerfile flag: a path, a registry or an image
+_PATH = "(?a)(?!-)" + _SAFE_CHAR + "+"
 _VERSION_WORD = r"[A-Za-z0-9][A-Za-z0-9.+_-]*"
 _PACKAGE = r"[a-z0-9][a-z0-9+.-]*(?:=" + _VERSION_WORD + ")?"  # Debian-style
 
@@ -83,7 +82,7 @@ PRIVILEGED_TOKENS = frozenset({"sudo", "su", "doas", "pkexec", "setcap", "visudo
 _BREAK_CHARS = _OPERATOR_CHARS + "`()"
 _WORD_BREAK = f"[{_BREAK_CHARS}]"
 # the first word after each ``$(`` or backtick, even inside quotes
-_SUBSTITUTED_WORD = r"(?:\$\(|`)\s*[\"']?([^\s" + _BREAK_CHARS + r"\"']+)"
+_SUBSTITUTED_WORD = r"(?a)(?:\$\(|`)\s*[\"']?([^\s" + _BREAK_CHARS + r"\"']+)"
 
 SCHEDULERS = ("slurm", "none")
 STRATEGIES = ("tags", "ngc", "entrypoint")
@@ -226,16 +225,6 @@ def _read_section(text: str, expected: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise ValueError(f"must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
-
-
 def _text(value: object) -> str:
     """A field value written as the file text that reads back to it."""
     if isinstance(value, tuple):  # a list, of words or of src:dst pairs
@@ -320,8 +309,8 @@ def _mount(pair: tuple[str, str]) -> tuple[str, str]:
 _CLUSTER_READERS = {
     "name": _non_empty,
     "scheduler": _one_of(SCHEDULERS),
-    "gpus_per_node": _positive_int,
-    "gpu_nodes": _positive_int,
+    "gpus_per_node": lambda value: read_int(value, 1),
+    "gpu_nodes": lambda value: read_int(value, 1),
     "openmpi_version": SemVer.parse,
     "container_runtime_path": lambda value: _unprivileged(_non_empty(value), _sh_word(value)),
     "module_loads": lambda value: tuple(map(_module, _split_list(value))),
@@ -357,7 +346,8 @@ def parse_cluster_profile(text: str) -> ClusterProfile:
 
     Raises:
         ProfileError: on syntax errors (with line number), missing
-            mandatory keys, unparseable versions, non-positive counts, a
+            mandatory keys, unparseable versions, counts that are not
+            positive integers as ``errors.read_int`` reads them, a
             control character in any value, an empty name, runtime path or
             module, a module with whitespace, or a value that would name a
             privileged command in the job script.
@@ -459,7 +449,7 @@ def _script_path(value: str) -> str | None:
 
 
 _SPEC_READERS = {
-    "base_image": _word(_IMAGE, f"an image reference of {_CHARS}"),
+    "base_image": _word(_PATH, f"an image reference of {_CHARS}"),
     "strategy": _one_of(STRATEGIES),
     "horovod_version": _word(_VERSION_WORD, f"one version word ({_VERSION_WORD})"),
     "openmpi_version": SemVer.parse,

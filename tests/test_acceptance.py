@@ -267,14 +267,14 @@ def test_criterion_7_statistics_oracle():
         n = rng.randint(2, 30)
         scale = 10 ** rng.randint(0, 4)
         samples = [rng.uniform(0.5, 1.5) * scale for _ in range(n)]
-        summary = summarize(BenchRun("x", 1, tuple(samples)))
+        summary = summarize(BenchRun(1, tuple(samples)))
         mean = oracle_stats.brute_mean(samples)
         ci = oracle_stats.brute_ci95_half_width(samples)
         assert summary.mean == pytest.approx(mean, rel=1e-9)
         assert summary.ci95_half_width == pytest.approx(ci, rel=1e-9)
 
     worked = summarize(
-        BenchRun("x", 1, (100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0))
+        BenchRun(1, (100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0))
     )
     assert worked.mean == 100.0
     assert worked.ci95_half_width == pytest.approx(1.262, abs=1e-3)

@@ -6,6 +6,7 @@ import errno
 import functools
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -23,6 +24,7 @@ import hpcflow
 from conftest import FIXTURES, corpus_paths
 from hpcflow import cli
 from hpcflow.cli import main
+from hpcflow.errors import read_float, read_int
 from hpcflow.launch import PRIVILEGED_TOKENS, default_container_name, find_privileged_tokens
 
 PROFILES = FIXTURES / "profiles"
@@ -48,6 +50,7 @@ def _profile_with_error(tmp_path) -> Path:
     return bad
 
 
+_CSIC = (PROFILES / "csic.profile").read_text()
 _MODULE_ERROR = "error: line 9: module_loads entry 'open mpi' must not contain whitespace\n"
 
 
@@ -77,6 +80,23 @@ class TestProfileValidate:
             (
                 "[cluster]\nname = x\nscheduler = slurm\ngpus_per_node = two\n",
                 "line 4: gpus_per_node must be an integer",
+            ),
+            # Slurm and mpirun read ASCII digits, and a count is written back as read
+            *(
+                (_CSIC.replace(old, new), message)
+                for old, new, message in [
+                    ("gpus_per_node = 2", "gpus_per_node = \u0662",
+                     "line 5: gpus_per_node must be an integer, got '\u0662'"),
+                    ("gpus_per_node = 2", "gpus_per_node = 1_0",
+                     "line 5: gpus_per_node must be an integer, got '1_0'"),
+                    ("gpus_per_node = 2", "gpus_per_node = +2",
+                     "line 5: gpus_per_node must be an integer, got '+2'"),
+                    ("gpu_nodes = 20", "gpu_nodes = 020",
+                     "line 6: gpu_nodes must be an integer, got '020'"),
+                    ("openmpi_version = 4.0.1", "openmpi_version = \u0664.\u0660.\u0661",
+                     "line 7: unparseable version '\u0664.\u0660.\u0661' "
+                     "(expected MAJOR.MINOR[.PATCH])"),
+                ]
             ),
         ],
     )
@@ -524,7 +544,7 @@ class TestRun:
         assert out.splitlines()[1] == "udocker create --name=img org/img@sha256:abcd"
 
     @pytest.mark.parametrize(
-        "base_image, name", [("example/-img:1", "img"), ("example/\u00dcn\u00ef:1", "n-")]
+        "base_image, name", [("example/-img:1", "img"), ("example/a+b:1", "a-b")]
     )
     def test_default_container_name_is_an_identifier(self, base_image, name, tmp_path, capsys):
         spec = tmp_path / "odd.spec"
@@ -793,6 +813,29 @@ class TestPerfPredict:
             assert float(fields[1]) == pytest.approx(380.0 * int(fields[0]))
             assert float(fields[2]) == float(fields[0])
 
+    def test_p_max_above_the_cap_exits_one_before_predicting(self, monkeypatch, capsys):
+        from hpcflow import perf
+
+        predicted = []
+
+        def predict(inputs, p):
+            predicted.append(p)
+            raise AssertionError("a row was predicted")
+
+        monkeypatch.setattr(perf, "predict", predict)
+        code, out, err = run_cli(self._argv(["--p-max", "100000000"]), capsys)
+        assert (code, out, predicted) == (1, "", [])
+        assert err == "error: --p-max 100000000 is above 65536, the most workers predicted\n"
+
+    def test_p_max_at_the_cap_is_predicted(self, monkeypatch, capsys):
+        from hpcflow import perf
+
+        monkeypatch.setattr(perf, "MAX_PREDICTED_WORKERS", 3)
+        code, out, _ = run_cli(self._argv(["--p-max", "3"]), capsys)
+        assert (code, len(out.splitlines())) == (0, 4)
+        code, out, err = run_cli(self._argv(["--p-max", "4"]), capsys)
+        assert (code, out, err) == (1, "", "error: --p-max 4 is above 3, the most workers predicted\n")
+
     def test_zero_p_is_usage_error(self, capsys):
         code, _, err = run_cli(self._argv(["--p-max", "0"]), capsys)
         assert code == 2
@@ -932,6 +975,60 @@ class TestBenchReport:
         assert err == f"error: {message} is not finite (inf)\n"
 
 
+class TestAsciiNumbers:
+    """Slurm, mpirun and the registry read ASCII digits and names: text that
+    ``int``, ``float`` or ``\\d`` would also read in another form is refused."""
+
+    @given(
+        st.text(st.sampled_from("0123456789-+_ \u0662"), max_size=6)
+        | st.integers(-(10**30), 10**30).map(str),
+        st.integers(-3, 3),
+    )
+    @example("1" * 5000, 1)
+    def test_read_int_takes_only_the_text_str_writes(self, text, minimum):
+        try:
+            value = int(text)
+        except ValueError:  # not an integer, or more digits than int() converts
+            value = None
+        if value is None or str(value) != text or value < minimum:
+            with pytest.raises(ValueError):
+                read_int(text, minimum)
+        else:
+            assert read_int(text, minimum) == value
+
+    @given(
+        st.text(st.sampled_from("0123456789.eE+-_ \u0662infatyNAI"), max_size=8)
+        | st.floats().map(repr)
+    )
+    @example("5e-06")
+    @example("1250000000.0")
+    def test_read_float_takes_the_ascii_text_float_takes(self, text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = None
+        if value is None or not text.isascii() or "_" in text or text.strip() != text:
+            with pytest.raises(ValueError, match="^must be a number, got "):
+                read_float(text)
+        else:
+            read = read_float(text)
+            assert read == value or math.isnan(read) and math.isnan(value)
+
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--single-gpu-ips", "inf", "single_gpu_images_per_sec must be finite and positive"),
+            ("--single-gpu-ips", "NaN", "single_gpu_images_per_sec must be finite and positive"),
+            ("--link-latency", "Infinity", "link_latency must be finite and non-negative"),
+        ],
+    )
+    def test_nan_and_inf_reach_the_finite_check(self, flag, value, error, capsys):
+        argv = ["perf", "predict", "--params", "1", "--batch-per-gpu", "1",
+                "--single-gpu-ips", "1", flag, value]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         code, _, _ = run_cli([], capsys)
@@ -941,17 +1038,38 @@ class TestUsageErrors:
         "argv, message",
         [
             (["run", "mock", "--nodes", "x", "--gpus-per-node", "1"],
-             "argument --nodes: 'x' is not an integer"),
+             "argument --nodes: must be an integer, got 'x'"),
             (["run", "mock", "--nodes", "1", "--gpus-per-node", "1", "--env", "FOO"],
              "argument --env: 'FOO' is not KEY=VALUE"),
             (["job", "gen", "--profile", "p", "--spec", "s", "--nodes", "1",
               "--gpus-per-node", "1", "--out", "{tmp}/job.sh", "--workdir", "nocolon"],
              "argument --workdir: 'nocolon' is not host:container"),
-            (["bench", "report", "x:LOG"], "'x' is not an integer GPU count"),
-            (["bench", "report", "0:LOG"], "GPU count must be >= 1"),
+            (["bench", "report", "x:LOG"], "GPU count must be an integer, got 'x'"),
+            (["bench", "report", "0:LOG"], "GPU count must be >= 1, got 0"),
             (["bench", "report", "LOG"], "'LOG' is not GPUS:PATH"),
             (["bench", "report", "--warmup", "-1", "1:LOG"],
-             "argument --warmup: '-1' must be >= 0"),
+             "argument --warmup: must be >= 0, got -1"),
+            # a count is the text str() writes, a float ASCII text float() reads
+            (["run", "mock", "--nodes", "\u0662", "--gpus-per-node", "1_0", "--", "true"],
+             "argument --nodes: must be an integer, got '\u0662'"),
+            (["run", "mock", "--nodes", "1", "--gpus-per-node", "1_0", "--", "true"],
+             "argument --gpus-per-node: must be an integer, got '1_0'"),
+            (["run", "mock", "--nodes", " 1", "--gpus-per-node", "1", "--", "true"],
+             "argument --nodes: must be an integer, got ' 1'"),
+            (["run", "mock", "--nodes", "01", "--gpus-per-node", "1", "--", "true"],
+             "argument --nodes: must be an integer, got '01'"),
+            (["run", "mock", "--nodes", "1" * 5000, "--gpus-per-node", "1", "--", "true"],
+             "argument --nodes: has 5000 digits, more than Python reads as an integer"),
+            (["bench", "report", "\u0662:LOG"], "GPU count must be an integer, got '\u0662'"),
+            (["perf", "predict", "--params", "1", "--batch-per-gpu", "1",
+              "--single-gpu-ips", "\u0662.\u0665"],
+             "argument --single-gpu-ips: must be a number, got '\u0662.\u0665'"),
+            (["perf", "predict", "--params", "1", "--batch-per-gpu", "1",
+              "--single-gpu-ips", "1", "--link-bandwidth", "1_000"],
+             "argument --link-bandwidth: must be a number, got '1_000'"),
+            (["perf", "predict", "--params", "1", "--batch-per-gpu", "1",
+              "--single-gpu-ips", "1", "--intra-bandwidth", "1e9 "],
+             "argument --intra-bandwidth: must be a number, got '1e9 '"),
         ],
     )
     def test_bad_argument_value(self, argv, message, tmp_path, capsys):
@@ -1527,44 +1645,73 @@ _PATTERN_FUNCTIONS = {
 }
 
 
+def _patterns() -> dict[str, str]:
+    """Each pattern of the package by ``module.name``: the first argument of
+    a ``re`` call or of a ``profiles._word`` reader, where it is a literal
+    or a module-level name (a parameter, as in ``_word`` itself, is skipped).
+    Patterns compile on first use, so one that few inputs reach (the escape
+    directive, the heredoc word) would show a fault only in a user's run."""
+    import importlib
+
+    patterns = {}
+    for path in sorted(Path(hpcflow.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"hpcflow.{path.stem}".removesuffix(".__init__"))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "re"
+                and func.attr in _PATTERN_FUNCTIONS
+                or isinstance(func, ast.Name) and func.id == "_word"
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant):
+                patterns[f"{path.stem}.{ast.unparse(arg)}"] = arg.value
+            elif isinstance(arg, ast.Name) and isinstance(getattr(module, arg.id, None), str):
+                patterns[f"{path.stem}.{arg.id}"] = getattr(module, arg.id)
+    return patterns
+
+
+# the patterns that keep Unicode classes, each with the reason
+_UNICODE_PATTERNS = {
+    # BuildKit splits an instruction into words at unicode.IsSpace, and the
+    # parser's str.split and str.strip break at the same kind of characters
+    "dockerfile._RAW_WORD",
+}
+
+
 class TestPatterns:
     def test_every_pattern_compiles(self):
-        # patterns compile on first use, so a typo in one that few inputs reach
-        # (the escape directive, the heredoc word) would show only in a user's
-        # run; compile each pattern a ``re`` call names by a literal or a
-        # module-level name
-        import importlib
-
-        checked, failed = set(), []
-        for path in sorted(Path(hpcflow.__file__).parent.glob("*.py")):
-            module = importlib.import_module(f"hpcflow.{path.stem}".removesuffix(".__init__"))
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "re"
-                    and node.func.attr in _PATTERN_FUNCTIONS
-                ):
-                    continue
-                arg = node.args[0]
-                if isinstance(arg, ast.Constant):
-                    pattern = arg.value
-                elif isinstance(arg, ast.Name) and isinstance(getattr(module, arg.id, None), str):
-                    pattern = getattr(module, arg.id)
-                else:  # a parameter, as in profiles._word
-                    continue
-                name = f"{path.stem}.{ast.unparse(arg)}"
-                checked.add(name)
-                try:
-                    re.compile(pattern)
-                except re.error as exc:
-                    failed.append((name, str(exc)))
+        patterns = _patterns()
+        failed = []
+        for name, pattern in patterns.items():
+            try:
+                re.compile(pattern)
+            except re.error as exc:
+                failed.append((name, str(exc)))
         assert failed == []
         assert {
             "dockerfile._ESCAPE_DIRECTIVE", "dockerfile._RAW_WORD", "dockerfile._HEREDOC_WORD",
-            "errors._WORD_PIECE", "lint._ARG_REF", "recon._TAG", "perf._LOG_LINE",
-        } <= checked
+            "errors._WORD_PIECE", "errors._INT", "errors._FLOAT", "lint._ARG_REF", "recon._TAG",
+            "perf._LOG_LINE", "profiles._VERSION", "profiles._PATH", "profiles._SUBSTITUTED_WORD",
+        } <= patterns.keys()
+
+    def test_every_pattern_reads_ascii(self):
+        # Slurm, mpirun, the shell's blanks and Docker's Go regexps are ASCII,
+        # but without re.ASCII \d takes any decimal digit, \w any letter, \s
+        # any space and (?i) folds "\u017f" to "s"
+        unicode = set()
+        for name, pattern in _patterns().items():
+            flags = re.compile(pattern).flags
+            if flags & re.ASCII:
+                continue
+            if flags & re.IGNORECASE or re.search(r"(?<!\\)(?:\\\\)*\\[dwsbDWSB]", pattern):
+                unicode.add(name)
+        assert unicode == _UNICODE_PATTERNS
 
 
 # the console script's body, and ``main`` on the normal exit path

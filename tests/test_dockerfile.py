@@ -94,6 +94,13 @@ class TestParse:
         with pytest.raises(DockerfileError, match="escape"):
             parse_dockerfile("# escape=`\nFROM a:1\n")
 
+    @pytest.mark.parametrize("line", ["# e\u017fcape=`", "#\u2003escape=`"])
+    def test_directive_is_read_as_ascii(self, line):
+        # BuildKit's directive pattern is a Go regexp: \s is ASCII and the
+        # name [a-zA-Z]+, so neither line is an escape directive for it
+        ast = parse_dockerfile(f"{line}\nFROM a:1\n")
+        assert [i.kind for i in ast.instructions] == ["COMMENT", "FROM"]
+
     def test_escape_syntax_only_in_directive_zone(self):
         # past the first instruction it is an ordinary comment
         ast = parse_dockerfile("FROM a:1\n# escape=`\n")
@@ -125,6 +132,8 @@ class TestParse:
             "RUN echo \\<<EOF",
             'RUN ["sh", "-c", "cat <<EOF"]',
             "ENV A=<<EOF",
+            # BuildKit's heredoc word is ^(\d*)<<, a Go \d: ASCII digits only
+            "RUN cat \u0662<<EOF",
         ],
     )
     def test_quoted_or_non_heredoc_chevrons_parse(self, line):

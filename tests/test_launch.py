@@ -888,6 +888,64 @@ class TestLaunchPlan:
         assert subprocess.run(["/usr/bin/sh", "-n", str(path)]).returncode == 0, text
 
 
+    @pytest.mark.parametrize(
+        "fields, word",
+        [
+            ({"mpirun_args": ("-np", "6")}, "-np 6"),
+            ({"mpirun_args": ("-bind-to", "none", "--map-by", "ppr:1:node")}, "--map-by ppr:1:node"),
+            ({"mpirun_args": ("--map-by", "node")}, "--map-by node"),
+            ({"scheduler_directives": (("job-name", "j"), ("nodes", "3"))}, "--nodes=3"),
+            ({"scheduler_directives": (("ntasks-per-node", "4"),)}, "--ntasks-per-node=4"),
+            ({"scheduler_directives": (("gres", "gpu:02"),)}, "--gres=gpu:02"),
+        ],
+    )
+    def test_layout_word_that_disagrees_with_the_counts_is_refused(self, fields, word):
+        message = f"{word!r} disagrees with 4 ranks at 2 per node"
+        with pytest.raises(LaunchError, match=f"^{re.escape(message)}$"):
+            _plan(total_ranks=4, slots_per_node=2, **fields)
+
+    def test_layout_words_that_agree_with_the_counts_build(self):
+        plan = _plan(
+            total_ranks=4,
+            slots_per_node=2,
+            mpirun_args=("-np", "4", "--map-by", "ppr:2:node"),
+            scheduler_directives=(("nodes", "2"), ("ntasks-per-node", "2"), ("gres", "gpu:2")),
+        )
+        assert plan.total_ranks == 4
+        # a layout key that is a value or a flag of the other list is no layout word
+        _plan(mpirun_args=("-x", "nodes", "-x", "gres"), scheduler_directives=(("-np", "9"),))
+        # 65 ranks at 2 per node fill no whole node count, so no nodes word fits
+        with pytest.raises(LaunchError, match="^'--nodes=32' disagrees with 65 ranks at 2 per node$"):
+            _plan(total_ranks=65, slots_per_node=2, scheduler_directives=(("nodes", "32"),))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        nodes=st.integers(1, 20),
+        gpus=st.integers(1, 2),
+        word=st.sampled_from(["-np", "--map-by", "nodes", "ntasks-per-node", "gres"]),
+        count=st.integers(1, 41),
+    )
+    def test_planned_layout_passes_and_each_changed_word_is_refused(self, nodes, gpus, word, count):
+        from hpcflow.profiles import parse_cluster_profile, parse_env_spec
+
+        cluster = parse_cluster_profile((FIXTURES / "profiles" / "csic.profile").read_text())
+        spec = parse_env_spec((FIXTURES / "specs" / "entrypoint.spec").read_text())
+        plan = plan_launch(cluster, reconcile(spec, cluster), make_request(nodes, gpus))
+        assert plan.replace() == plan
+        assume(count != {"-np": nodes * gpus, "nodes": nodes}.get(word, gpus))
+        text = {"--map-by": f"ppr:{count}:node", "gres": f"gpu:{count}"}.get(word, str(count))
+        if word.startswith("-"):
+            args = list(plan.mpirun_args)
+            args[args.index(word) + 1] = text
+            changed, shown = {"mpirun_args": tuple(args)}, f"{word} {text}"
+        else:
+            directives = tuple((k, text if k == word else v) for k, v in plan.scheduler_directives)
+            changed, shown = {"scheduler_directives": directives}, f"--{word}={text}"
+        message = f"{shown!r} disagrees with {nodes * gpus} ranks at {gpus} per node"
+        with pytest.raises(LaunchError, match=f"^{re.escape(message)}$"):
+            plan.replace(**changed)
+
+
 class TestGridPlan:
     def test_layout_without_launcher_fields(self):
         plan = grid_plan(2, 3, {"FOO": "bar", "PATH": None})

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +234,14 @@ class TestParseBenchLog:
         with pytest.raises(BenchLogError, match="line 2"):
             parse_bench_log("iter 1: 10.0 images/sec\nnot a log line\n", 0)
 
+    @pytest.mark.parametrize(
+        "line",
+        ["iter \u0661: 100 images/sec", "iter 2: 1e\u0662 images/sec", "iter 2:\u2003100 images/sec"],
+    )
+    def test_non_ascii_digit_or_blank_reports_number(self, line):
+        with pytest.raises(BenchLogError, match=f"^line 2: malformed log line {re.escape(repr(line))}$"):
+            parse_bench_log(f"iter 1: 10.0 images/sec\n{line}\n", 0)
+
     def test_negative_warmup_rejected(self):
         with pytest.raises(BenchLogError, match="warmup_count must be non-negative"):
             parse_bench_log("iter 1: 10.0 images/sec\n", -1)
@@ -245,26 +254,26 @@ class TestParseBenchLog:
 
 class TestSummarize:
     def test_worked_example(self):
-        run = BenchRun("x", 1, tuple(WORKED_SAMPLES))
+        run = BenchRun(1, tuple(WORKED_SAMPLES))
         summary = summarize(run)
         assert summary.mean == 100.0
         assert summary.ci95_half_width == pytest.approx(1.262, abs=1e-3)
         assert summary.n == 10
 
     def test_zero_variance(self):
-        summary = summarize(BenchRun("x", 1, (50.0,) * 10))
+        summary = summarize(BenchRun(1, (50.0,) * 10))
         assert summary.mean == 50.0
         assert summary.ci95_half_width == 0.0
         assert summary.n == 10
 
     def test_single_sample_flagged(self):
-        summary = summarize(BenchRun("x", 1, (42.0,)))
+        summary = summarize(BenchRun(1, (42.0,)))
         assert summary.ci95_half_width == 0.0
         assert summary.n == 1
 
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError, match="run has no samples"):
-            summarize(BenchRun("x", 1, ()))
+            summarize(BenchRun(1, ()))
 
     def test_matches_statistics_module(self):
         # the standard library's statistics as the reference; perf uses math alone
@@ -281,7 +290,7 @@ class TestSummarize:
             else:
                 spread = centre * rng.uniform(0.001, 1.0)
                 samples = tuple(rng.uniform(centre, centre + spread) for _ in range(n))
-            summary = summarize(BenchRun("x", 1, samples))
+            summary = summarize(BenchRun(1, samples))
             assert summary.mean == statistics.fmean(samples)
             expected = _t_quantile(n - 1) * statistics.stdev(samples) / math.sqrt(n)
             assert summary.ci95_half_width == pytest.approx(expected, rel=1e-12)
@@ -290,13 +299,13 @@ class TestSummarize:
     @pytest.mark.parametrize("n", [2, 3, 10, 1000])
     def test_equal_samples_give_exactly_zero(self, value, n):
         # fsum / n rounds three samples of 0.1 to 0.10000000000000002
-        summary = summarize(BenchRun("x", 1, (value,) * n))
+        summary = summarize(BenchRun(1, (value,) * n))
         assert summary.ci95_half_width == 0.0
         assert summary.n == n
 
     def test_deviations_beyond_the_square_range(self):
         # a square of 1e200 overflows; the half-width does not
-        summary = summarize(BenchRun("x", 1, (1e200, 3e200)))
+        summary = summarize(BenchRun(1, (1e200, 3e200)))
         assert (f"{summary.mean:.6g}", f"{summary.ci95_half_width:.6g}") == (
             "2e+200",
             "1.27062e+201",
@@ -310,7 +319,7 @@ class TestSummarize:
         mean = math.fsum(samples) / 15
         sd = math.hypot(*[x - mean for x in samples]) / math.sqrt(14)
         expected = _t_quantile(14) * sd / math.sqrt(15)
-        assert summarize(BenchRun("x", 1, samples)).ci95_half_width == pytest.approx(
+        assert summarize(BenchRun(1, samples)).ci95_half_width == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -323,14 +332,14 @@ class TestSummarize:
     )
     def test_non_finite_result_rejected(self, samples, message):
         with pytest.raises(ValueError, match=f"^{message} is not finite"):
-            summarize(BenchRun("x", 1, samples))
+            summarize(BenchRun(1, samples))
 
     def test_agrees_with_brute_force_oracle(self):
         rng = random.Random(7)
         for _ in range(100):
             n = rng.randint(2, 25)
             samples = [rng.uniform(1.0, 1000.0) for _ in range(n)]
-            summary = summarize(BenchRun("x", 1, tuple(samples)))
+            summary = summarize(BenchRun(1, tuple(samples)))
             mean = oracle_stats.brute_mean(samples)
             ci = oracle_stats.brute_ci95_half_width(samples)
             assert summary.mean == pytest.approx(mean, rel=1e-9)
@@ -420,7 +429,7 @@ class TestTQuantile:
 class TestSpeedupTable:
     def test_six_configurations(self):
         runs = [
-            BenchRun(f"g{p}", p, tuple(float(100 * p + d) for d in (-1, 0, 1)))
+            BenchRun(p, tuple(float(100 * p + d) for d in (-1, 0, 1)))
             for p in range(1, 7)
         ]
         table = speedup_table(runs)
@@ -429,37 +438,37 @@ class TestSpeedupTable:
         assert [gpus for gpus, _ in table] == [1, 2, 3, 4, 5, 6]
 
     def test_single_baseline_only(self):
-        assert speedup_table([BenchRun("b", 1, (10.0,))]) == [(1, 1.0)]
+        assert speedup_table([BenchRun(1, (10.0,))]) == [(1, 1.0)]
 
     def test_speedup_against_baseline(self):
-        base = BenchRun("b", 1, (100.0,) * 5)
-        run = BenchRun("r", 2, (190.0,) * 5)
+        base = BenchRun(1, (100.0,) * 5)
+        run = BenchRun(2, (190.0,) * 5)
         assert speedup_table([base, run])[1] == (2, 1.9)
 
     def test_doubled_mean_gives_speedup_two(self):
-        runs = [BenchRun("b", 1, (100.0,) * 3), BenchRun("r", 2, (200.0,) * 3)]
+        runs = [BenchRun(1, (100.0,) * 3), BenchRun(2, (200.0,) * 3)]
         assert speedup_table(runs)[1] == (2, 2.0)
 
     def test_missing_baseline(self):
         with pytest.raises(ValueError, match="baseline"):
-            speedup_table([BenchRun("r", 2, (10.0,))])
+            speedup_table([BenchRun(2, (10.0,))])
 
     def test_zero_baseline_is_error(self):
-        runs = [BenchRun("b", 1, (0.0,) * 3), BenchRun("r", 2, (10.0,) * 3)]
+        runs = [BenchRun(1, (0.0,) * 3), BenchRun(2, (10.0,) * 3)]
         with pytest.raises(ValueError, match="baseline's mean throughput is 0"):
             speedup_table(runs)
 
     def test_non_finite_speedup_rejected(self):
-        runs = [BenchRun("b", 1, (1e-200,)), BenchRun("r", 2, (1e200, 3e200))]
+        runs = [BenchRun(1, (1e-200,)), BenchRun(2, (1e200, 3e200))]
         with pytest.raises(ValueError, match="^speedup of the 2-GPU run is not finite"):
             speedup_table(runs)
 
     def test_mean_overflow_rejected(self):
-        runs = [BenchRun("b", 1, (1.0,)), BenchRun("r", 2, (1.7e308, 1.7e308))]
+        runs = [BenchRun(1, (1.0,)), BenchRun(2, (1.7e308, 1.7e308))]
         with pytest.raises(ValueError, match="^mean of the 2-GPU run is not finite"):
             speedup_table(runs)
 
     def test_duplicate_gpu_counts(self):
-        runs = [BenchRun("a", 1, (1.0,)), BenchRun("b", 2, (2.0,)), BenchRun("c", 2, (2.0,))]
+        runs = [BenchRun(1, (1.0,)), BenchRun(2, (2.0,)), BenchRun(2, (2.0,))]
         with pytest.raises(ValueError, match="duplicate"):
             speedup_table(runs)

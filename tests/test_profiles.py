@@ -238,9 +238,21 @@ def _profile_text(draw) -> str:
 
 @given(_profile_text())
 def test_render_is_a_fixed_point_of_parse(text):
+    # a count not written as str() writes it is refused, naming its key and line
+    lines = text.split("\n")
+    for key in ("gpus_per_node", "gpu_nodes"):  # in the readers' order
+        number, value = next(
+            (n, line.partition(" = ")[2]) for n, line in enumerate(lines, 1)
+            if line.startswith(f"{key} = ")
+        )
+        if not re.fullmatch("[1-9][0-9]*", value):
+            with pytest.raises(ProfileError, match=rf"^line {number}: {key} must be an integer, "):
+                parse_cluster_profile(text)
+            return
     try:
         profile = parse_cluster_profile(text)
-    except ProfileError:  # a value that names a privileged command
+    except ProfileError as exc:  # a value that names a privileged command
+        assert "names a privileged command" in str(exc)
         assume(False)
     rendered = render_cluster_profile(profile)
     assert parse_cluster_profile(rendered) == profile
@@ -621,6 +633,8 @@ class TestSpecWords:
             ("registry", "r$x", "is not a path"),
             ("base_image", "a:\\", "is not an image reference"),
             ("base_image", "sudo x", "is not an image reference"),
+            ("base_image", "example/\u00dcn\u00ef:1", "is not an image reference"),
+            ("base_image", "nvidia/cud\u00e4:\u0661\u0661.\u0660", "is not an image reference"),
             ("horovod_version", "0.21\x0b3", "must not contain line breaks or control characters"),
             ("registry", "r\x85x", "must not contain line breaks or control characters"),
         ],
@@ -639,7 +653,6 @@ class TestSpecWords:
             ("entrypoint_path", "entry.sh", "entry.sh"),
             ("registry", "", ""),
             ("registry", "reg.example.com:5000", "reg.example.com:5000"),
-            ("base_image", "example/\u00dcn\u00ef:1", "example/\u00dcn\u00ef:1"),
         ],
     )
     def test_accepted(self, key, value, field):
@@ -658,6 +671,18 @@ class TestReaderErrorLines:
             ("scheduler", "pbs", "line 3: scheduler must be one of slurm, none, got 'pbs'"),
             ("gpus_per_node", "two", "line 4: gpus_per_node must be an integer, got 'two'"),
             ("gpu_nodes", "0", "line 5: gpu_nodes must be >= 1, got 0"),
+            ("gpu_nodes", "-1", "line 5: gpu_nodes must be >= 1, got -1"),
+            # a count is written back as it was read, so no leading zero is taken
+            ("gpu_nodes", "007", "line 5: gpu_nodes must be an integer, got '007'"),
+            ("gpu_nodes", "\u0662", "line 5: gpu_nodes must be an integer, got '\u0662'"),
+            ("gpus_per_node", "1_0", "line 4: gpus_per_node must be an integer, got '1_0'"),
+            ("gpus_per_node", "+2", "line 4: gpus_per_node must be an integer, got '+2'"),
+            # int() refuses more than 4300 digits with its own message
+            (
+                "gpus_per_node",
+                "1" * 5000,
+                "line 4: gpus_per_node has 5000 digits, more than Python reads as an integer",
+            ),
             (
                 "openmpi_version",
                 "four",

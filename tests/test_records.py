@@ -103,7 +103,7 @@ RECORDS = [
             comp_seconds_per_step=0.6,
         ),
     ),
-    (BenchRun, dict(label="2 GPUs", gpus=2, samples=(1.0, 2.0), warmup_count=1)),
+    (BenchRun, dict(gpus=2, samples=(1.0, 2.0), warmup_count=1)),
     (BenchSummary, dict(mean=1.5, ci95_half_width=0.5, n=2)),
     (InstallerConfig, dict(openmpi_install="a", horovod_install="b")),
     (
