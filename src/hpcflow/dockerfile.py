@@ -74,8 +74,8 @@ class Instruction(collections.namedtuple("Instruction", "kind args line_span", d
     rendering collapses continuations.
 
     One is built per source line, so it is a namedtuple, which the parser
-    builds with ``tuple.__new__``, running no Python code.  Otherwise it
-    acts as a ``Record``; it equals no plain tuple.
+    builds with ``tuple.__new__``, running no Python code.  It equals no
+    plain tuple; namedtuple's ``_replace`` makes a changed copy.
     """
 
     __slots__ = ()
@@ -88,10 +88,6 @@ class Instruction(collections.namedtuple("Instruction", "kind args line_span", d
 
     def __hash__(self) -> int:
         return hash(self[:2])
-
-    def replace(self, **changes: object) -> Instruction:
-        """A copy with ``changes`` applied."""
-        return Instruction(**{**self._asdict(), **changes})
 
 
 class DockerfileAst(Record):

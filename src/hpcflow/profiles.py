@@ -16,10 +16,9 @@ Each file kind has one reader table, which maps each key to its reader; a
 key is mandatory when its record field has no default.  A reader takes the
 value text and returns the field value, or raises ``ValueError`` with the
 reason.  ``_read_fields`` turns the reason into a :class:`ProfileError`
-that starts with the key and carries the line; ``SemVer.parse`` raises a
-``ProfileError`` that names the version, which gets the line only.  Each
-profile and spec, parsed or built in code, is checked once, when built: each
-field must read back as itself from its text.  No other module checks them.
+that starts with the key and carries the line.  Each profile and spec,
+parsed or built in code, is checked once, when built: each field must read
+back as itself from its text.  No other module checks them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from hpcflow.errors import (
     _MISSING, _OPERATOR_CHARS, _VAR_NAME, ImageRef, ProfileError, Record, read_int, shell_words
 )
 
-_VERSION = r"(?a)(\d+)\.(\d+)(?:\.(\d+))?"
 _KEY = "[a-z_]+"
 _SECTION = r"\[([a-z_]+)\]"
 
@@ -108,19 +106,15 @@ class SemVer(Record):
 
     @classmethod
     def parse(cls, text: str) -> "SemVer":
-        m = re.fullmatch(_VERSION, text.strip())
-        if m is None:
-            raise ProfileError(f"unparseable version {text!r} (expected MAJOR.MINOR[.PATCH])")
-        major, minor, patch = m.group(1), m.group(2), m.group(3)
-        return cls(
-            major=int(major),
-            minor=int(minor),
-            patch=int(patch) if patch is not None else 0,
-            patch_specified=patch is not None,
-        )
-
-    def major_minor(self) -> tuple[int, int]:
-        return (self.major, self.minor)
+        """``text`` as ``MAJOR.MINOR[.PATCH]``, each part a count as ``read_int`` reads
+        it (so ``4.00.1`` is refused), else ``ValueError('unparseable version ...')``."""
+        try:
+            numbers = [read_int(part, 0) for part in text.strip().split(".")]
+        except ValueError:
+            numbers = []
+        if len(numbers) not in (2, 3):
+            raise ValueError(f"unparseable version {text!r} (expected MAJOR.MINOR[.PATCH])")
+        return cls(*numbers, patch_specified=len(numbers) == 3)
 
     def __str__(self) -> str:
         if self.patch_specified:
@@ -241,7 +235,7 @@ def _check_value(key: str, value: object, read, default: object = _MISSING) -> N
         raise ProfileError(f"{key} must not contain line breaks or control characters")
     try:
         read_back = read(text.strip())
-    except (ProfileError, ValueError) as exc:
+    except ValueError as exc:
         raise ProfileError(f"{key} {exc}") from None
     if read_back != value:
         raise ProfileError(f"{key} {value!r} reads back as {read_back!r}")
@@ -329,8 +323,6 @@ def _read_fields(entries: dict[str, tuple[str, int]], readers: dict, record: typ
             value, lineno = entries[key]
             try:
                 fields[key] = read(value)
-            except ProfileError as exc:  # SemVer.parse names the version itself
-                raise ProfileError(str(exc), line=lineno) from None
             except ValueError as exc:
                 raise ProfileError(f"{key} {exc}", line=lineno) from None
         elif record._defaults[key] is _MISSING:

@@ -12,7 +12,7 @@ import re
 from hpcflow.errors import ImageRef, ReconcileError, Record
 from hpcflow.profiles import DEFAULT_REGISTRY, ClusterProfile, EnvironmentSpec, SemVer
 
-_TAG = r"(?a)ompi(\d+)\.(\d+)(?:-[A-Za-z0-9._-]+)?"  # Docker tags are ASCII
+_TAG = r"ompi([0-9]+\.[0-9]+)(?:-[A-Za-z0-9._-]+)?"  # Docker tags are ASCII
 
 STATE_DIR_ENV = "HPCFLOW_STATE_DIR"
 DEFAULT_STATE_DIR = "/opt/.hpcflow"
@@ -64,23 +64,25 @@ def versions_match(image_version: SemVer, cluster_version: SemVer) -> bool:
     both sides actually stated one.  This predicate is the single place
     where match granularity is defined.
     """
-    if image_version.major_minor() != cluster_version.major_minor():
+    if (image_version.major, image_version.minor) != (cluster_version.major, cluster_version.minor):
         return False
     if image_version.patch_specified and cluster_version.patch_specified:
         return image_version.patch == cluster_version.patch
     return True
 
 
-def encoded_tag_version(tag: str) -> tuple[int, int] | None:
-    """Extract the (major, minor) encoded in an ``ompiM.m[-variant]`` tag."""
+def encoded_tag_version(tag: str) -> SemVer | None:
+    """The ``M.m`` version an ``ompiM.m[-variant]`` tag encodes, read by
+    ``SemVer.parse``, or None for any other tag."""
     m = re.fullmatch(_TAG, tag)
-    if m is None:
+    try:
+        return SemVer.parse(m.group(1)) if m else None
+    except ValueError:
         return None
-    return (int(m.group(1)), int(m.group(2)))
 
 
 def select_tag(available_tags: list[str], cluster_mpi: SemVer) -> str:
-    """Pick the image tag matching the cluster's OpenMPI major.minor.
+    """Pick the image tag whose version ``versions_match`` the cluster's OpenMPI.
 
     Tags that do not follow the ``ompiM.m[-variant]`` convention are
     ignored.  Ties between variants are broken lexicographically so the
@@ -89,20 +91,13 @@ def select_tag(available_tags: list[str], cluster_mpi: SemVer) -> str:
     Raises:
         ReconcileError: when no tag encodes the cluster's major.minor.
     """
-    wanted = cluster_mpi.major_minor()
-    matches = []
-    encoded = []
-    for tag in available_tags:
-        version = encoded_tag_version(tag)
-        if version is None:
-            continue
-        encoded.append(version)
-        if version == wanted:
-            matches.append(tag)
+    encoded = {tag: v for tag in available_tags if (v := encoded_tag_version(tag)) is not None}
+    matches = [tag for tag, version in encoded.items() if versions_match(version, cluster_mpi)]
     if not matches:
-        known = ", ".join(sorted({f"{M}.{m}" for M, m in encoded})) or "none"
+        known = ", ".join(sorted(set(map(str, encoded.values())))) or "none"
         raise ReconcileError(
-            f"no tag for OpenMPI {wanted[0]}.{wanted[1]} (encoded versions available: {known})"
+            f"no tag for OpenMPI {cluster_mpi.major}.{cluster_mpi.minor} "
+            f"(encoded versions available: {known})"
         )
     return min(matches)
 

@@ -94,7 +94,7 @@ class TestProfileValidate:
                     ("gpu_nodes = 20", "gpu_nodes = 020",
                      "line 6: gpu_nodes must be an integer, got '020'"),
                     ("openmpi_version = 4.0.1", "openmpi_version = \u0664.\u0660.\u0661",
-                     "line 7: unparseable version '\u0664.\u0660.\u0661' "
+                     "line 7: openmpi_version unparseable version '\u0664.\u0660.\u0661' "
                      "(expected MAJOR.MINOR[.PATCH])"),
                 ]
             ),
@@ -1251,7 +1251,12 @@ _EDITS = st.lists(
 _ENV_KEY = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
 _JOB_GEN = ["job", "gen", "--nodes", "1", "--gpus-per-node", "1", "--out", "{tmp}/job.sh"]
 _ENTRYPOINT_SPEC = ["--spec", str(SPECS / "entrypoint.spec")]
+_TAGS_SPEC = ["--spec", str(SPECS / "tags.spec")]
 _CSIC = ["--profile", str(PROFILES / "csic.profile")]
+# one --tags entry: any argument text, or ompiM.m with digits str() may not write
+_TAG_DIGITS = st.text(st.sampled_from("01\u0664"), min_size=1, max_size=3)
+_TAG_ENTRY = _ARG | st.builds("ompi{}.{}".format, _TAG_DIGITS, _TAG_DIGITS)
+_HUGE_TAG = "ompi4.0" + "0" * 5000  # more digits than int() reads
 # each verb that reads a file, with ``{file}`` for the fixture it reads mutated
 _FILE_CASES = [
     *((["profile", "validate", "{file}"], path) for path in sorted(PROFILES.glob("*"))),
@@ -1370,6 +1375,19 @@ class TestNoTraceback:
         argv += [f"{flag}={value}" for flag, value in flags.items()]
         if command:
             argv += ["--", *command]
+        with tempfile.TemporaryDirectory() as tmp:
+            _check_no_traceback(argv, tmp)
+
+    # reconcile reads --tags for the tags strategy only
+    @settings(max_examples=40, deadline=None)
+    @given(
+        verb=st.sampled_from([_JOB_GEN, ["run", "dry"]]),
+        tags=st.lists(_TAG_ENTRY, min_size=1, max_size=3),
+    )
+    @example(verb=_JOB_GEN, tags=[_HUGE_TAG])
+    @example(verb=["run", "dry"], tags=[_HUGE_TAG, "ompi4.0"])
+    def test_tags_free_text(self, verb, tags):
+        argv = [*verb, *_CSIC, *_TAGS_SPEC, f"--tags={','.join(tags)}"]
         with tempfile.TemporaryDirectory() as tmp:
             _check_no_traceback(argv, tmp)
 
@@ -1697,7 +1715,7 @@ class TestPatterns:
         assert {
             "dockerfile._ESCAPE_DIRECTIVE", "dockerfile._RAW_WORD", "dockerfile._HEREDOC_WORD",
             "errors._WORD_PIECE", "errors._INT", "errors._FLOAT", "lint._ARG_REF", "recon._TAG",
-            "perf._LOG_LINE", "profiles._VERSION", "profiles._PATH", "profiles._SUBSTITUTED_WORD",
+            "perf._LOG_LINE", "profiles._PATH", "profiles._SUBSTITUTED_WORD",
         } <= patterns.keys()
 
     def test_every_pattern_reads_ascii(self):

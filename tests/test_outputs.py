@@ -155,6 +155,15 @@ def _runs() -> dict[str, tuple[list[str], dict[str, str], int]]:
                 *pair,
             )
             add(f"run dry {' '.join(pair)}", _run_dry(*pair, *tags), *pair)
+    # tags that are not ompiM.m as str() writes the version: a padded part, a
+    # patch, and more digits than int() reads; the first run also picks ompi4.0-a
+    pair = ["csic.profile", "tags.spec"]
+    for label, tags in (
+        ("ompi04.0,ompi4.0-a", "ompi04.0,ompi4.0-a"),
+        ("ompi4.0.1", "ompi4.0.1"),
+        ("ompi4.0 and 5000 more digits", "ompi4.0" + "0" * 5000),
+    ):
+        add(f"run dry {' '.join(pair)}, --tags {label}", _run_dry(*pair, "--tags", tags), *pair)
     for flag, *values in JOB_EXTRAS:
         pair = ["csic.profile", "entrypoint.spec"]
         run_id = f"job gen {' '.join(pair)}, {flag} {' '.join(map(repr, values))}"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import shlex
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -41,7 +42,17 @@ class TestSemVer:
 
     @pytest.mark.parametrize("bad", ["", "4", "4.", "a.b.c", "1.2.3.4", "-1.2.3"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ProfileError):
+        with pytest.raises(ValueError):
+            SemVer.parse(bad)
+
+    # each part is a count, read as read_int reads one: the text str() writes
+    @pytest.mark.parametrize(
+        "bad",
+        ["04.0", "4.00.1", "4.0.01", "\u0664.\u0660", "4.+1", "1_0.0", "4. 0", "4.-0", "1" * 5000 + ".0"],
+    )
+    def test_rejects_parts_not_written_as_str_writes(self, bad):
+        expected = r" \(expected MAJOR\.MINOR\[\.PATCH\]\)$"
+        with pytest.raises(ValueError, match=r"^unparseable version .*" + expected):
             SemVer.parse(bad)
 
     @given(
@@ -203,19 +214,23 @@ _MODULES = st.lists(st.text(_MODULE, min_size=1, max_size=4), max_size=3).map(",
 _MOUNT_PAD = st.text(st.sampled_from("ab/._- "), max_size=2)
 _MOUNT_WORD = st.tuples(_MOUNT_PAD, st.sampled_from("ab/._-"), _MOUNT_PAD).map("".join)
 _COUNT = st.integers(1, 10**6).map(str) | st.sampled_from(["+3", "007", "1_000", "\u0663"])
+# a version part, written as str() writes it or not
+_VERSION_PART = st.integers(0, 20).map(str) | st.sampled_from(["04", "\u0663", "9" * 4301])
+# a version as str() writes one: each part has no more digits than int() reads
+_VERSION_PART_TEXT = f"(?:0|[1-9][0-9]{{0,{sys.get_int_max_str_digits() - 1}}})"
+_VERSION_TEXT = rf"{_VERSION_PART_TEXT}(?:\.{_VERSION_PART_TEXT}){{1,2}}"
 
 
 @st.composite
 def _profile_text(draw) -> str:
     """``[cluster]`` text, each optional key present or not, in any order."""
-    part = st.integers(0, 20)
-    version = draw(st.tuples(part, part, st.none() | part))
+    version = draw(st.tuples(_VERSION_PART, _VERSION_PART, st.none() | _VERSION_PART))
     values = {
         "name": draw(_LINE_WITH_WORD),
         "scheduler": draw(st.sampled_from(SCHEDULERS)),
         "gpus_per_node": draw(_COUNT),
         "gpu_nodes": draw(_COUNT),
-        "openmpi_version": ".".join(str(n) for n in version if n is not None),
+        "openmpi_version": ".".join(part for part in version if part is not None),
         "container_runtime_path": draw(_LINE_WITH_WORD),
     }
     optional = {
@@ -238,15 +253,20 @@ def _profile_text(draw) -> str:
 
 @given(_profile_text())
 def test_render_is_a_fixed_point_of_parse(text):
-    # a count not written as str() writes it is refused, naming its key and line
+    # a count or a version part not written as str() writes it is refused,
+    # naming its key and line
     lines = text.split("\n")
-    for key in ("gpus_per_node", "gpu_nodes"):  # in the readers' order
+    for key, written, reason in (  # in the readers' order
+        ("gpus_per_node", "[1-9][0-9]*", "must be an integer, "),
+        ("gpu_nodes", "[1-9][0-9]*", "must be an integer, "),
+        ("openmpi_version", _VERSION_TEXT, "unparseable version "),
+    ):
         number, value = next(
             (n, line.partition(" = ")[2]) for n, line in enumerate(lines, 1)
             if line.startswith(f"{key} = ")
         )
-        if not re.fullmatch("[1-9][0-9]*", value):
-            with pytest.raises(ProfileError, match=rf"^line {number}: {key} must be an integer, "):
+        if not re.fullmatch(written, value):
+            with pytest.raises(ProfileError, match=rf"^line {number}: {key} {reason}"):
                 parse_cluster_profile(text)
             return
     try:
@@ -686,7 +706,7 @@ class TestReaderErrorLines:
             (
                 "openmpi_version",
                 "four",
-                "line 6: unparseable version 'four' (expected MAJOR.MINOR[.PATCH])",
+                "line 6: openmpi_version unparseable version 'four' (expected MAJOR.MINOR[.PATCH])",
             ),
             (
                 "default_mounts",
@@ -742,7 +762,7 @@ class TestReaderErrorLines:
             (
                 "openmpi_version",
                 "4",
-                "line 4: unparseable version '4' (expected MAJOR.MINOR[.PATCH])",
+                "line 4: openmpi_version unparseable version '4' (expected MAJOR.MINOR[.PATCH])",
             ),
             (
                 "system_packages",

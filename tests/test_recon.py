@@ -42,7 +42,24 @@ class TestSelectTag:
     def test_tag_with_non_ascii_digits_is_unconventional(self):
         # Docker's tag grammar is ASCII, so no registry holds such a tag
         assert encoded_tag_version("ompi\u0664.\u0660") is None
-        assert encoded_tag_version("ompi4.0") == (4, 0)
+        assert encoded_tag_version("ompi4.0") == SemVer(4, 0)
+
+    @pytest.mark.parametrize("tag", ["ompi04.0", "ompi4.00", "ompi4." + "1" * 5000, "ompi4.0.1"])
+    def test_tag_not_read_back_as_its_version_is_ignored(self, tag):
+        # SemVer.parse reads the version: the text str() writes, digits int() can read
+        assert encoded_tag_version(tag) is None
+        with pytest.raises(ReconcileError, match=r"\(encoded versions available: none\)$"):
+            select_tag([tag], SemVer(4, 0, 1))
+
+    def test_match_is_versions_match(self):
+        # a tag states no patch, so any patch of the cluster's major.minor matches
+        tags = ["ompi3.1", "ompi4.0-slim", "ompi4.9", "ompi04.0", "ompi4.00"]
+        for cluster in ("4.0", "4.0.0", "4.0.1", "4.0.7"):
+            assert select_tag(tags, SemVer.parse(cluster)) == "ompi4.0-slim"
+        assert select_tag(tags, SemVer.parse("3.1.2")) == "ompi3.1"
+        known = r"\(encoded versions available: 3\.1, 4\.0, 4\.9\)$"
+        with pytest.raises(ReconcileError, match=r"^no tag for OpenMPI 4\.1 " + known):
+            select_tag(tags, SemVer.parse("4.1.5"))
 
 
 class TestReconcile:
