@@ -14,12 +14,13 @@ from __future__ import annotations
 import gc
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 # Each command imports the layers it runs, so a cold start loads only those.
-from hpcflow.errors import HpcflowError, read_float, read_int
+from hpcflow.errors import CONTROL_CHAR, HpcflowError, read_float, read_int
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -77,12 +78,18 @@ def _tag_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _one_line(path: str | Path) -> str:
+    """``path`` as ``repr`` writes it if it holds a control character, or else as it is."""
+    return repr(str(path)) if re.search(CONTROL_CHAR, str(path)) else str(path)
+
+
 def _read_text(path: str) -> str:
     try:
         # a leading byte-order mark is dropped, as BuildKit does
         return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise HpcflowError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise HpcflowError(f"{_one_line(path)}: {reason}")
 
 
 def _write_files(texts: dict[Path, str]) -> None:
@@ -109,7 +116,7 @@ def _write_files(texts: dict[Path, str]) -> None:
                 path.write_bytes(old)
         raise
     for path in texts:
-        print(f"wrote {path}")
+        print(f"wrote {_one_line(path)}")
 
 
 def _load_profile(path: str):
@@ -141,9 +148,8 @@ def cmd_image_gen(args: SimpleNamespace) -> int:
     if spec.strategy == "entrypoint":
         script_path = out.parent / Path(spec.entrypoint_path).name
         if script_path == out:
-            raise HpcflowError(
-                f"--out {out} is also the path of the entrypoint script; choose another name"
-            )
+            reason = "is also the path of the entrypoint script; choose another name"
+            raise HpcflowError(f"--out {_one_line(out)} {reason}")
         texts[script_path] = recon.generate_entrypoint()
     _write_files(texts)
     return EXIT_OK
@@ -465,12 +471,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         user_command = []
     args = _read_args(argv)
-    if args is None or user_command and args.func not in _TAKES_COMMAND:
-        # argparse reads what the table reader leaves, and reports each usage error
-        parser = build_parser()
-        args = parser.parse_args(argv, SimpleNamespace())
-        if user_command and args.func not in _TAKES_COMMAND:
-            parser.error(f"'{args.noun} {args.verb}' takes no command after '--'")
+    if args is None:  # argparse reads what the table reader leaves, and reports each usage error
+        args = build_parser().parse_args(argv, SimpleNamespace())
+    if user_command and args.func not in _TAKES_COMMAND:
+        build_parser().error(f"'{args.noun} {args.verb}' takes no command after '--'")
     args.user_command = user_command
     try:
         return args.func(args)

@@ -276,12 +276,8 @@ def generate_dockerfile(spec: EnvironmentSpec) -> DockerfileAst:
     ENTRYPOINT/CMD; the ``tags`` strategy pins versions through a build
     argument so one file serves every tagged variant; ``ngc`` images
     already ship their versions, so nothing is added.
-
-    Raises:
-        ReconcileError: entrypoint strategy without a default
-            openmpi_version for CMD.
     """
-    from hpcflow.recon import DEFAULT_INSTALLERS, default_cmd_args
+    from hpcflow.recon import DEFAULT_INSTALLERS
 
     instructions: list[Instruction] = []
 
@@ -305,7 +301,7 @@ def generate_dockerfile(spec: EnvironmentSpec) -> DockerfileAst:
         shell("COPY", f"{script_src} {spec.entrypoint_path}")
         shell("RUN", f"chmod +x {spec.entrypoint_path}")
         execf("ENTRYPOINT", [spec.entrypoint_path])
-        execf("CMD", list(default_cmd_args(spec)))
+        execf("CMD", [str(spec.openmpi_version), spec.horovod_version])
     elif spec.strategy == "tags":
         # the build argument carries the per-variant OpenMPI version
         for command in DEFAULT_INSTALLERS.version_installs(

@@ -6,8 +6,9 @@ Every verb loads this module.  ``ImageRef`` lives here, not in ``profiles``
 without loading the profile layer; ``shell_words`` and the shell character
 classes live here because ``lint`` and the privileged-command scan in
 ``profiles`` both read shell words, and neither layer loads the other.  The
-number readers live here because the CLI reads counts without loading the
-profile layer, and a profile's counts must be read the same way.
+number readers and ``CONTROL_CHAR`` live here because the CLI reads counts
+and prints paths without loading the profile layer, and a profile's counts
+and values must be read the same way.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import re
 _MISSING = object()  # the default of a field that has none
 
 # Every pattern of the package is a string that ``re`` compiles on first
-# use, so a verb compiles only the patterns it runs.  Each shell character
-# class that more than one pattern spells is written here; the blanks and
+# use, so a verb compiles only the patterns it runs.  Each character class
+# that more than one pattern spells is written here; the shell blanks and
 # the operators without brackets, so that a pattern can also negate them.
 _VAR_NAME = "[A-Za-z_][A-Za-z0-9_]*"  # a shell variable name
 _BLANKS = r" \t\r\n"  # the characters that separate words
 _OPERATOR_CHARS = ";&|"  # a run of them is a word of its own
+CONTROL_CHAR = "[\x00-\x1f\x7f-\x9f\u2028\u2029]"  # C0, DEL, C1 and U+2028/9: each splitlines break
 
 _WORD_PIECE = (
     rf"(?s)([{_BLANKS}]+)"  # 1: whitespace, which ends a word

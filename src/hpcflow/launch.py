@@ -11,12 +11,11 @@ from __future__ import annotations
 import re
 import shlex
 
-from hpcflow.errors import _VAR_NAME, ImageRef, LaunchError, Record
+from hpcflow.errors import _VAR_NAME, CONTROL_CHAR, ImageRef, LaunchError, Record
 from hpcflow.profiles import (
     _IDENTIFIER,
     _NAME_CHARS,
     _WALLTIME,
-    CONTROL_CHAR,
     PRIVILEGED_TOKENS,
     ClusterProfile,
     _directive,

@@ -28,7 +28,8 @@ import re
 import shlex
 
 from hpcflow.errors import (
-    _MISSING, _OPERATOR_CHARS, _VAR_NAME, ImageRef, ProfileError, Record, read_int, shell_words
+    _MISSING, _OPERATOR_CHARS, _VAR_NAME, CONTROL_CHAR, ImageRef, ProfileError, Record, read_int,
+    shell_words,
 )
 
 _KEY = "[a-z_]+"
@@ -39,9 +40,6 @@ DEFAULT_REGISTRY = "docker.io"
 # What text may reach a generated artifact, in one place.  The word classes
 # are used with fullmatch, since ``$`` also matches before a final newline.
 
-# C0, DEL and C1 controls plus the Unicode line and paragraph separators:
-# every character str.splitlines breaks at, so no value can start a new line
-CONTROL_CHAR = "[\x00-\x1f\x7f-\x9f\u2028\u2029]"
 _NAME_CHARS = "A-Za-z0-9_.-"  # a container name's, as a character class
 _IDENTIFIER = f"[A-Za-z0-9][{_NAME_CHARS}]*"  # a container name
 _WALLTIME = r"(?a)\d{1,3}:\d{2}:\d{2}"  # Slurm reads ASCII digits only
@@ -472,6 +470,11 @@ def _strategy_fault(fields: dict) -> tuple[str, str] | None:
         return "strategy", (
             "strategy 'entrypoint' installs versions at first container start; "
             "entrypoint_path is required"
+        )
+    if strategy == "entrypoint" and fields.get("openmpi_version") is None:
+        return "strategy", (
+            "strategy 'entrypoint' bakes a default version pair into the image's CMD; "
+            "openmpi_version is required"
         )
     if strategy == "tags" and ImageRef.parse(fields["base_image"]).digest is not None:
         return "base_image", (

@@ -163,23 +163,6 @@ def reconcile(
     return ReconcilePlan(resolve_image_ref(spec, tag), runtime_args, note)
 
 
-def default_cmd_args(spec: EnvironmentSpec) -> tuple[str, str]:
-    """Default version arguments baked into a generated image's CMD.
-
-    They are overridden at run time by :func:`reconcile`'s runtime
-    arguments, but the image needs a working default pair.
-
-    Raises:
-        ReconcileError: when the environment spec has no openmpi_version.
-    """
-    if spec.openmpi_version is None:
-        raise ReconcileError(
-            "entrypoint-strategy images bake default version arguments into CMD; "
-            "set openmpi_version in the environment spec"
-        )
-    return (str(spec.openmpi_version), spec.horovod_version)
-
-
 def generate_entrypoint(installers: InstallerConfig = DEFAULT_INSTALLERS) -> str:
     """Generate the POSIX shell entrypoint script.
 

@@ -742,6 +742,30 @@ def test_non_utf8_input_is_an_error_naming_the_file(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [bad]
 
 
+class TestPathWithLineBreak:
+    """A path that holds a line break is printed as ``repr`` writes it, so
+    it cannot start a line of output of its own."""
+
+    def test_wrote_line(self, tmp_path, capsys):
+        out = f"{tmp_path}/x\nwrote y"
+        argv = ["image", "gen", "--spec", str(SPECS / "ngc.spec"), "--out", out]
+        assert run_cli(argv, capsys) == (0, f"wrote {out!r}\n", "")
+        assert os.listdir(tmp_path) == ["x\nwrote y"]
+
+    def test_not_utf8_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "l\nerror: x"
+        bad.write_bytes(b"\xff\xfe")
+        error = f"error: {str(bad)!r}: not UTF-8 text (invalid start byte at byte 0)\n"
+        assert run_cli(["image", "lint", str(bad)], capsys) == (1, "", error)
+
+    def test_out_is_the_script_error_line(self, tmp_path, capsys):
+        out = f"{tmp_path}/a\nerror: b/entry.sh"  # the name of the spec's entrypoint script
+        argv = ["image", "gen", "--spec", str(SPECS / "entrypoint.spec"), "--out", out]
+        error = f"error: --out {out!r} is also the path of the entrypoint script; "
+        assert run_cli(argv, capsys) == (1, "", error + "choose another name\n")
+        assert os.listdir(tmp_path) == []
+
+
 @given(st.one_of(st.text(), st.sampled_from(sorted(PRIVILEGED_TOKENS)).map("reg/{}:1".format)))
 def test_default_container_name_passes_the_identifier_rule(image_ref):
     from hpcflow.profiles import _IDENTIFIER, ImageRef

@@ -18,7 +18,7 @@ from hpcflow.dockerfile import (
     parse_dockerfile,
     render_dockerfile,
 )
-from hpcflow.errors import DockerfileError, ReconcileError
+from hpcflow.errors import DockerfileError, ProfileError
 from hpcflow.lint import lint
 from hpcflow.profiles import parse_env_spec
 
@@ -469,9 +469,8 @@ class TestGenerate:
         assert "error" not in [f.severity for f in report.findings]
 
     def test_entrypoint_needs_default_openmpi_for_cmd(self):
-        spec = parse_env_spec(
-            "[environment]\nbase_image = a/b:1\nstrategy = entrypoint\n"
-            "horovod_version = 0.21.3\nentrypoint_path = /entry.sh\n"
-        )
-        with pytest.raises(ReconcileError, match="openmpi_version"):
-            generate_dockerfile(spec)
+        with pytest.raises(ProfileError, match=r"^line 3: strategy 'entrypoint' .*openmpi_version"):
+            parse_env_spec(
+                "[environment]\nbase_image = a/b:1\nstrategy = entrypoint\n"
+                "horovod_version = 0.21.3\nentrypoint_path = /entry.sh\n"
+            )

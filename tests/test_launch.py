@@ -725,7 +725,9 @@ def _spec_fields(draw) -> dict:
         "registry": draw(st.just("") | _PATH_WORD),
     }
     spoiled = draw(st.sampled_from([None, None, None, *fields]))
-    if spoiled not in (None, "strategy", "openmpi_version") and fields[spoiled] is not None:
+    if spoiled == "openmpi_version" and strategy == "entrypoint":
+        fields[spoiled] = None  # no default for the image's CMD, which building must refuse
+    elif spoiled not in (None, "strategy", "openmpi_version") and fields[spoiled] is not None:
         fields[spoiled] = _spoiled(draw, fields[spoiled])
     return fields
 
@@ -733,6 +735,10 @@ def _spec_fields(draw) -> dict:
 class TestBuiltSpecDockerfileProperty:
     @settings(max_examples=100, deadline=None)
     @given(_spec_fields())
+    # an entrypoint spec without the default pair of its CMD must not build
+    @example(fields=dict(
+        base_image="a:1", strategy="entrypoint", horovod_version="1", entrypoint_path="/e.sh"
+    ))
     def test_every_built_spec_gives_a_clean_dockerfile(self, fields):
         from hpcflow.dockerfile import generate_dockerfile, render_dockerfile
         from hpcflow.lint import _words

@@ -189,6 +189,11 @@ def _runs() -> dict[str, tuple[list[str], dict[str, str], int]]:
     spec = {"entrypoint.spec": _with_value(texts["entrypoint.spec"], "base_image", "sudo:1")}
     add("job gen entrypoint.spec, base_image = 'sudo:1'", _job_gen(*pair, "1"), "csic.profile",
         **spec)
+    # the spec without its openmpi_version, refused here as by ``image gen``
+    # (a spec defect below)
+    spec = {"entrypoint.spec": _defects(texts["entrypoint.spec"], whole=False)["line 5 dropped"]}
+    add(f"job gen {' '.join(pair)}, line 5 dropped", _job_gen(*pair, "1"), "csic.profile", **spec)
+    add(f"run dry {' '.join(pair)}, line 5 dropped", _run_dry(*pair), "csic.profile", **spec)
 
     logs = [f"{n}:{TMP}/{log.name}" for n, log in enumerate(LOGS, start=1)]
     for warmup in ("0", "10"):
@@ -307,6 +312,17 @@ def _diff(manifest: dict, expected: dict) -> dict[str, list[str]]:
         "removed": sorted(expected.keys() - manifest.keys()),
         "changed": sorted(k for k in manifest.keys() & expected.keys() if manifest[k] != expected[k]),
     }
+
+
+def test_verbs_refuse_a_spec_alike():
+    """``image gen``, ``job gen`` and ``run dry`` refuse the spec without its
+    openmpi_version with one error line, and write nothing."""
+    runs = _runs()
+    verbs = ("image gen", "job gen csic.profile", "run dry csic.profile")
+    with tempfile.TemporaryDirectory() as tmp:
+        seen = [_outcome(*runs[f"{v} entrypoint.spec, line 5 dropped"], Path(tmp)) for v in verbs]
+    assert seen[0]["exit"] == 1 and seen[0]["files"] == {}
+    assert seen == [seen[0]] * 3
 
 
 def test_every_output_is_pinned():

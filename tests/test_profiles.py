@@ -580,6 +580,19 @@ class TestParseEnvSpec:
         with pytest.raises(ProfileError, match="entrypoint_path"):
             parse_env_spec(text)
 
+    def test_entrypoint_requires_openmpi_for_cmd(self):
+        # the image's CMD bakes in a default pair, so a spec without one is refused
+        text = (
+            "[environment]\nbase_image = a/b:1\nstrategy = entrypoint\n"
+            "horovod_version = 0.21.3\nentrypoint_path = /entry.sh\n"
+        )
+        with pytest.raises(ProfileError) as info:
+            parse_env_spec(text)
+        assert str(info.value) == (
+            "line 3: strategy 'entrypoint' bakes a default version pair into the image's CMD; "
+            "openmpi_version is required"
+        )
+
     def test_untagged_base_image_normalized(self):
         text = (
             "[environment]\nbase_image = org/img\nstrategy = ngc\n"
@@ -881,12 +894,20 @@ class TestSpecBuiltInCode:
                 "entrypoint_path is required",
             ),
             (
+                {"strategy": "entrypoint", "entrypoint_path": "/entry.sh"},
+                "strategy 'entrypoint' bakes a default version pair into the image's CMD; "
+                "openmpi_version is required",
+            ),
+            (
                 {"strategy": "tags", "base_image": "a@sha256:0"},
                 "strategy 'tags' picks the image tag per cluster; "
                 "base_image must not be digest-pinned",
             ),
         ],
-        ids=["tags-openmpi", "ngc-no-openmpi", "entrypoint-no-path", "tags-digest"],
+        ids=[
+            "tags-openmpi", "ngc-no-openmpi", "entrypoint-no-path", "entrypoint-no-openmpi",
+            "tags-digest",
+        ],
     )
     def test_strategy_rules(self, fields, message):
         with pytest.raises(ProfileError) as info:

@@ -12,7 +12,6 @@ from hpcflow.profiles import SemVer
 from hpcflow.recon import (
     InstallerConfig,
     ReconcilePlan,
-    default_cmd_args,
     encoded_tag_version,
     generate_entrypoint,
     reconcile,
@@ -157,19 +156,10 @@ class TestReconcile:
         spec = parse_env_spec(
             "[environment]\nbase_image = org/img:1.0\nstrategy = entrypoint\n"
             "horovod_version = 0.21.3\nentrypoint_path = /entry.sh\n"
-            "registry = registry.example.org\n"
+            "openmpi_version = 4.0.1\nregistry = registry.example.org\n"
         )
         plan = reconcile(spec, csic_profile)
         assert plan.image_ref == "registry.example.org/org/img:1.0"
-
-
-class TestDefaultCmdArgs:
-    def test_uses_spec_versions(self, entrypoint_spec):
-        assert default_cmd_args(entrypoint_spec) == ("4.0.1", "0.21.3")
-
-    def test_missing_openmpi_raises(self, tags_spec):
-        with pytest.raises(ReconcileError):
-            default_cmd_args(tags_spec)
 
 
 def stub_installers(log: Path, fail_openmpi: bool = False) -> InstallerConfig:

@@ -54,7 +54,7 @@ RECORDS = [
             base_image="nvidia/cuda:latest",
             strategy="entrypoint",
             horovod_version="0.19.0",
-            openmpi_version=None,
+            openmpi_version=SemVer(4, 0, 1),
             system_packages=("git",),
             code_copies=(("src", "/workspace"),),
             entrypoint_path="/opt/entrypoint.sh",
