@@ -14,13 +14,12 @@ from __future__ import annotations
 import gc
 import math
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 # Each command imports the layers it runs, so a cold start loads only those.
-from hpcflow.errors import CONTROL_CHAR, HpcflowError, read_float, read_int
+from hpcflow.errors import HpcflowError, one_line, read_float, read_int
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,18 +77,13 @@ def _tag_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _one_line(path: str | Path) -> str:
-    """``path`` as ``repr`` writes it if it holds a control character, or else as it is."""
-    return repr(str(path)) if re.search(CONTROL_CHAR, str(path)) else str(path)
-
-
 def _read_text(path: str) -> str:
     try:
         # a leading byte-order mark is dropped, as BuildKit does
         return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
-    raise HpcflowError(f"{_one_line(path)}: {reason}")
+    raise HpcflowError(f"{one_line(path)}: {reason}")
 
 
 def _write_files(texts: dict[Path, str]) -> None:
@@ -116,7 +110,7 @@ def _write_files(texts: dict[Path, str]) -> None:
                 path.write_bytes(old)
         raise
     for path in texts:
-        print(f"wrote {_one_line(path)}")
+        print(f"wrote {one_line(str(path))}")
 
 
 def _load_profile(path: str):
@@ -149,7 +143,7 @@ def cmd_image_gen(args: SimpleNamespace) -> int:
         script_path = out.parent / Path(spec.entrypoint_path).name
         if script_path == out:
             reason = "is also the path of the entrypoint script; choose another name"
-            raise HpcflowError(f"--out {_one_line(out)} {reason}")
+            raise HpcflowError(f"--out {one_line(str(out))} {reason}")
         texts[script_path] = recon.generate_entrypoint()
     _write_files(texts)
     return EXIT_OK
@@ -163,7 +157,7 @@ def cmd_image_lint(args: SimpleNamespace) -> int:
     if args.machine:
         sys.stdout.write(lint.machine_report(report))
     else:
-        path = lint._shown(args.path)  # a line break in the path would split a finding
+        path = one_line(args.path)  # a line break in the path would split a finding
         for finding in report.findings:
             print(
                 f"{path}:{finding.line}: {finding.rule_id} "
@@ -234,9 +228,9 @@ def cmd_run_mock(args: SimpleNamespace) -> int:
     results = runner.mock_run_ranks(plan, command)
     print("rank node local exit")
     for result in results:
-        env = result.env
-        node = env.get("NODE_INDEX", "?")
-        local = env.get("LOCAL_RANK", "?")
+        env = result.env  # read from the rank's own output
+        node = one_line(env.get("NODE_INDEX", "?"))
+        local = one_line(env.get("LOCAL_RANK", "?"))
         print(f"{result.rank} {node} {local} {result.exit_code}")
     failed = [result for result in results if result.exit_code != 0]
     for result in failed:

@@ -47,6 +47,7 @@ KNOWN_KINDS = frozenset(
 )
 # instructions whose arguments may be a JSON list of strings
 _EXEC_KINDS = frozenset({"RUN", "CMD", "ENTRYPOINT", "COPY", "ADD"})
+_JSON_BLANKS = " \t\n\r"  # json reads a list after them; parsed args never start with one
 # tolerated before the first FROM
 _PREAMBLE_KINDS = frozenset({"ARG", "COMMENT", "UNKNOWN"})
 
@@ -104,7 +105,7 @@ def exec_tokens(instr: Instruction) -> list[str] | None:
     ``json`` is no such list.
     """
     kind, text, _ = instr
-    if kind not in _EXEC_KINDS or text[:1] != "[":
+    if kind not in _EXEC_KINDS or text.lstrip(_JSON_BLANKS)[:1] != "[":
         return None
     words = _dumped_words(text)
     if words is not None:

@@ -1,14 +1,15 @@
 """Exception types, the ``Record`` base of the data classes, ``ImageRef``,
-``shell_words`` and the number readers ``read_int`` and ``read_float``.
+``shell_words``, the number readers ``read_int`` and ``read_float``, and
+``one_line``, which writes outside text on an output line.
 
 Every verb loads this module.  ``ImageRef`` lives here, not in ``profiles``
 (which re-exports it), so that ``image lint`` reads image references
 without loading the profile layer; ``shell_words`` and the shell character
 classes live here because ``lint`` and the privileged-command scan in
 ``profiles`` both read shell words, and neither layer loads the other.  The
-number readers and ``CONTROL_CHAR`` live here because the CLI reads counts
-and prints paths without loading the profile layer, and a profile's counts
-and values must be read the same way.
+number readers, ``CONTROL_CHAR`` and ``one_line`` live here because the CLI
+reads counts and prints paths without loading the profile layer, and a
+profile's counts and values must be read the same way.
 """
 
 from __future__ import annotations
@@ -116,6 +117,13 @@ def read_float(text: str) -> float:
     if not re.fullmatch(_FLOAT, text):
         raise ValueError(f"must be a number, got {text!r}")
     return float(text)
+
+
+def one_line(text: str) -> str:
+    """``text`` as ``repr`` writes it if it holds a ``CONTROL_CHAR`` character,
+    which could break an output line or drive a terminal, else as it is."""
+    # printable text, as nearly all is, holds none and needs no scan
+    return text if text.isprintable() or not re.search(CONTROL_CHAR, text) else repr(text)
 
 
 class Record:

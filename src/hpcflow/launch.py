@@ -21,7 +21,6 @@ from hpcflow.profiles import (
     _directive,
     _sh_word,
     _volume,
-    find_privileged_tokens,  # noqa: F401  (re-exported: tests import the scan from here)
 )
 
 # The annotation ``ReconcilePlan`` is ``hpcflow.recon.ReconcilePlan``, not

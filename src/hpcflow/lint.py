@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import re
 
-from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
-from hpcflow.errors import _BLANKS, _OPERATOR_CHARS, _VAR_NAME, ImageRef, Record, shell_words
+from hpcflow.dockerfile import _JSON_BLANKS, DockerfileAst, Instruction, exec_tokens
+from hpcflow.errors import (
+    _BLANKS, _OPERATOR_CHARS, _VAR_NAME, ImageRef, Record, one_line, shell_words
+)
 
 # each rule's severity; the module docstring describes the rules
 RULES: dict[str, str] = {
@@ -80,7 +82,7 @@ class SmellReport(Record):
 def _words(instr: Instruction) -> list[str]:
     """The instruction's shell words, tokenized once."""
     text = instr[1]
-    if text[:1] == "[":
+    if text.lstrip(_JSON_BLANKS)[:1] == "[":
         tokens = exec_tokens(instr)
         if tokens is not None:
             return tokens
@@ -200,12 +202,6 @@ _MANAGERS = frozenset(_CACHE_CLEANERS)
 _RULE_WORDS = _PATH_WORDS | _MANAGERS  # a RUN without one of these has no finding
 
 
-def _shown(path: str) -> str:
-    """``path`` as a message writes it: as ``repr`` gives it unless printable,
-    so that a line break in a path cannot start a line of the report."""
-    return path if path.isprintable() else repr(path)
-
-
 def _check_run(
     words: list[str],
     line: int,
@@ -222,7 +218,7 @@ def _check_run(
                 findings.append(SmellFinding(
                     "TF1",
                     line,
-                    f"{_shown(path)} was created on line {creating_line} and removed "
+                    f"{one_line(path)} was created on line {creating_line} and removed "
                     "in a later layer; the space is not freed, only the "
                     "reference is removed",
                     f"merge the removal into the RUN on line {creating_line} "
@@ -237,7 +233,7 @@ def _check_run(
                     findings.append(SmellFinding(
                         "TF2",
                         copy_line,
-                        f"archive {_shown(path)} is copied here and extracted on "
+                        f"archive {one_line(path)} is copied here and extracted on "
                         f"line {line}, leaving the archive in its own layer",
                         "use ADD instead of COPY; it extracts local archives "
                         "in a single layer",
@@ -297,7 +293,7 @@ def _p1(
     return SmellFinding(
         "P1",
         line,
-        f"base image {ref} {problem}; the build environment is not reproducible",
+        f"base image {one_line(image)} {problem}; the build environment is not reproducible",
         "pin an exact version tag for the base image",
     )
 

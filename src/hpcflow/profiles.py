@@ -105,10 +105,13 @@ class SemVer(Record):
     @classmethod
     def parse(cls, text: str) -> "SemVer":
         """``text`` as ``MAJOR.MINOR[.PATCH]``, each part a count as ``read_int`` reads
-        it (so ``4.00.1`` is refused), else ``ValueError('unparseable version ...')``."""
+        it (so ``4.00.1`` is refused), else ``ValueError('unparseable version ...')``;
+        a part too long for ``int`` is named by its count of digits, not echoed."""
         try:
             numbers = [read_int(part, 0) for part in text.strip().split(".")]
-        except ValueError:
+        except ValueError as exc:
+            if str(exc).startswith("has "):  # read_int's "has N digits, more than ..."
+                raise ValueError(f"unparseable version (a part {exc})") from None
             numbers = []
         if len(numbers) not in (2, 3):
             raise ValueError(f"unparseable version {text!r} (expected MAJOR.MINOR[.PATCH])")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from hpcflow.errors import ImageRef, ReconcileError, Record
+from hpcflow.errors import ImageRef, ReconcileError, Record, one_line
 from hpcflow.profiles import DEFAULT_REGISTRY, ClusterProfile, EnvironmentSpec, SemVer
 
 _TAG = r"ompi([0-9]+\.[0-9]+)(?:-[A-Za-z0-9._-]+)?"  # Docker tags are ASCII
@@ -89,12 +89,17 @@ def select_tag(available_tags: list[str], cluster_mpi: SemVer) -> str:
     choice is deterministic.
 
     Raises:
-        ReconcileError: when no tag encodes the cluster's major.minor.
+        ReconcileError: when no tag encodes the cluster's major.minor; it
+            names each ``ompi`` tag that was ignored.
     """
     encoded = {tag: v for tag in available_tags if (v := encoded_tag_version(tag)) is not None}
     matches = [tag for tag, version in encoded.items() if versions_match(version, cluster_mpi)]
     if not matches:
         known = ", ".join(sorted(set(map(str, encoded.values())))) or "none"
+        ignored = [t for t in dict.fromkeys(available_tags) if t[:4] == "ompi" and t not in encoded]
+        if ignored:  # each named by at most the 128 characters a Docker tag can have
+            named = (one_line(t[:128]) + ("..." if len(t) > 128 else "") for t in ignored)
+            known += f"; ignored, not ompiM.m[-variant]: {', '.join(named)}"
         raise ReconcileError(
             f"no tag for OpenMPI {cluster_mpi.major}.{cluster_mpi.minor} "
             f"(encoded versions available: {known})"

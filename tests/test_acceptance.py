@@ -22,7 +22,6 @@ from hpcflow import cli
 from hpcflow.dockerfile import parse_dockerfile, render_dockerfile
 from hpcflow.launch import (
     JobRequest,
-    find_privileged_tokens,
     plan_launch,
     render_install_script,
     render_job_script,
@@ -30,7 +29,7 @@ from hpcflow.launch import (
 )
 from hpcflow.lint import lint
 from hpcflow.perf import BenchRun, ModelSpec, ScalingInputs, parse_bench_log, predict, summarize
-from hpcflow.profiles import parse_cluster_profile, parse_env_spec
+from hpcflow.profiles import find_privileged_tokens, parse_cluster_profile, parse_env_spec
 from hpcflow.recon import generate_entrypoint, reconcile
 from hpcflow.runner import env_dump_command, mock_run_ranks
 

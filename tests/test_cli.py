@@ -24,8 +24,9 @@ import hpcflow
 from conftest import FIXTURES, corpus_paths
 from hpcflow import cli
 from hpcflow.cli import main
-from hpcflow.errors import read_float, read_int
-from hpcflow.launch import PRIVILEGED_TOKENS, default_container_name, find_privileged_tokens
+from hpcflow.errors import CONTROL_CHAR, one_line, read_float, read_int
+from hpcflow.launch import PRIVILEGED_TOKENS, default_container_name
+from hpcflow.profiles import find_privileged_tokens
 
 PROFILES = FIXTURES / "profiles"
 SPECS = FIXTURES / "specs"
@@ -619,7 +620,14 @@ class TestRun:
             (
                 ["--tags", "ompi\u0664.\u0660"],  # Arabic-Indic digits
                 1,
-                "error: no tag for OpenMPI 4.0 (encoded versions available: none)\n",
+                "error: no tag for OpenMPI 4.0 (encoded versions available: none; "
+                "ignored, not ompiM.m[-variant]: ompi\u0664.\u0660)\n",
+            ),
+            (
+                ["--tags", "ompi4.0.1,ompi04.0,latest,ompi\x1b[2J"],
+                1,
+                "error: no tag for OpenMPI 4.0 (encoded versions available: none; "
+                "ignored, not ompiM.m[-variant]: ompi4.0.1, ompi04.0, 'ompi\\x1b[2J')\n",
             ),
         ],
     )
@@ -764,6 +772,154 @@ class TestPathWithLineBreak:
         error = f"error: --out {out!r} is also the path of the entrypoint script; "
         assert run_cli(argv, capsys) == (1, "", error + "choose another name\n")
         assert os.listdir(tmp_path) == []
+
+
+def _run_to_bytes(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` with a UTF-8 stdout as a process has one: its exit code,
+    stdout as its bytes read back with surrogates for the bytes that are not
+    UTF-8, and stderr."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    stdout.flush()
+    return code, stdout.buffer.getvalue().decode("utf-8", "surrogateescape"), stderr.getvalue()
+
+
+def _forged(out: str) -> bool:
+    """Whether ``out`` holds a control character other than its line ends,
+    such as a line break inside a line or the ESC of a terminal sequence."""
+    return re.search(CONTROL_CHAR, out.replace("\n", "")) is not None
+
+
+class TestOutsideTextOnOneLine:
+    """Text from outside (a Dockerfile, a path argument, a rank's output) is
+    written on an output line as ``errors.one_line`` writes it: as ``repr``
+    writes it if it holds a control character, else as it is."""
+
+    @given(st.text())
+    @example("\x85")
+    @example("\udcff")  # a byte of argv that is not UTF-8: printed as that byte again
+    def test_one_line_escapes_text_with_a_control_character(self, text):
+        shown = one_line(text)
+        assert re.search(CONTROL_CHAR, shown) is None
+        if re.search(CONTROL_CHAR, text):
+            assert ast.literal_eval(shown) == text
+        else:
+            assert shown == text
+
+    def test_p1_image_is_written_as_repr_with_an_escape(self, tmp_path, capsys):
+        dockerfile = tmp_path / "Dockerfile"
+        dockerfile.write_text("FROM ubu\x1b[2Jntu\n")
+        code, out, err = run_cli(["image", "lint", "--machine", str(dockerfile)], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "P1:warning:1:base image 'ubu\\x1b[2Jntu' has no tag; "
+            "the build environment is not reproducible\n"
+        )
+
+    @pytest.mark.parametrize("char", ["\u00a0", "\u200b", "\u202e"], ids=["nbsp", "zwsp", "rlo"])
+    def test_path_without_a_control_character_is_written_as_it_is(self, char, tmp_path, capsys):
+        # not printable, but neither a line break nor a control character
+        dockerfile = tmp_path / "Dockerfile"
+        dockerfile.write_text(f"FROM a:1\nRUN wget -O /a{char}b u\nRUN rm /a{char}b\n")
+        code, out, err = run_cli(["image", "lint", "--machine", str(dockerfile)], capsys)
+        assert (code, err) == (3, "")
+        assert out.startswith(f"TF1:error:3:/a{char}b was created on line 2 and removed")
+
+    def test_human_report_begins_with_the_paths_bytes(self, tmp_path):
+        (tmp_path / "\udcff.df").write_text("FROM a\n")  # the file name is the byte 0xff
+        code, out, err = _run_to_bytes(["image", "lint", f"{tmp_path}/\udcff.df"])
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8", "surrogateescape").startswith(
+            bytes(tmp_path) + b"/\xff.df:1: P1 [warning] base image a has no tag"
+        )
+
+    def test_mock_cell_from_a_rank_is_written_as_repr(self, capsys):
+        argv = ["run", "mock", "--nodes", "1", "--gpus-per-node", "1", "--"]
+        command = ["printf", "NODE_INDEX=a\\033[2Jb\\nLOCAL_RANK=0\\n"]
+        assert run_cli([*argv, *command], capsys) == (
+            0, "rank node local exit\n0 'a\\x1b[2Jb' 0 0\n", ""
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.sampled_from(["FROM ubu{}ntu\n", "ARG B=ubu{}\nFROM $B\n"]))
+    @example("\x1b[2J", "FROM ubu{}ntu\n")
+    @example("\u2028P1:error:9:x", "ARG B=ubu{}\nFROM $B\n")
+    def test_from_image_forges_no_finding(self, text, template):
+        from hpcflow.dockerfile import parse_dockerfile
+        from hpcflow.errors import DockerfileError
+        from hpcflow.lint import lint
+
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder, "Dockerfile")
+            path.write_text(template.format(text), encoding="utf-8")
+            code, out, _ = _run_to_bytes(["image", "lint", "--machine", str(path)])
+            try:  # the text as the CLI reads it, a CR as a line end
+                findings = lint(parse_dockerfile(path.read_text(encoding="utf-8"))).findings
+            except DockerfileError:
+                findings = None
+        assert not _forged(out), out
+        if findings is None:
+            assert (code, out) == (1, "")
+        else:
+            lines = out.splitlines()
+            assert [line.split(":", 3)[:3] for line in lines] == [
+                [f.rule_id, f.severity, str(f.line)] for f in findings
+            ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    @example("a\nTF1:error:9:b")
+    @example("\x1b]0;title\x07")
+    def test_tf1_path_forges_no_finding(self, text):
+        path = json.dumps("/tmp/" + text)  # JSON form: any text is one word on one line
+        content = f'FROM a:1\nRUN ["wget", "-O", {path}, "u"]\nRUN ["rm", {path}]\n'
+        with tempfile.TemporaryDirectory() as folder:
+            dockerfile = Path(folder, "Dockerfile")
+            dockerfile.write_text(content)
+            code, out, _ = _run_to_bytes(["image", "lint", "--machine", str(dockerfile)])
+        assert code == 3
+        assert not _forged(out), out
+        assert len(out.splitlines()) == 1 and out.startswith("TF1:error:3:"), out
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=40))
+    @example("x\nerror: y")
+    @example("\x1b[2J")
+    def test_path_argument_forges_no_line(self, text):
+        name = "d" + text.replace("/", "").replace("\0", "")  # a file name, never . or ..
+        with tempfile.TemporaryDirectory() as folder:
+            path = f"{folder}/{name}"
+            Path(path).write_text("FROM a:latest\n")
+            code, out, err = _run_to_bytes(["image", "lint", path])
+            _, machine, _ = _run_to_bytes(["image", "lint", "--machine", path])
+        assert (code, err) == (0, "")
+        assert not _forged(out), out
+        finding, fix, summary = out.splitlines()
+        assert finding.startswith(f"{one_line(path)}:1: P1 [warning] base image a:latest ")
+        assert fix.startswith("    fix: ") and summary == "0 error(s), 1 warning(s), 0 info"
+        assert machine.count("\n") == 1 and machine.startswith("P1:warning:1:")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text())
+    @example("a\x1b[2Jb", "0")
+    @example("0 0 0\n1", "\u2028")
+    def test_rank_output_forges_no_table_row(self, node, local):
+        from hpcflow import runner
+
+        def ranks(plan, command):
+            # a rank that printed these lines, as the user's command may
+            stdout = f"NODE_INDEX={node}\nLOCAL_RANK={local}\n"
+            return [runner.RankResult(0, 0, stdout=stdout), runner.RankResult(1, 0)]
+
+        with mock.patch.object(runner, "mock_run_ranks", ranks):
+            code, out, err = _run_to_bytes(["run", "mock", "--nodes", "1", "--gpus-per-node", "2"])
+        assert (code, err) == (0, "")
+        assert not _forged(out), out
+        header, first, second = out.splitlines()
+        env = runner.RankResult(0, 0, f"NODE_INDEX={node}\nLOCAL_RANK={local}\n").env
+        cells = [one_line(env.get("NODE_INDEX", "?")), one_line(env.get("LOCAL_RANK", "?"))]
+        assert (header, first, second) == ("rank node local exit", f"0 {' '.join(cells)} 0", "1 ? ? 0")
 
 
 @given(st.one_of(st.text(), st.sampled_from(sorted(PRIVILEGED_TOKENS)).map("reg/{}:1".format)))

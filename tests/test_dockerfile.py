@@ -339,6 +339,7 @@ class TestRender:
     @example('["\\u0061"]')
     @example("[" * 100_000)
     @example('["a", ' + "[" * 5000)
+    @example(" []")  # json reads a list after its blanks
     def test_exec_form_is_what_json_reads(self, text):
         # exec_tokens reads a list that json.dumps would write as it stands
         # without json; what it reads must be what json would give

@@ -20,13 +20,13 @@ from hpcflow.launch import (
     PRIVILEGED_TOKENS,
     JobRequest,
     LaunchPlan,
-    find_privileged_tokens,
     grid_plan,
     plan_launch,
     render_install_script,
     render_job_script,
     render_udocker_setup,
 )
+from hpcflow.profiles import find_privileged_tokens
 from hpcflow.recon import reconcile
 
 
@@ -648,7 +648,7 @@ def _spec_text(draw) -> str:
     """``[environment]`` text with hostile-looking values; most of it parses."""
     strategy = draw(st.sampled_from(["tags", "ngc", "entrypoint"]))
     values = {
-        "base_image": draw(_joined(_PATH_CHAR, _PATH_CHAR | st.just("\u00dc"))),
+        "base_image": draw(_PATH_WORD),
         "strategy": strategy,
         "horovod_version": draw(_VERSION),
         "system_packages": ", ".join(draw(st.lists(_PACKAGE, max_size=3))),
@@ -715,7 +715,7 @@ def _spec_fields(draw) -> dict:
 
     strategy = draw(st.sampled_from(["tags", "ngc", "entrypoint"]))
     fields = {
-        "base_image": draw(_joined(_PATH_CHAR, _PATH_CHAR | st.just("\u00dc"))),
+        "base_image": draw(_PATH_WORD),
         "strategy": strategy,
         "horovod_version": draw(_VERSION),
         "openmpi_version": None if strategy == "tags" else SemVer(4, 0, 1),

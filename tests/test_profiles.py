@@ -48,12 +48,20 @@ class TestSemVer:
     # each part is a count, read as read_int reads one: the text str() writes
     @pytest.mark.parametrize(
         "bad",
-        ["04.0", "4.00.1", "4.0.01", "\u0664.\u0660", "4.+1", "1_0.0", "4. 0", "4.-0", "1" * 5000 + ".0"],
+        ["04.0", "4.00.1", "4.0.01", "\u0664.\u0660", "4.+1", "1_0.0", "4. 0", "4.-0"],
     )
     def test_rejects_parts_not_written_as_str_writes(self, bad):
         expected = r" \(expected MAJOR\.MINOR\[\.PATCH\]\)$"
         with pytest.raises(ValueError, match=r"^unparseable version .*" + expected):
             SemVer.parse(bad)
+
+    @pytest.mark.parametrize("bad", ["1" * 5000 + ".0", "4." + "1" * 5000, "4.0." + "1" * 5000])
+    def test_part_too_long_for_int_is_named_by_its_count(self, bad):
+        # the text is not echoed: its error line stays short
+        message = "unparseable version (a part has 5000 digits, more than Python reads as an integer)"
+        with pytest.raises(ValueError) as info:
+            SemVer.parse(bad)
+        assert str(info.value) == message
 
     @given(
         st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)),
@@ -749,8 +757,11 @@ class TestReaderErrorLines:
             "[cluster]\nname = x\nscheduler = slurm\ngpus_per_node = 1\ngpu_nodes = 1\n"
             f"openmpi_version = {'1' * 5000}.1\ncontainer_runtime_path = /u\n"
         )
-        with pytest.raises(ProfileError, match="^line 6: openmpi_version "):
+        with pytest.raises(ProfileError, match="^line 6: openmpi_version ") as info:
             parse_cluster_profile(text)
+        # the part is named by its count, not echoed: the error line stays short
+        assert "5000 digits" in str(info.value)
+        assert len(str(info.value)) < 120
 
     @pytest.mark.parametrize(
         "key, value, message",

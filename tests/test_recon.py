@@ -43,12 +43,32 @@ class TestSelectTag:
         assert encoded_tag_version("ompi\u0664.\u0660") is None
         assert encoded_tag_version("ompi4.0") == SemVer(4, 0)
 
-    @pytest.mark.parametrize("tag", ["ompi04.0", "ompi4.00", "ompi4." + "1" * 5000, "ompi4.0.1"])
+    @pytest.mark.parametrize("tag", ["ompi04.0", "ompi4.00", "ompi4.0.1"])
     def test_tag_not_read_back_as_its_version_is_ignored(self, tag):
         # SemVer.parse reads the version: the text str() writes, digits int() can read
         assert encoded_tag_version(tag) is None
-        with pytest.raises(ReconcileError, match=r"\(encoded versions available: none\)$"):
+        with pytest.raises(ReconcileError) as info:
             select_tag([tag], SemVer(4, 0, 1))
+        assert str(info.value).endswith(
+            f"(encoded versions available: none; ignored, not ompiM.m[-variant]: {tag})"
+        )
+
+    def test_tag_too_long_for_docker_is_named_by_its_first_128_characters(self):
+        tag = "ompi4." + "1" * 5000  # more digits than int() reads
+        assert encoded_tag_version(tag) is None
+        with pytest.raises(ReconcileError) as info:
+            select_tag([tag], SemVer(4, 0, 1))
+        assert str(info.value).endswith(f"ignored, not ompiM.m[-variant]: ompi4.{'1' * 122}...)")
+
+    def test_error_names_each_ignored_ompi_tag_once_on_one_line(self):
+        # a tag is outside text: one holding a control character is written as repr writes it
+        tags = ["latest", "ompi4.0.1", "ompi3.1", "ompi04.0", "ompi4.0.1", "ompi4.0\x1b[2J"]
+        with pytest.raises(ReconcileError) as info:
+            select_tag(tags, SemVer(4, 0, 1))
+        assert str(info.value) == (
+            "no tag for OpenMPI 4.0 (encoded versions available: 3.1; ignored, "
+            "not ompiM.m[-variant]: ompi4.0.1, ompi04.0, 'ompi4.0\\x1b[2J')"
+        )
 
     def test_match_is_versions_match(self):
         # a tag states no patch, so any patch of the cluster's major.minor matches
@@ -56,7 +76,8 @@ class TestSelectTag:
         for cluster in ("4.0", "4.0.0", "4.0.1", "4.0.7"):
             assert select_tag(tags, SemVer.parse(cluster)) == "ompi4.0-slim"
         assert select_tag(tags, SemVer.parse("3.1.2")) == "ompi3.1"
-        known = r"\(encoded versions available: 3\.1, 4\.0, 4\.9\)$"
+        known = r"\(encoded versions available: 3\.1, 4\.0, 4\.9; ignored, not "
+        known += r"ompiM\.m\[-variant\]: ompi04\.0, ompi4\.00\)$"
         with pytest.raises(ReconcileError, match=r"^no tag for OpenMPI 4\.1 " + known):
             select_tag(tags, SemVer.parse("4.1.5"))
 
