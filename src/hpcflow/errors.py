@@ -122,8 +122,7 @@ def read_float(text: str) -> float:
 def one_line(text: str) -> str:
     """``text`` as ``repr`` writes it if it holds a ``CONTROL_CHAR`` character,
     which could break an output line or drive a terminal, else as it is."""
-    # printable text, as nearly all is, holds none and needs no scan
-    return text if text.isprintable() or not re.search(CONTROL_CHAR, text) else repr(text)
+    return repr(text) if re.search(CONTROL_CHAR, text) else text
 
 
 class Record:

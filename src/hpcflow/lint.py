@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 
-from hpcflow.dockerfile import _JSON_BLANKS, DockerfileAst, Instruction, exec_tokens
+from hpcflow.dockerfile import DockerfileAst, Instruction, exec_tokens
 from hpcflow.errors import (
     _BLANKS, _OPERATOR_CHARS, _VAR_NAME, ImageRef, Record, one_line, shell_words
 )
@@ -81,11 +81,10 @@ class SmellReport(Record):
 
 def _words(instr: Instruction) -> list[str]:
     """The instruction's shell words, tokenized once."""
+    tokens = exec_tokens(instr)
+    if tokens is not None:
+        return tokens
     text = instr[1]
-    if text.lstrip(_JSON_BLANKS)[:1] == "[":
-        tokens = exec_tokens(instr)
-        if tokens is not None:
-            return tokens
     if "'" in text or '"' in text or "\\" in text:
         try:
             return shell_words(text)

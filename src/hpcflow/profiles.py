@@ -105,16 +105,18 @@ class SemVer(Record):
     @classmethod
     def parse(cls, text: str) -> "SemVer":
         """``text`` as ``MAJOR.MINOR[.PATCH]``, each part a count as ``read_int`` reads
-        it (so ``4.00.1`` is refused), else ``ValueError('unparseable version ...')``;
-        a part too long for ``int`` is named by its count of digits, not echoed."""
+        it (so ``4.00.1`` is refused), else ``ValueError('unparseable version ...')``,
+        which echoes ``text`` if its ``repr`` is at most 64 characters and else
+        names its length, so the error stays one short line."""
         try:
             numbers = [read_int(part, 0) for part in text.strip().split(".")]
-        except ValueError as exc:
-            if str(exc).startswith("has "):  # read_int's "has N digits, more than ..."
-                raise ValueError(f"unparseable version (a part {exc})") from None
+        except ValueError:
             numbers = []
         if len(numbers) not in (2, 3):
-            raise ValueError(f"unparseable version {text!r} (expected MAJOR.MINOR[.PATCH])")
+            expected = "expected MAJOR.MINOR[.PATCH]"
+            if len(repr(text)) > 64:
+                raise ValueError(f"unparseable version ({len(text)} characters; {expected})")
+            raise ValueError(f"unparseable version {text!r} ({expected})")
         return cls(*numbers, patch_specified=len(numbers) == 3)
 
     def __str__(self) -> str:

@@ -55,13 +55,30 @@ class TestSemVer:
         with pytest.raises(ValueError, match=r"^unparseable version .*" + expected):
             SemVer.parse(bad)
 
-    @pytest.mark.parametrize("bad", ["1" * 5000 + ".0", "4." + "1" * 5000, "4.0." + "1" * 5000])
-    def test_part_too_long_for_int_is_named_by_its_count(self, bad):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "1" * 5000 + ".0",
+            "4.1" + "1" * 4999,
+            "4.0." + "1" * 4998,
+            "04." + "1" * 4999,  # the first part refused is not the long one
+            "4.0." + "a" * 4998,
+            "4.0\n" + "1" * 4998,
+        ],
+        ids=["first", "second", "third", "short-first", "letters", "line-break"],
+    )
+    def test_long_text_is_named_by_its_length(self, bad):
         # the text is not echoed: its error line stays short
-        message = "unparseable version (a part has 5000 digits, more than Python reads as an integer)"
+        message = "unparseable version (5002 characters; expected MAJOR.MINOR[.PATCH])"
         with pytest.raises(ValueError) as info:
             SemVer.parse(bad)
         assert str(info.value) == message
+
+    def test_text_is_echoed_while_its_repr_is_short(self):
+        for bad, echoed in (("4." * 31, True), ("4." * 32, False), ("\x1b" * 16, False)):
+            with pytest.raises(ValueError) as info:
+                SemVer.parse(bad)
+            assert (repr(bad) in str(info.value)) is echoed
 
     @given(
         st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)),
@@ -752,16 +769,18 @@ class TestReaderErrorLines:
         assert str(info.value) == message
 
     def test_version_too_long_for_int_names_key_and_line(self):
-        # int() refuses more than 4300 digits with ValueError, not ProfileError
-        text = (
-            "[cluster]\nname = x\nscheduler = slurm\ngpus_per_node = 1\ngpu_nodes = 1\n"
-            f"openmpi_version = {'1' * 5000}.1\ncontainer_runtime_path = /u\n"
-        )
-        with pytest.raises(ProfileError, match="^line 6: openmpi_version ") as info:
-            parse_cluster_profile(text)
-        # the part is named by its count, not echoed: the error line stays short
-        assert "5000 digits" in str(info.value)
-        assert len(str(info.value)) < 120
+        # int() refuses more than 4300 digits with ValueError, not ProfileError;
+        # in "04.111…" the first part refused is not the long one
+        for version in ("1" * 5000 + ".1", "04." + "1" * 5000):
+            text = (
+                "[cluster]\nname = x\nscheduler = slurm\ngpus_per_node = 1\ngpu_nodes = 1\n"
+                f"openmpi_version = {version}\ncontainer_runtime_path = /u\n"
+            )
+            with pytest.raises(ProfileError, match="^line 6: openmpi_version ") as info:
+                parse_cluster_profile(text)
+            # the text is named by its length, not echoed: the error line stays short
+            assert f"({len(version)} characters; " in str(info.value)
+            assert len(str(info.value)) < 120
 
     @pytest.mark.parametrize(
         "key, value, message",
