@@ -79,8 +79,8 @@ def _tag_list(text: str) -> list[str]:
 
 def _read_text(path: str) -> str:
     try:
-        # a leading byte-order mark is dropped, as BuildKit does
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        # line ends as written; a leading byte-order mark is dropped, as BuildKit does
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
     raise HpcflowError(f"{one_line(path)}: {reason}")
@@ -457,8 +457,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # argv that is not UTF-8 arrives as surrogates; printed, they are its bytes again
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(errors="surrogateescape")
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="surrogateescape")
     if "--" in argv:
         split = argv.index("--")
         argv, user_command = argv[:split], argv[split + 1 :]

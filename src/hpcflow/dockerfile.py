@@ -7,12 +7,12 @@ nodes, and comments and blank lines are kept as ``COMMENT`` nodes so rule
 reports can point at real line numbers.
 
 A JSON list of strings after RUN, CMD, ENTRYPOINT, COPY or ADD is exec
-form, kept as canonical JSON; so the ``["src", ..., "dest"]`` form of COPY
-and ADD reaches lint as words, like the shell form.  Only the functions that
-read or write such a list import ``json``; neither the parser nor
-``exec_tokens`` loads it for a list already written as ``json.dumps`` writes
-one of plain ASCII words, so a typical Dockerfile is parsed and linted
-without it.
+form, kept as written.  ``exec_tokens`` is its one reader, so the
+``["src", ..., "dest"]`` form of COPY and ADD reaches lint as words, like
+the shell form, and ``make_exec`` its one writer.  The parser never loads
+``json``, and ``exec_tokens`` loads it only for a list not written as
+``json.dumps`` writes one of plain ASCII words, so a typical Dockerfile is
+parsed and linted without it.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class Instruction(collections.namedtuple("Instruction", "kind args line_span", d
 
     ``args`` holds the argument text with continuations collapsed.  After
     RUN, CMD, ENTRYPOINT, COPY or ADD, text that is a JSON list of strings
-    is exec form, which ``exec_tokens`` reads as words; the parser writes
-    such a list as ``json.dumps`` writes it.  So whether an instruction is
-    in exec form is read from its kind and ``args``, not held beside them.
+    is exec form, which ``exec_tokens`` reads as words; the parser keeps
+    such a list as written.  So whether an instruction is in exec form is
+    read from its kind and ``args``, not held beside them.
     ``COMMENT`` and ``UNKNOWN`` keep their raw line verbatim in ``args``.
     ``line_span`` records source lines and is excluded from equality, since
     rendering collapses continuations.
@@ -229,24 +229,17 @@ def parse_dockerfile(text: str, source_name: str | None = None) -> DockerfileAst
         elif not seen_from and kind not in _PREAMBLE_KINDS:
             raise DockerfileError(f"{kind} instruction before any FROM", line=start)
 
-        if args[:1] == "[" and kind in _EXEC_KINDS and _dumped_words(args) is None:
-            tokens = exec_tokens(Instruction(kind, args))
-            if tokens is not None:  # a list of strings, written as json.dumps writes it
-                import json
-
-                args = json.dumps(tokens)
-
         append(new(Instruction, (kind, args, (start, end))))
 
     return DockerfileAst(tuple(instructions), source_name=source_name)
 
 
 def render_dockerfile(ast: DockerfileAst) -> str:
-    """Render an AST to canonical text: one instruction per line.
+    """Render an AST to text: one instruction per line.
 
-    Continuations are collapsed, exec-form arguments come out as a
-    bracketed double-quoted token list, and COMMENT/UNKNOWN lines are
-    emitted verbatim, so ``parse(render(ast))`` equals ``ast``.
+    Continuations are collapsed, and arguments, exec-form lists among them,
+    and COMMENT/UNKNOWN lines are emitted as they are held, so
+    ``parse(render(ast))`` equals ``ast``.
     """
     if not ast.instructions:
         return ""

@@ -24,7 +24,7 @@ import hpcflow
 from conftest import FIXTURES, corpus_paths
 from hpcflow import cli
 from hpcflow.cli import main
-from hpcflow.errors import CONTROL_CHAR, one_line, read_float, read_int
+from hpcflow.errors import CONTROL_CHAR, HpcflowError, one_line, read_float, read_int
 from hpcflow.launch import PRIVILEGED_TOKENS, default_container_name
 from hpcflow.profiles import find_privileged_tokens
 
@@ -775,14 +775,17 @@ class TestPathWithLineBreak:
 
 
 def _run_to_bytes(argv: list[str]) -> tuple[int, str, str]:
-    """``main(argv)`` with a UTF-8 stdout as a process has one: its exit code,
-    stdout as its bytes read back with surrogates for the bytes that are not
-    UTF-8, and stderr."""
-    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    """``main(argv)`` with a UTF-8 stdout and stderr as a process has them: its
+    exit code, and stdout and stderr as their bytes read back with surrogates
+    for the bytes that are not UTF-8."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     stdout.flush()
-    return code, stdout.buffer.getvalue().decode("utf-8", "surrogateescape"), stderr.getvalue()
+    stderr.flush()
+    out, err = (s.buffer.getvalue().decode("utf-8", "surrogateescape") for s in (stdout, stderr))
+    return code, out, err
 
 
 def _forged(out: str) -> bool:
@@ -834,6 +837,14 @@ class TestOutsideTextOnOneLine:
             bytes(tmp_path) + b"/\xff.df:1: P1 [warning] base image a has no tag"
         )
 
+    def test_error_line_begins_with_the_paths_bytes(self, tmp_path):
+        (tmp_path / "x\udcff.df").write_bytes(b"\xff")  # neither the name nor the text is UTF-8
+        code, out, err = _run_to_bytes(["image", "lint", f"{tmp_path}/x\udcff.df"])
+        assert (code, out) == (1, "")
+        assert err.encode("utf-8", "surrogateescape") == b"error: %s/x\xff.df: %s\n" % (
+            bytes(tmp_path), b"not UTF-8 text (invalid start byte at byte 0)"
+        )
+
     def test_mock_cell_from_a_rank_is_written_as_repr(self, capsys):
         argv = ["run", "mock", "--nodes", "1", "--gpus-per-node", "1", "--"]
         command = ["printf", "NODE_INDEX=a\\033[2Jb\\nLOCAL_RANK=0\\n"]
@@ -845,19 +856,21 @@ class TestOutsideTextOnOneLine:
     @given(st.text(), st.sampled_from(["FROM ubu{}ntu\n", "ARG B=ubu{}\nFROM $B\n"]))
     @example("\x1b[2J", "FROM ubu{}ntu\n")
     @example("\u2028P1:error:9:x", "ARG B=ubu{}\nFROM $B\n")
+    @example("\r0", "ARG B=ubu{}\nFROM $B\n")  # a CR inside a line ends no line
     def test_from_image_forges_no_finding(self, text, template):
         from hpcflow.dockerfile import parse_dockerfile
         from hpcflow.errors import DockerfileError
         from hpcflow.lint import lint
 
+        content = template.format(text)
         with tempfile.TemporaryDirectory() as folder:
             path = Path(folder, "Dockerfile")
-            path.write_text(template.format(text), encoding="utf-8")
+            path.write_bytes(content.encode("utf-8"))
             code, out, _ = _run_to_bytes(["image", "lint", "--machine", str(path)])
-            try:  # the text as the CLI reads it, a CR as a line end
-                findings = lint(parse_dockerfile(path.read_text(encoding="utf-8"))).findings
-            except DockerfileError:
-                findings = None
+        try:  # the text as written
+            findings = lint(parse_dockerfile(content)).findings
+        except DockerfileError:
+            findings = None
         assert not _forged(out), out
         if findings is None:
             assert (code, out) == (1, "")
@@ -959,6 +972,87 @@ def test_leading_byte_order_mark_is_dropped(original, argv, tmp_path, capsys):
     code, out, err = run_cli([a.replace("{path}", str(original)) for a in argv], capsys)
     assert code in (0, 3) and err == ""
     assert run_cli([a.replace("{path}", str(bom)) for a in argv], capsys) == (code, out, err)
+
+
+def _lint_result(text: str) -> tuple[int, str]:
+    """The exit code and stdout of ``image lint --machine``, from the library."""
+    from hpcflow.dockerfile import parse_dockerfile
+    from hpcflow.lint import lint, machine_report
+
+    report = lint(parse_dockerfile(text))
+    return (3 if any(f.severity == "error" for f in report.findings) else 0), machine_report(report)
+
+
+def _profile_result(text: str) -> tuple[int, str]:
+    """The exit code and stdout of ``profile validate --machine``, from the library."""
+    from hpcflow.profiles import parse_cluster_profile, validate_profile
+
+    return 0, "".join(f"warning: {w}\n" for w in validate_profile(parse_cluster_profile(text)))
+
+
+def _bench_result(text: str) -> tuple[int, str]:
+    """The exit code and stdout of ``bench report 1:LOG``, from the library."""
+    from hpcflow import perf
+
+    summary = perf.summarize(perf.parse_bench_log(text, 0, gpus=1))
+    return 0, f"gpus,mean,ci95,speedup\n1,{summary.mean:.6g},{summary.ci95_half_width:.6g},1\n"
+
+
+_LINE_END_CASES = {
+    "dockerfile": (
+        "FROM a:1\nRUN wget -O /f u\nRUN rm /f\n",
+        ["image", "lint", "--machine", "{path}"],
+        _lint_result,
+    ),
+    "profile": (_CSIC, ["profile", "validate", "--machine", "{path}"], _profile_result),
+    "bench log": (
+        (LOGS / "bench_1gpu.log").read_text(), ["bench", "report", "1:{path}"], _bench_result
+    ),
+}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "text, argv, library", list(_LINE_END_CASES.values()), ids=list(_LINE_END_CASES)
+)
+def test_cli_reads_line_ends_as_the_library_does(text, argv, library, end, tmp_path, capsys):
+    # a line ends at LF; a CR before it is a trailing blank, and any other CR is text
+    text = text.replace("\n", end)
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = (*library(text), "")
+    except HpcflowError as exc:
+        expected = (1, "", f"error: {exc}\n")
+    assert run_cli([a.replace("{path}", str(path)) for a in argv], capsys) == expected
+
+
+_CR_IN_A_LINE = {
+    "dockerfile": (
+        "FROM a:1\nRUN wget -O /f u\rRUN rm /f\n", ["image", "lint", "--machine", "{path}"], 0, ""
+    ),
+    "profile": (
+        _CSIC.replace("partition = gpu\n", "partition = gpu\raccount = x\n"),
+        ["profile", "validate", "{path}"],
+        1,
+        "error: line 11: partition must not contain line breaks or control characters\n",
+    ),
+    "bench log": (
+        (LOGS / "bench_1gpu.log").read_text().replace("95.0 images/sec\n", "95.0 images/sec\r"),
+        ["bench", "report", "1:{path}"],
+        1,
+        "error: line 3: malformed log line 'iter 3: 95.0 images/sec\\riter 4: 96.8 images/sec'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, err", list(_CR_IN_A_LINE.values()), ids=list(_CR_IN_A_LINE)
+)
+def test_cr_inside_a_line_ends_no_line(text, argv, code, err, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8"))
+    assert run_cli([a.replace("{path}", str(path)) for a in argv], capsys) == (code, "", err)
 
 
 class TestPerfPredict:
@@ -1666,6 +1760,12 @@ _VERBS = {
         # lint reads their words as json.dumps writes them, too
         {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
     ),
+    "image lint, JSON list as written": (
+        ["image", "lint", "--machine", "{tmp}/Dockerfile"],
+        {"errors", "dockerfile", "lint"},
+        # the parser keeps the list as written, and no rule reads CMD's words
+        {"subprocess", "statistics", "shlex", "json", *_RECORD_MODULES, *_PARSER_MODULES},
+    ),
     "job gen": (
         ["job", "gen", *_RECONCILE_ARGS, "--nodes", "2", "--gpus-per-node", "2",
          "--out", "{tmp}/job.sh", "--", "python", "train.py"],
@@ -1701,6 +1801,7 @@ _VERB_FILES = {
     "image lint, canonical JSON RUN and COPY": {
         "Dockerfile": 'FROM a:1\nRUN ["echo", "a"]\nCOPY ["a.tgz", "/x/"]\n'
     },
+    "image lint, JSON list as written": {"Dockerfile": 'FROM a:1\nCMD ["a","b"]\n'},
 }
 
 

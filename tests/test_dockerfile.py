@@ -19,7 +19,7 @@ from hpcflow.dockerfile import (
     render_dockerfile,
 )
 from hpcflow.errors import DockerfileError, ProfileError
-from hpcflow.lint import lint
+from hpcflow.lint import lint, machine_report
 from hpcflow.profiles import parse_env_spec
 
 FIG2_TEXT = 'FROM ubuntu:18.04\nENTRYPOINT ["ls"]\nCMD ["-la"]\n'
@@ -166,7 +166,7 @@ class TestWhitespace:
             [
                 ("FROM", "a:1", False, (1, 1)),
                 ("RUN", "echo\thi", False, (2, 2)),
-                ('CMD', '["a", "b"]', True, (3, 3)),
+                ('CMD', '["a",\t"b"]', True, (3, 3)),
                 ("UNKNOWN", "ONBUILD\tx\t", False, (4, 4)),
             ],
             id="tab",
@@ -319,6 +319,20 @@ class TestRender:
         copy = ast.instructions[1]
         assert exec_tokens(copy) == tokens
         assert parse_dockerfile(render_dockerfile(ast)) == ast
+
+    @pytest.mark.parametrize(
+        "line", ['RUN [ "a" ]', 'CMD ["a","b"]', 'COPY ["x\u00e9"]', 'RUN ["wget","-O","/f","u"]']
+    )
+    def test_exec_form_is_kept_as_written(self, line):
+        # a list not as json.dumps writes it reads and lints as the one it writes
+        spelling = line.partition(" ")[2]
+        text = f"FROM a:1\n{line}\nRUN rm /f\n"
+        ast = parse_dockerfile(text)
+        canonical = parse_dockerfile(text.replace(spelling, json.dumps(json.loads(spelling))))
+        assert ast.instructions[1].args == spelling
+        assert exec_tokens(ast.instructions[1]) == exec_tokens(canonical.instructions[1])
+        assert machine_report(lint(ast)) == machine_report(lint(canonical))
+        assert render_dockerfile(ast) == text
 
     @settings(max_examples=1000, deadline=None)
     @given(

@@ -631,8 +631,11 @@ def _joined(head, tail):
 
 
 # words of the characters each spec key accepts, with privileged words as pieces
-_PATH_CHAR = st.sampled_from([*"aZ0_@%+=.,/^-:", "sudo", "su"])
+_PATH_PIECES = [*"aZ0_@%+=.,/^-:", "sudo", "su"]
+_PATH_CHAR = st.sampled_from(_PATH_PIECES)
 _PATH_WORD = _joined(_PATH_CHAR, _PATH_CHAR)
+# no image reference starts with "-" (see test_image_that_starts_with_a_dash_is_refused)
+_IMAGE_WORD = _joined(st.sampled_from([p for p in _PATH_PIECES if p != "-"]), _PATH_CHAR)
 _COPY_WORD = _PATH_WORD.map(lambda w: w.replace(",", "").replace(":", "") or "a")
 _VERSION = _joined(st.sampled_from(["0", "21", "rc", "Z"]), st.sampled_from([*".+_-", "3"]))
 _PACKAGE = st.tuples(
@@ -715,7 +718,7 @@ def _spec_fields(draw) -> dict:
 
     strategy = draw(st.sampled_from(["tags", "ngc", "entrypoint"]))
     fields = {
-        "base_image": draw(_PATH_WORD),
+        "base_image": draw(_IMAGE_WORD),
         "strategy": strategy,
         "horovod_version": draw(_VERSION),
         "openmpi_version": None if strategy == "tags" else SemVer(4, 0, 1),
@@ -754,6 +757,12 @@ class TestBuiltSpecDockerfileProperty:
         for instr in ast.instructions:
             if instr.kind == "COPY":
                 assert len(_words(instr)) == 2, dockerfile
+
+    def test_image_that_starts_with_a_dash_is_refused(self):
+        from hpcflow.profiles import EnvironmentSpec
+
+        with pytest.raises(ProfileError, match="'-a:1' is not an image reference"):
+            EnvironmentSpec(base_image="-a:1", strategy="ngc", horovod_version="1")
 
 
 # profile text that puts privileged words next to paths, operators,
